@@ -3,11 +3,14 @@ trajectory integration.
 
 Trajectories are integrated in a two-pass scheme: the wavefunction history
 is stored first (qgrid.evolve_store), then the guidance equation
-dx/dt = v(x, t) is integrated with RK4, interpolating the velocity with
-cubic splines in x and linearly in t between frames.  Node points are
-clamped to the nearest non-node value before splining so the integrator
-never sees a singular field; equilibrium-sampled trajectories visit nodes
-with probability ~0.
+dx/dt = v(x, t) is integrated with RK4.  Every consumer of one stored
+history reads the same VelocityField (Evolution.velocity), built once: per
+frame, the grid velocity with node points clamped to the nearest non-node
+value, and the knot slopes of its periodic cubic spline from an FFT solve.
+Between grid points the velocity is that spline, evaluated by index
+arithmetic in the cubic Hermite basis; between frames it is linear in t.
+Clamping keeps the integrator off the singular field at nodes;
+equilibrium-sampled trajectories visit nodes with probability ~0.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, NodeError
 from .qgrid import Evolution, Grid1D, WaveFunction, NODE_THRESHOLD_REL
@@ -28,31 +30,92 @@ def _node_mask(amp: np.ndarray) -> np.ndarray:
 
 
 def _clamp_nodes(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Replace masked entries with the nearest unmasked value along the grid."""
+    """Overwrite masked entries, in place, with the nearest unmasked value.
+
+    Distance is by grid index (not periodic); a tie takes the left value.
+    """
     if not mask.any():
         return values
     if mask.all():
         raise NodeError("every grid point is a node")
-    idx = np.arange(len(values))
-    good = idx[~mask]
-    nearest = good[np.argmin(np.abs(idx[:, None] - good[None, :]), axis=1)]
-    out = values.copy()
-    out[mask] = values[nearest[mask]]
-    return out
+    n = len(values)
+    idx = np.arange(n)
+    left = np.maximum.accumulate(np.where(mask, -1, idx))
+    right = np.minimum.accumulate(np.where(mask, n, idx)[::-1])[::-1]
+    use_left = (left >= 0) & ((right == n) | (idx - left <= right - idx))
+    nearest = np.where(use_left, left, right)
+    values[mask] = values[nearest[mask]]
+    return values
 
 
 def _spectral_derivative(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(1j * grid.k * np.fft.fft(values))
 
 
-def _periodic_spline(grid: Grid1D, values: np.ndarray) -> CubicSpline:
-    x = np.append(grid.x, grid.x_max)
-    y = np.append(values, values[0])
+def _spline_slopes(grid: Grid1D, values: np.ndarray) -> np.ndarray:
+    """Knot slopes s of the periodic cubic spline through values on the grid.
+
+    Solves the circulant system s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]) / dx
+    by FFT, so the interpolant equals CubicSpline(bc_type="periodic").
+    """
     if np.iscomplexobj(values):
-        re = CubicSpline(x, y.real, bc_type="periodic")
-        im = CubicSpline(x, y.imag, bc_type="periodic")
-        return lambda q: re(q) + 1j * im(q)
-    return CubicSpline(x, y, bc_type="periodic")
+        return (_spline_slopes(grid, values.real)
+                + 1j * _spline_slopes(grid, values.imag))
+    theta = 2.0 * np.pi * np.fft.rfftfreq(grid.n)
+    gain = 3j * np.sin(theta) / (grid.dx * (2.0 + np.cos(theta)))
+    return np.fft.irfft(gain * np.fft.rfft(values), grid.n)
+
+
+def _hermite_coefficients(values: np.ndarray, slopes: np.ndarray,
+                          dx: float) -> np.ndarray:
+    """(n, 4) coefficients of the cubic Hermite piece on each cell [x_i, x_i+1].
+
+    Row i holds c0..c3 of y = c0 + c1 t + c2 t^2 + c3 t^3 with t = (x - x_i)/dx;
+    the last cell wraps to the first knot.
+    """
+    n = len(values)
+    c = np.empty((n, 4), dtype=np.result_type(values, slopes))
+    c[:, 0] = values
+    a = c[:, 1]
+    np.multiply(slopes, dx, out=a)
+    d = np.empty_like(a)
+    np.subtract(values[1:], values[:-1], out=d[:-1])
+    d[-1] = values[0] - values[-1]
+    b = np.empty_like(a)
+    b[:-1] = a[1:]
+    b[-1] = a[0]
+    c[:, 2] = 3.0 * d - 2.0 * a - b
+    c[:, 3] = a + b - 2.0 * d
+    return c
+
+
+def _hermite_eval(coef: np.ndarray, grid: Grid1D, x):
+    """Evaluate per-cell coefficients at x, wrapping periodically."""
+    u = np.asarray(x, dtype=float) - grid.x_min
+    u /= grid.dx
+    cell = np.floor(u)
+    u -= cell
+    i = cell.astype(np.intp)
+    if i.size and (i.min() < 0 or i.max() >= grid.n):
+        i %= grid.n
+    c = coef.take(i, axis=0)
+    out = c[..., 3] * u
+    out += c[..., 2]
+    out *= u
+    out += c[..., 1]
+    out *= u
+    out += c[..., 0]
+    return out
+
+
+def _periodic_spline(grid: Grid1D, values: np.ndarray):
+    """Periodic cubic spline through real or complex values on the grid.
+
+    The returned callable takes scalar or array positions, wrapping them
+    periodically; it equals CubicSpline(bc_type="periodic") up to rounding.
+    """
+    coef = _hermite_coefficients(values, _spline_slopes(grid, values), grid.dx)
+    return lambda x: _hermite_eval(coef, grid, x)
 
 
 def grid_velocity(psi: WaveFunction, mass: float = 1.0, hbar: float = 1.0,
@@ -61,7 +124,7 @@ def grid_velocity(psi: WaveFunction, mass: float = 1.0, hbar: float = 1.0,
     amp = psi.amplitudes
     mask = _node_mask(amp)
     dpsi = _spectral_derivative(psi.grid, amp)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = hbar / mass * np.imag(dpsi / amp)
     v[mask] = 0.0
     return _clamp_nodes(v, mask) if clamp else np.where(mask, np.nan, v)
@@ -157,29 +220,38 @@ class TrajectoryEnsemble:
                           bool(self.truncated[i]))
 
 
-class VelocityInterpolator:
-    """Cubic-in-x, linear-in-t velocity evaluator over a stored evolution."""
+class VelocityField:
+    """Guidance velocity over a stored evolution: periodic cubic in x, linear in t.
+
+    Holds the clamped grid velocity of every frame and the knot slopes of
+    its periodic spline, as two (nt, n) arrays filled frame by frame.
+    Build it through Evolution.velocity, which keeps one per evolution.
+    """
 
     def __init__(self, evolution: Evolution):
-        self.evolution = evolution
-        self._splines = [None] * len(evolution.times)
-
-    def _spline(self, idx: int):
-        if self._splines[idx] is None:
-            psi = self.evolution.psi(idx)
-            v = grid_velocity(psi, self.evolution.mass, self.evolution.hbar)
-            self._splines[idx] = _periodic_spline(self.evolution.grid, v)
-        return self._splines[idx]
+        self.grid = evolution.grid
+        self.times = evolution.times
+        self.frame_dt = evolution.frame_dt
+        nt, n = evolution.frames.shape
+        self.values = np.empty((nt, n))
+        self.slopes = np.empty((nt, n))
+        for j in range(nt):
+            self.values[j] = grid_velocity(evolution.psi(j), evolution.mass,
+                                           evolution.hbar)
+            self.slopes[j] = _spline_slopes(self.grid, self.values[j])
 
     def __call__(self, x, t: float):
-        times = self.evolution.times
-        dt = self.evolution.frame_dt
-        pos = (t - times[0]) / dt
-        lo = int(np.clip(np.floor(pos), 0, len(times) - 2))
-        w = np.clip(pos - lo, 0.0, 1.0)
-        if w == 0.0:
-            return self._spline(lo)(x)
-        return (1.0 - w) * self._spline(lo)(x) + w * self._spline(lo + 1)(x)
+        pos = (t - self.times[0]) / self.frame_dt
+        lo = int(np.clip(np.floor(pos), 0, len(self.times) - 2))
+        w = float(np.clip(pos - lo, 0.0, 1.0))
+        values, slopes = self.values[lo], self.slopes[lo]
+        if w != 0.0:
+            # the spline is linear in its knot values, so blending the two
+            # frames' knots equals blending their interpolants
+            values = (1.0 - w) * values + w * self.values[lo + 1]
+            slopes = (1.0 - w) * slopes + w * self.slopes[lo + 1]
+        return _hermite_eval(_hermite_coefficients(values, slopes, self.grid.dx),
+                             self.grid, x)
 
 
 def integrate_trajectories(evolution: Evolution, starts: np.ndarray,
@@ -195,7 +267,7 @@ def integrate_trajectories(evolution: Evolution, starts: np.ndarray,
     grid = evolution.grid
     if not np.all(grid.contains(starts)):
         raise ConfigurationError("some starting positions are outside the domain")
-    vel = VelocityInterpolator(evolution)
+    vel = evolution.velocity
     times = evolution.times
     nt, n_traj = len(times), len(starts)
     h = evolution.frame_dt / substeps

@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .errors import BohmlabError, ConfigurationError
-from .harness import DEFAULTS, _TASK_DEFAULTS, parse_config, run
+from .harness import parse_config, run
 
 TASKS = ("propagate", "trajectories", "weakvalue", "work", "dwell", "psd",
          "measure", "validate")

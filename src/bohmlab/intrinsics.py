@@ -12,8 +12,8 @@ import numpy as np
 from .errors import (ConfigurationError, EmptyEnsembleError, HorizonError,
                      LagError, NodeError)
 from .qgrid import Evolution, PotentialModel, WaveFunction, NODE_THRESHOLD_REL
-from .bohm import (Trajectory, TrajectoryEnsemble, VelocityInterpolator,
-                   _periodic_spline, quantum_potential)
+from .bohm import (Trajectory, TrajectoryEnsemble, _periodic_spline,
+                   quantum_potential)
 from .weakval import local_energy
 
 
@@ -68,19 +68,6 @@ def work_records(evolution: Evolution, potential: PotentialModel,
             for i in range(ensemble.count)]
 
 
-def work_per_experiment(evolution: Evolution, potential: PotentialModel,
-                        trajectory: Trajectory, t1: float, t2: float) -> WorkRecord:
-    i1, i2 = evolution.index_of(t1), evolution.index_of(t2)
-    psi1, psi2 = evolution.psi(i1), evolution.psi(i2)
-    x1 = float(trajectory.positions[i1])
-    x2 = float(trajectory.positions[i2])
-    if _is_node(psi1, x1) or _is_node(psi2, x2):
-        return WorkRecord(trajectory.experiment_id, np.nan, np.nan, np.nan, True)
-    e1 = local_energy(psi1, potential, x1, evolution.mass, evolution.hbar)
-    e2 = local_energy(psi2, potential, x2, evolution.mass, evolution.hbar)
-    return WorkRecord(trajectory.experiment_id, e1, e2, e2 - e1)
-
-
 def work_distribution(records: list[WorkRecord]) -> WorkDistribution:
     """Normalized histogram (Freedman-Diaconis bins) plus unbinned moments."""
     works = np.array([r.work for r in records if not r.flagged])
@@ -114,7 +101,7 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
         raise ConfigurationError("residual needs one stored frame on each side")
     m, hbar = evolution.mass, evolution.hbar
     dt = evolution.frame_dt
-    vel = VelocityInterpolator(evolution)
+    vel = evolution.velocity
 
     def energy(j, x):
         psi = evolution.psi(j)
@@ -148,26 +135,17 @@ class CurrentConfig:
             raise ConfigurationError(f"device length must be > 0, got {self.length}")
 
 
-def current_per_experiment(evolution: Evolution, trajectory: Trajectory,
-                           cfg: CurrentConfig, t: float) -> float:
-    """I = (q/L) v at the trajectory point, v from the momentum weak value."""
-    i = evolution.index_of(t)
-    psi = evolution.psi(i)
-    x = float(trajectory.positions[i])
-    if _is_node(psi, x):
-        raise NodeError(f"current sample at a node (t={t})")
-    v = VelocityInterpolator(evolution)(x, t)
-    return float(cfg.charge / cfg.length * v)
-
-
 def ensemble_currents(evolution: Evolution, ensemble: TrajectoryEnsemble,
                       cfg: CurrentConfig) -> np.ndarray:
     """Current record I^i(t) for every experiment; shape (nt, N)."""
-    vel = VelocityInterpolator(evolution)
+    vel = evolution.velocity
     out = np.empty_like(ensemble.positions)
     for j, t in enumerate(evolution.times):
         out[j] = vel(ensemble.positions[j], float(t))
     return cfg.charge / cfg.length * out
+
+
+_ACF_CHUNK = 512  # records per FFT batch in autocorrelation
 
 
 @dataclass(frozen=True)
@@ -180,17 +158,26 @@ class PSDResult:
 
 
 def autocorrelation(currents: np.ndarray, dt: float, tau_max: float) -> tuple:
-    """Ensemble- and time-averaged biased autocorrelation on lags |tau| <= tau_max."""
+    """Ensemble- and time-averaged biased autocorrelation on lags |tau| <= tau_max.
+
+    Wiener-Khinchin: each record is zero-padded to at least 2 nt - 1 samples,
+    so the inverse transform of the summed power spectra is the linear (not
+    circular) lag sum.  Records are transformed in column chunks to bound the
+    complex temporaries.
+    """
     currents = np.atleast_2d(np.asarray(currents, dtype=float).T).T  # (nt, N)
-    nt = currents.shape[0]
+    nt, n_traj = currents.shape
     m_max = int(round(tau_max / dt))
     if m_max > nt - 1:
         raise LagError(
             f"lag horizon {tau_max} exceeds record length {(nt - 1) * dt}")
+    n_fft = 1 << (2 * nt - 2).bit_length()
+    power = np.zeros(n_fft // 2 + 1)
+    for start in range(0, n_traj, _ACF_CHUNK):
+        spec = np.fft.rfft(currents[:, start:start + _ACF_CHUNK], n=n_fft, axis=0)
+        power += np.sum(spec.real ** 2 + spec.imag ** 2, axis=1)
     # biased estimator: divide by the full record length regardless of overlap
-    c = np.empty(m_max + 1)
-    for m in range(m_max + 1):
-        c[m] = np.mean(np.sum(currents[:nt - m] * currents[m:], axis=0) / nt)
+    c = np.fft.irfft(power, n_fft)[:m_max + 1] / (nt * n_traj)
     lags = dt * np.arange(-m_max, m_max + 1)
     c_full = np.concatenate([c[:0:-1], c])
     return lags, c_full

@@ -505,6 +505,15 @@ class Evolution:
     def psi(self, index: int) -> WaveFunction:
         return WaveFunction(self.grid, self.frames[index], float(self.times[index]))
 
+    @cached_property
+    def velocity(self):
+        """The Bohmian guidance field of this history (bohm.VelocityField).
+
+        Built on first use and shared by every later consumer.
+        """
+        from .bohm import VelocityField  # bohm builds on this module
+        return VelocityField(self)
+
     def index_of(self, t: float, tol: float = 1e-9) -> int:
         idx = int(round((t - self.times[0]) / self.frame_dt))
         if idx < 0 or idx >= len(self.times) or abs(self.times[idx] - t) > tol:

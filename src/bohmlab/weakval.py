@@ -9,8 +9,6 @@ computed and returned but never used by the intrinsic-property pipelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (ConfigurationError, EmptyEnsembleError, HorizonError,
@@ -19,14 +17,6 @@ from .qgrid import (Evolution, PotentialModel, PropagatorConfig, SpectralOperato
                     WaveFunction, NODE_THRESHOLD_REL, _make_stepper,
                     build_hamiltonian, window_operator)
 from .bohm import _periodic_spline
-
-
-@dataclass(frozen=True)
-class WeakValueSample:
-    post_selection_x: float
-    value: complex
-    operator_label: str
-    time: float
 
 
 def _ratio_at(psi: WaveFunction, numerator: np.ndarray, x):

@@ -1,12 +1,18 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
-                     evolve_store)
-from bohmlab.bohm import (equivariance_l1, grid_velocity,
-                          integrate_trajectories, quantum_potential,
-                          sample_initial_positions, velocity_field)
+                     bohm, evolve_store)
+from bohmlab.bohm import (_clamp_nodes, _periodic_spline, equivariance_l1,
+                          grid_velocity, integrate_trajectories,
+                          quantum_potential, sample_initial_positions,
+                          velocity_field)
 from bohmlab.errors import ConfigurationError, NodeError
+from bohmlab.harness import parse_config, run
 
 
 @pytest.fixture
@@ -61,6 +67,108 @@ class TestVelocity:
         psi = WaveFunction.gaussian(grid)
         with pytest.raises(ConfigurationError):
             velocity_field(psi, 100.0)
+
+    def test_decaying_tail_is_silent(self):
+        # the tails underflow to exact zeros; the masked division must not warn
+        wide = Grid1D(-60.0, 60.0, 2048)
+        psi = WaveFunction.gaussian(wide, center=-3.0, width=1.0, momentum=1.0)
+        assert np.any(psi.amplitudes == 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = grid_velocity(psi)
+        assert np.all(np.isfinite(v))
+
+
+def _scipy_periodic(grid, values):
+    x = np.append(grid.x, grid.x_max)
+    y = np.append(values, values[0])
+    if np.iscomplexobj(values):
+        re = CubicSpline(x, y.real, bc_type="periodic")
+        im = CubicSpline(x, y.imag, bc_type="periodic")
+        return lambda q: re(q) + 1j * im(q)
+    return CubicSpline(x, y, bc_type="periodic")
+
+
+class TestPeriodicSpline:
+    @pytest.fixture
+    def values(self, grid):
+        rng = np.random.default_rng(3)
+        psi = WaveFunction.gaussian(grid, center=2.0, width=3.0, momentum=1.5)
+        return {"real": np.cumsum(rng.normal(size=grid.n)),
+                "complex": psi.amplitudes}
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_scipy_periodic(self, grid, values, kind):
+        y = values[kind]
+        rng = np.random.default_rng(4)
+        xq = np.concatenate([
+            rng.uniform(grid.x_min, grid.x_max, 500), grid.x,
+            [grid.x_min, grid.x_max, grid.x_max + 3.7, grid.x_min - 5.2,
+             grid.x_max + 2 * grid.length + 0.1]])
+        got = _periodic_spline(grid, y)(xq)
+        want = _scipy_periodic(grid, y)(xq)
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("x", [0.3, -25.0, 25.0, 31.0])
+    def test_scalar_query(self, grid, values, kind, x):
+        y = values[kind]
+        got = _periodic_spline(grid, y)(x)
+        assert np.ndim(got) == 0
+        assert got == pytest.approx(_scipy_periodic(grid, y)(x),
+                                    abs=1e-12 * np.max(np.abs(y)))
+
+    def test_interpolates_knots(self, grid, values):
+        y = values["real"]
+        assert np.allclose(_periodic_spline(grid, y)(grid.x), y,
+                           rtol=0, atol=1e-13 * np.max(np.abs(y)))
+
+
+def _argmin_clamp(values, mask):
+    """Nearest-unmasked clamp by an n x n_good distance matrix (reference)."""
+    if not mask.any():
+        return values
+    if mask.all():
+        raise NodeError("every grid point is a node")
+    idx = np.arange(len(values))
+    good = idx[~mask]
+    nearest = good[np.argmin(np.abs(idx[:, None] - good[None, :]), axis=1)]
+    out = values.copy()
+    out[mask] = values[nearest[mask]]
+    return out
+
+
+class TestClampNodes:
+    @pytest.mark.parametrize("pattern", [
+        "..x..",      # single interior node
+        ".xx.",       # tie between the two neighbours
+        "xxx..x.",    # leading run
+        "..x.xxxx",   # trailing run
+        "x.x.x.x.",   # alternating
+        "xx.xx",      # one survivor
+        ".....",      # nothing to clamp
+    ])
+    def test_matches_argmin(self, pattern):
+        mask = np.array([c == "x" for c in pattern])
+        values = np.arange(1.0, len(mask) + 1)
+        assert np.array_equal(_clamp_nodes(values.copy(), mask),
+                              _argmin_clamp(values, mask))
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            mask = rng.random(n) < rng.random()
+            if mask.all():
+                continue
+            values = rng.normal(size=n)
+            assert np.array_equal(_clamp_nodes(values.copy(), mask),
+                                  _argmin_clamp(values, mask))
+
+    def test_all_nodes_raise(self):
+        with pytest.raises(NodeError):
+            _clamp_nodes(np.zeros(8), np.ones(8, dtype=bool))
 
 
 class TestQuantumPotential:
@@ -144,6 +252,23 @@ class TestTrajectories:
         serial = integrate_trajectories(free_evolution, starts, threads=1)
         threaded = integrate_trajectories(free_evolution, starts, threads=4)
         assert np.array_equal(serial.positions, threaded.positions)
+
+    def test_psd_task_builds_field_once(self, tmp_path, monkeypatch):
+        builds = []
+
+        class CountingField(bohm.VelocityField):
+            def __init__(self, evolution):
+                builds.append(evolution)
+                super().__init__(evolution)
+
+        monkeypatch.setattr(bohm, "VelocityField", CountingField)
+        cfg = parse_config(json.dumps({
+            "grid": {"n": 128, "x_min": -20.0, "x_max": 20.0},
+            "ensemble": {"n": 25, "seed": 7},
+            "propagator": {"dt": 0.01, "steps_per_output": 10},
+            "task": {"name": "psd", "duration": 1.0, "tau_max": 0.3}}))
+        run(cfg, out_dir=str(tmp_path))
+        assert len(builds) == 1
 
     def test_start_outside_domain(self, free_evolution):
         with pytest.raises(ConfigurationError):

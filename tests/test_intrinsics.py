@@ -86,6 +86,14 @@ class TestPowerBalance:
             power_balance_residual(ev, pot, ens.trajectory(0), 0.0)
 
 
+def _direct_autocorrelation(currents, m_max):
+    """Biased lag sum, one lag at a time (reference for the FFT estimator)."""
+    nt = currents.shape[0]
+    c = np.array([np.mean(np.sum(currents[:nt - m] * currents[m:], axis=0) / nt)
+                  for m in range(m_max + 1)])
+    return np.concatenate([c[:0:-1], c])
+
+
 class TestCurrentAndPsd:
     def test_uniform_packet_current(self, grid):
         # narrow-band packet: v ~ hbar k0/m everywhere in the core
@@ -106,6 +114,18 @@ class TestCurrentAndPsd:
         lags, c = autocorrelation(currents, dt, tau_max=2.0)
         m = np.abs(np.round(lags / dt)).astype(int)
         assert np.allclose(c, c0 ** 2 * (nt - m) / nt, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(251, 1100), (40, 3), (7, 1)])
+    def test_autocorrelation_matches_direct_lag_sum(self, shape):
+        nt, _ = shape
+        rng = np.random.default_rng(nt)
+        currents = rng.normal(loc=0.2, size=shape)
+        dt = 0.02
+        lags, c = autocorrelation(currents, dt, tau_max=(nt - 1) * dt)
+        want = _direct_autocorrelation(currents, nt - 1)
+        zero_lag = want[nt - 1]
+        assert np.allclose(lags, dt * np.arange(-(nt - 1), nt))
+        assert np.max(np.abs(c - want)) < 1e-13 * zero_lag
 
     def test_lag_horizon_too_long(self):
         with pytest.raises(LagError):
