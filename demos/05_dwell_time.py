@@ -4,7 +4,8 @@ How long does a packet spend inside a window in front of a low barrier?
 The trajectory ensemble, the density quadrature, and the equilibrium
 average of the dwell-operator weak value must all agree; the pointwise
 per-trajectory comparison against the weak value at the starting position
-is reported as a distribution.
+is reported as a distribution.  All three estimators use one split-operator
+propagator: the dwell operator sweeps forward and back with the same step.
 """
 
 import numpy as np
@@ -22,15 +23,15 @@ pot = PotentialModel("barrier", height=1.0, left=2.0, right=3.0)
 psi = WaveFunction.gaussian(grid, center=-10.0, width=1.0, momentum=5.0)
 region, horizon = (-2.0, 2.0), 5.0
 
-ev = evolve_store(psi, pot, PropagatorConfig(0.0025, steps_per_output=8), horizon)
+cfg = PropagatorConfig(0.0025, steps_per_output=8)
+ev = evolve_store(psi, pot, cfg, horizon)
 ens = integrate_trajectories(
     ev, sample_initial_positions(psi, 2000, seed=4), substeps=2)
 
 t_traj, stderr = dwell_time_ensemble(ens, region)
 t_density = dwell_time_density(ev, region, horizon)
 
-cn = PropagatorConfig(0.0025, method="crank-nicolson", steps_per_output=8)
-field = dwell_operator_field(psi, region, horizon, cn, potential=pot)
+field = dwell_operator_field(psi, region, horizon, cfg, potential=pot)
 ok = np.isfinite(field)
 t_wv = float(np.sum(psi.density()[ok] * field[ok]) * grid.dx)
 

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NodeError
-from .qgrid import Evolution, Grid1D, WaveFunction, NODE_THRESHOLD_REL
-
-
-def _node_mask(amp: np.ndarray) -> np.ndarray:
-    dens = np.abs(amp) ** 2
-    return dens < NODE_THRESHOLD_REL * dens.max()
+from .qgrid import Evolution, Grid1D, WaveFunction, node_mask, nodes_at
 
 
 def _clamp_nodes(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -122,7 +117,7 @@ def grid_velocity(psi: WaveFunction, mass: float = 1.0, hbar: float = 1.0,
                   clamp: bool = True) -> np.ndarray:
     """Bohmian velocity v = (hbar/m) Im[psi'/psi] at the grid points."""
     amp = psi.amplitudes
-    mask = _node_mask(amp)
+    mask = node_mask(amp)
     dpsi = _spectral_derivative(psi.grid, amp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = hbar / mass * np.imag(dpsi / amp)
@@ -140,9 +135,7 @@ def velocity_field(psi: WaveFunction, x, mass: float = 1.0, hbar: float = 1.0,
     xq = np.asarray(x, dtype=float)
     if not np.all(psi.grid.contains(xq)):
         raise ConfigurationError("query position outside the grid domain")
-    dens_spline = _periodic_spline(psi.grid, psi.density())
-    at_node = dens_spline(xq) < NODE_THRESHOLD_REL * psi.density().max()
-    if np.any(at_node) and on_node == "raise":
+    if on_node == "raise" and np.any(nodes_at(psi, xq)):
         raise NodeError("velocity requested at a wavefunction node")
     v = _periodic_spline(psi.grid, grid_velocity(psi, mass, hbar))(xq)
     return v if np.ndim(x) else float(v)
@@ -152,7 +145,7 @@ def quantum_potential(psi: WaveFunction, x=None, mass: float = 1.0,
                       hbar: float = 1.0, on_node: str = "raise"):
     """Q = -(hbar^2/2m) R''/R with spectral second derivative of R = |psi|."""
     r = np.abs(psi.amplitudes)
-    mask = _node_mask(psi.amplitudes)
+    mask = node_mask(psi.amplitudes)
     d2r = np.fft.ifft(-psi.grid.k ** 2 * np.fft.fft(r)).real
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -hbar ** 2 / (2.0 * mass) * d2r / r
@@ -161,9 +154,7 @@ def quantum_potential(psi: WaveFunction, x=None, mass: float = 1.0,
     if x is None:
         return q
     xq = np.asarray(x, dtype=float)
-    dens_spline = _periodic_spline(psi.grid, psi.density())
-    at_node = dens_spline(xq) < NODE_THRESHOLD_REL * psi.density().max()
-    if np.any(at_node) and on_node == "raise":
+    if on_node == "raise" and np.any(nodes_at(psi, xq)):
         raise NodeError("quantum potential requested at a wavefunction node")
     qv = _periodic_spline(psi.grid, q)(xq)
     return qv if np.ndim(x) else float(qv)

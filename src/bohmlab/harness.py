@@ -26,7 +26,8 @@ from . import __version__
 from .errors import ConfigurationError
 from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     build_hamiltonian, evolution_operator, evolve_store,
-                    expectation, momentum_operator, position_operator)
+                    expectation, momentum_operator, node_mask,
+                    position_operator)
 from .bohm import equivariance_l1, integrate_trajectories, sample_initial_positions
 from .weakval import dwell_operator_field, weak_average_quadrature
 from .intrinsics import (CurrentConfig, dwell_time_density, dwell_time_ensemble,
@@ -183,9 +184,10 @@ def _validate(cfg: dict) -> list[str]:
     num("propagator", "dt", lambda v: v > 0, "must be > 0")
     num("propagator", "steps_per_output", lambda v: v >= 1 and v == int(v),
         "must be an integer >= 1")
-    if cfg["propagator"]["method"] not in ("split-operator", "crank-nicolson"):
+    if cfg["propagator"]["method"] not in PropagatorConfig.METHODS:
         errors.append(f"propagator.method: unknown method "
-                      f"{cfg['propagator']['method']!r}")
+                      f"{cfg['propagator']['method']!r} (valid: "
+                      f"{', '.join(PropagatorConfig.METHODS)})")
     num("ensemble", "n", lambda v: v >= 1 and v == int(v),
         "must be an integer >= 1")
     num("ensemble", "seed", lambda v: v >= 0 and v == int(v),
@@ -388,9 +390,9 @@ def _task_weakvalue(config, tmp, threads):
     mass, hbar = _mass_hbar(config)
     op = _operator(config.task["operator"], grid, mass, hbar, pot)
     dens = psi.density()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         wv = op.apply(psi.amplitudes) / psi.amplitudes
-    wv[dens < 1e-12 * dens.max()] = np.nan
+    wv[node_mask(psi.amplitudes)] = np.nan
     _write_csv(os.path.join(tmp, "weakvalue.csv"),
                ["x", "real", "imag", "density"],
                np.column_stack([grid.x, wv.real, wv.imag, dens]))
@@ -440,10 +442,8 @@ def _task_dwell(config, tmp, threads):
                "density": float(t_density)}
     if not pot.time_dependent:
         mass, hbar = _mass_hbar(config)
-        prop = config.build_propagator()
-        cn = PropagatorConfig(prop.dt, method="crank-nicolson",
-                              steps_per_output=prop.steps_per_output)
-        field_vals = dwell_operator_field(psi, region, horizon, cn,
+        field_vals = dwell_operator_field(psi, region, horizon,
+                                          config.build_propagator(),
                                           potential=pot, mass=mass, hbar=hbar)
         ok = np.isfinite(field_vals)
         summary["weak_value"] = float(

@@ -11,9 +11,8 @@ import numpy as np
 
 from .errors import (ConfigurationError, EmptyEnsembleError, HorizonError,
                      LagError, NodeError)
-from .qgrid import Evolution, PotentialModel, WaveFunction, NODE_THRESHOLD_REL
-from .bohm import (Trajectory, TrajectoryEnsemble, _periodic_spline,
-                   quantum_potential)
+from .qgrid import Evolution, PotentialModel, nodes_at
+from .bohm import Trajectory, TrajectoryEnsemble, quantum_potential
 from .weakval import local_energy
 
 
@@ -40,14 +39,6 @@ class WorkDistribution:
     flagged_count: int = 0
 
 
-def _density_at(psi: WaveFunction, x):
-    return _periodic_spline(psi.grid, psi.density())(x)
-
-
-def _is_node(psi: WaveFunction, x) -> np.ndarray:
-    return np.asarray(_density_at(psi, x)) < NODE_THRESHOLD_REL * psi.density().max()
-
-
 def work_records(evolution: Evolution, potential: PotentialModel,
                  ensemble: TrajectoryEnsemble, t1: float, t2: float) -> list[WorkRecord]:
     """Per-experiment work from local-energy weak values at the two endpoints."""
@@ -55,7 +46,7 @@ def work_records(evolution: Evolution, potential: PotentialModel,
     psi1, psi2 = evolution.psi(i1), evolution.psi(i2)
     x1 = ensemble.positions[i1]
     x2 = ensemble.positions[i2]
-    bad = _is_node(psi1, x1) | _is_node(psi2, x2)
+    bad = nodes_at(psi1, x1) | nodes_at(psi2, x2)
     e1 = np.full(ensemble.count, np.nan)
     e2 = np.full(ensemble.count, np.nan)
     if (~bad).any():
@@ -105,7 +96,7 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
 
     def energy(j, x):
         psi = evolution.psi(j)
-        if _is_node(psi, x):
+        if nodes_at(psi, x):
             raise NodeError(f"trajectory at a node at frame {j}")
         v = vel(x, float(evolution.times[j]))
         q = quantum_potential(psi, x, m, hbar)
@@ -208,6 +199,39 @@ def psd(currents: np.ndarray, dt: float, tau_max: float,
 # Dwell times
 # ---------------------------------------------------------------------------
 
+_DWELL_CHUNK = 512  # trajectories per vectorised dwell-time batch
+
+
+def _dwell_times(positions: np.ndarray, times: np.ndarray,
+                 region: tuple[float, float]) -> np.ndarray:
+    """Time each column of positions (nt, N) spends inside [a, b].
+
+    Linear sub-step crossing refinement.  Per batch of trajectories the
+    per-step contributions form an (N, nt - 1) C-contiguous array summed
+    along its last axis, so each trajectory gets the same pairwise sum as
+    a single column would.
+    """
+    a, b = region
+    if not b > a:
+        raise ConfigurationError(f"region needs b > a, got [{a}, {b}]")
+    positions = np.asarray(positions, dtype=float)
+    dt = np.diff(np.asarray(times, dtype=float))
+    taus = np.empty(positions.shape[1])
+    for start in range(0, len(taus), _DWELL_CHUNK):
+        pos = np.ascontiguousarray(positions[:, start:start + _DWELL_CHUNK].T)
+        x0, x1 = pos[:, :-1], pos[:, 1:]
+        lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
+        span = hi - lo
+        overlap = np.minimum(hi, b, out=hi)
+        overlap -= np.maximum(lo, a, out=lo)
+        np.clip(overlap, 0.0, None, out=overlap)
+        frac = ((x0 >= a) & (x0 <= b)).astype(float)
+        np.divide(overlap, span, out=frac, where=span > 0)
+        frac *= dt
+        taus[start:start + _DWELL_CHUNK] = frac.sum(axis=-1)
+    return taus
+
+
 def dwell_time_trajectory(trajectory: Trajectory | np.ndarray,
                           region: tuple[float, float],
                           times: np.ndarray | None = None) -> float:
@@ -215,35 +239,17 @@ def dwell_time_trajectory(trajectory: Trajectory | np.ndarray,
     if isinstance(trajectory, Trajectory):
         pos, t = trajectory.positions, trajectory.times
     else:
-        pos, t = np.asarray(trajectory, dtype=float), np.asarray(times, dtype=float)
+        pos, t = np.asarray(trajectory, dtype=float), times
     a, b = region
-    if not b > a:
-        raise ConfigurationError(f"region needs b > a, got [{a}, {b}]")
-    if a < pos[-1] < b:
+    if b > a and a < pos[-1] < b:  # _dwell_times rejects b <= a
         raise HorizonError("trajectory still inside the region at the final time")
-    x0, x1 = pos[:-1], pos[1:]
-    dt = np.diff(t)
-    lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
-    overlap = np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None)
-    span = hi - lo
-    frac = np.where(span > 0, overlap / np.where(span > 0, span, 1.0),
-                    ((x0 >= a) & (x0 <= b)).astype(float))
-    return float(np.sum(frac * dt))
+    return float(_dwell_times(pos[:, None], t, region)[0])
 
 
 def dwell_time_ensemble(ensemble: TrajectoryEnsemble,
                         region: tuple[float, float]) -> tuple[float, float]:
     """Mean per-trajectory dwell time and its standard error."""
-    a, b = region
-    final = ensemble.positions[-1]
-    stuck = np.count_nonzero((final > a) & (final < b))
-    if stuck:
-        raise HorizonError(
-            f"{stuck} of {ensemble.count} trajectories still inside {region} "
-            "at the final time")
-    taus = np.array([dwell_time_trajectory(ensemble.positions[:, i], region,
-                                           ensemble.times)
-                     for i in range(ensemble.count)])
+    taus = per_trajectory_dwell_times(ensemble, region)
     stderr = float(np.std(taus, ddof=1) / np.sqrt(len(taus))) if len(taus) > 1 \
         else float("inf")
     return float(np.mean(taus)), stderr
@@ -251,9 +257,15 @@ def dwell_time_ensemble(ensemble: TrajectoryEnsemble,
 
 def per_trajectory_dwell_times(ensemble: TrajectoryEnsemble,
                                region: tuple[float, float]) -> np.ndarray:
-    return np.array([dwell_time_trajectory(ensemble.positions[:, i], region,
-                                           ensemble.times)
-                     for i in range(ensemble.count)])
+    """Dwell time of every trajectory in the ensemble, shape (N,)."""
+    a, b = region
+    final = ensemble.positions[-1]
+    stuck = np.count_nonzero((final > a) & (final < b))
+    if stuck:
+        raise HorizonError(
+            f"{stuck} of {ensemble.count} trajectories still inside {region} "
+            "at the final time")
+    return _dwell_times(ensemble.positions, ensemble.times, region)
 
 
 def _region_mass(psi_frames: np.ndarray, grid, region) -> np.ndarray:

@@ -7,7 +7,13 @@ Conventions used throughout the package:
 * the state is stored as plain amplitude samples psi(x_j), normalized so
   that sum |psi|^2 dx = 1;
 * spectral (FFT) derivatives, so smooth states are resolved to machine
-  precision as long as the packet stays away from the domain edges.
+  precision as long as the packet stays away from the domain edges;
+* two propagators: the split-operator (Strang) FFT step for any potential,
+  and the exact step exp(-i H dt / hbar) in the dense eigenbasis of a
+  time-independent H (n <= DENSE_EIG_LIMIT), which keeps eigenstates
+  stationary;
+* a grid point or position is a node when |psi|^2 there falls below
+  NODE_THRESHOLD_REL times the maximum of |psi|^2 on the grid.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, DimensionError, StepSizeError
 
@@ -346,8 +351,22 @@ def expectation(op: SpectralOperator, psi: WaveFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Polar decomposition
+# Nodes and polar decomposition
 # ---------------------------------------------------------------------------
+
+def node_mask(amplitudes: np.ndarray) -> np.ndarray:
+    """True at the grid points where the state is a node."""
+    dens = np.abs(amplitudes) ** 2
+    return dens < NODE_THRESHOLD_REL * dens.max()
+
+
+def nodes_at(psi: WaveFunction, x) -> np.ndarray:
+    """True where the periodic-spline density at positions x marks a node."""
+    from .bohm import _periodic_spline  # bohm builds on this module
+    dens = psi.density()
+    return np.asarray(_periodic_spline(psi.grid, dens)(x)) \
+        < NODE_THRESHOLD_REL * dens.max()
+
 
 class PolarFields(NamedTuple):
     modulus: np.ndarray        # R >= 0
@@ -355,8 +374,7 @@ class PolarFields(NamedTuple):
     node_mask: np.ndarray      # True where the phase is undefined
 
 
-def polar_decompose(psi: WaveFunction, hbar: float = 1.0,
-                    node_threshold_rel: float = NODE_THRESHOLD_REL) -> PolarFields:
+def polar_decompose(psi: WaveFunction, hbar: float = 1.0) -> PolarFields:
     """Split psi into modulus and (unwrapped) phase action.
 
     The phase is unwrapped cumulatively along increasing x and restarted
@@ -365,7 +383,7 @@ def polar_decompose(psi: WaveFunction, hbar: float = 1.0,
     """
     amp = psi.amplitudes
     r = np.abs(amp)
-    mask = r ** 2 < node_threshold_rel * np.max(r ** 2)
+    mask = node_mask(amp)
     theta = np.angle(amp)
     unwrapped = theta.copy()
     # unwrap each contiguous non-node segment independently
@@ -384,10 +402,10 @@ def polar_decompose(psi: WaveFunction, hbar: float = 1.0,
 @dataclass(frozen=True)
 class PropagatorConfig:
     dt: float
-    method: str = "split-operator"  # or "crank-nicolson"
+    method: str = "split-operator"  # or "exact"
     steps_per_output: int = 10
 
-    METHODS = ("split-operator", "crank-nicolson")
+    METHODS = ("split-operator", "exact")
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -424,41 +442,22 @@ class _SplitOperatorStepper:
         return amp
 
 
-class _CrankNicolsonStepper:
-    """Cayley form (1 + i dt H / 2 hbar) psi' = (1 - i dt H / 2 hbar) psi.
+class _ExactStepper:
+    """One dense step U = exp(-i H dt / hbar) from the eigenbasis of a static H.
 
-    Exactly unitary and exactly time-reversible; the LU factorization is
-    cached for time-independent potentials.
+    evolution_operator rejects time-dependent potentials and grids above
+    DENSE_EIG_LIMIT before any n x n allocation.
     """
 
     def __init__(self, grid, potential, dt, mass, hbar):
-        self.grid = grid
-        self.potential = potential
-        self.dt = dt
-        self.mass = mass
-        self.hbar = hbar
-        self._cache = None
-        if not potential.time_dependent:
-            self._cache = self._factor(0.0)
-
-    def _factor(self, t):
-        h = build_hamiltonian(self.grid, self.potential, t, self.mass,
-                              self.hbar).dense()
-        z = 0.5j * self.dt / self.hbar
-        a = np.eye(self.grid.n) + z * h
-        b = np.eye(self.grid.n) - z * h
-        return scipy.linalg.lu_factor(a), b
+        self._u = evolution_operator(grid, potential, dt, mass=mass, hbar=hbar)
 
     def step(self, amp, t):
-        if self._cache is not None:
-            lu, b = self._cache
-        else:
-            lu, b = self._factor(t + 0.5 * self.dt)
-        return scipy.linalg.lu_solve(lu, b @ amp)
+        return self._u @ amp
 
 
 def _make_stepper(grid, potential, dt, method, mass, hbar):
-    cls = _SplitOperatorStepper if method == "split-operator" else _CrankNicolsonStepper
+    cls = _SplitOperatorStepper if method == "split-operator" else _ExactStepper
     return cls(grid, potential, dt, mass, hbar)
 
 

@@ -252,7 +252,7 @@ def check_work_properties():
     h = build_hamiltonian(grid, hpot)
     eig = WaveFunction(grid, h.eigenvectors()[:, 0])
     ev2 = evolve_store(eig, hpot, PropagatorConfig(
-        0.01, method="crank-nicolson", steps_per_output=10), 1.0)
+        0.01, method="exact", steps_per_output=10), 1.0)
     ens2 = integrate_trajectories(ev2, sample_initial_positions(eig, 500, seed=56))
     dist2 = work_distribution(work_records(ev2, hpot, ens2, 0.0, 1.0))
     point_mass = dist2.std < 1e-6 and abs(dist2.mean) < 1e-6
@@ -285,8 +285,7 @@ def check_dwell_triple_agreement():
     ens = integrate_trajectories(ev, starts, substeps=2)
     t_traj, stderr = dwell_time_ensemble(ens, region)
 
-    wv_cfg = PropagatorConfig(0.0025, method="crank-nicolson", steps_per_output=8)
-    field = dwell_operator_field(psi, region, horizon, wv_cfg, potential=pot)
+    field = dwell_operator_field(psi, region, horizon, cfg, potential=pot)
     ok = np.isfinite(field)
     t_wv = float(np.sum(psi.density()[ok] * field[ok]) * grid.dx)
 

@@ -13,18 +13,16 @@ import numpy as np
 
 from .errors import (ConfigurationError, EmptyEnsembleError, HorizonError,
                      NodeError)
-from .qgrid import (Evolution, PotentialModel, PropagatorConfig, SpectralOperator,
-                    WaveFunction, NODE_THRESHOLD_REL, _make_stepper,
-                    build_hamiltonian, window_operator)
+from .qgrid import (PotentialModel, PropagatorConfig, SpectralOperator,
+                    WaveFunction, _make_stepper, build_hamiltonian, evolve_store,
+                    node_mask, nodes_at, window_operator)
 from .bohm import _periodic_spline
 
 
 def _ratio_at(psi: WaveFunction, numerator: np.ndarray, x):
     """Interpolated (num/psi)(x) with node detection on the denominator."""
     xq = np.asarray(x, dtype=float)
-    dens = psi.density()
-    dens_q = _periodic_spline(psi.grid, dens)(xq)
-    if np.any(dens_q < NODE_THRESHOLD_REL * dens.max()):
+    if np.any(nodes_at(psi, xq)):
         raise NodeError("post-selection at a wavefunction node is impossible")
     num_q = _periodic_spline(psi.grid, numerator)(xq)
     den_q = _periodic_spline(psi.grid, psi.amplitudes)(xq)
@@ -53,9 +51,7 @@ def ensemble_weak_average(op: SpectralOperator, psi: WaveFunction,
     position sits on a node the ensemble is empty and an error is raised.
     """
     positions = np.asarray(positions, dtype=float)
-    dens = psi.density()
-    dens_q = _periodic_spline(psi.grid, dens)(positions)
-    ok = dens_q >= NODE_THRESHOLD_REL * dens.max()
+    ok = ~nodes_at(psi, positions)
     if not ok.any():
         raise EmptyEnsembleError("all sampled positions sit on nodes")
     vals = np.real(aav_weak_value(op, psi, positions[ok]))
@@ -80,10 +76,13 @@ def dwell_operator_state(psi0: WaveFunction, region: tuple[float, float],
                          mass: float = 1.0, hbar: float = 1.0) -> np.ndarray:
     """Apply the dwell operator D = integral_0^T U^dag(t) A U(t) dt to psi0.
 
-    A is the window projector on `region`.  Time quadrature is trapezoid at
-    the output spacing; the backward sweep reuses the adjoint (= inverse)
-    Crank-Nicolson step, so forward and backward propagation cancel exactly
-    and only the quadrature error remains.
+    A is the window projector on `region`.  The forward frames come from
+    evolve_store with cfg's propagator, and the time quadrature is trapezoid
+    at their spacing.  The backward sweep runs the same stepper with -dt,
+    the exact inverse of the forward step for both methods (Strang
+    splitting: S(-dt) = S(dt)^-1), so forward and backward propagation
+    cancel, D is Hermitian and <psi0|D|psi0> equals the density quadrature
+    on the same frames.
     """
     if potential is None:
         potential = PotentialModel("free")
@@ -93,22 +92,12 @@ def dwell_operator_state(psi0: WaveFunction, region: tuple[float, float],
     grid = psi0.grid
     a, b = region
     window = window_operator(grid, a, b)
+    frames = evolve_store(psi0, potential, cfg, horizon, mass, hbar).frames
+    n_frames = len(frames) - 1
     spo = cfg.steps_per_output
-    n_frames = max(1, int(round(horizon / (cfg.dt * spo))))
-    dt = horizon / (n_frames * spo)
+    dt = horizon / (n_frames * spo)  # the step evolve_store took
     dt_out = dt * spo
-    stepper = _make_stepper(grid, potential, dt, "crank-nicolson", mass, hbar)
-    back = _make_stepper(grid, potential, -dt, "crank-nicolson", mass, hbar)
-
-    frames = np.empty((n_frames + 1, grid.n), dtype=complex)
-    frames[0] = psi0.amplitudes
-    amp = psi0.amplitudes
-    t = psi0.time
-    for j in range(1, n_frames + 1):
-        for _ in range(spo):
-            amp = stepper.step(amp, t)
-            t += dt
-        frames[j] = amp
+    back = _make_stepper(grid, potential, -dt, cfg.method, mass, hbar)
 
     mass_in = np.sum(np.abs(window.apply(frames[-1])) ** 2) * grid.dx
     if mass_in > 1e-4:
@@ -141,9 +130,7 @@ def dwell_operator_field(psi0: WaveFunction, region: tuple[float, float],
                          mass: float = 1.0, hbar: float = 1.0) -> np.ndarray:
     """Dwell-operator weak value at every non-node grid point (NaN at nodes)."""
     d_psi = dwell_operator_state(psi0, region, horizon, cfg, potential, mass, hbar)
-    dens = psi0.density()
-    mask = dens < NODE_THRESHOLD_REL * dens.max()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         wv = np.real(d_psi / psi0.amplitudes)
-    wv[mask] = np.nan
+    wv[node_mask(psi0.amplitudes)] = np.nan
     return wv

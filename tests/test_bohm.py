@@ -281,7 +281,7 @@ class TestTrajectories:
         h = build_hamiltonian(grid, pot)
         psi = WaveFunction(grid, h.eigenvectors()[:, 0])
         ev = evolve_store(psi, pot, PropagatorConfig(
-            0.01, method="crank-nicolson", steps_per_output=10), 1.0)
+            0.01, method="exact", steps_per_output=10), 1.0)
         starts = np.array([-1.0, 0.3, 0.9])
         ens = integrate_trajectories(ev, starts)
         assert np.max(np.abs(ens.positions - starts[None, :])) < 1e-6

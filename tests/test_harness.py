@@ -1,11 +1,13 @@
 import json
 import os
+import warnings
 
 import pytest
 
 from bohmlab.cli import main
 from bohmlab.errors import ConfigurationError
 from bohmlab.harness import DEFAULTS, parse_config, resolve_out_dir, run
+from bohmlab.qgrid import SpectralOperator
 
 FAST = {
     "grid": {"n": 128, "x_min": -20.0, "x_max": 20.0},
@@ -91,6 +93,33 @@ class TestRun:
             run(cfg, out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("doc", [
+        {"grid": {"n": 2048}, "state": {"kind": "gaussian", "width": 0.5},
+         "task": {"name": "weakvalue"}},
+        {"grid": {"x_min": -60.0, "x_max": 60.0, "n": 1024},
+         "state": {"kind": "gaussian", "center": -8.0, "momentum": 5.0},
+         "ensemble": {"n": 20}, "task": {"name": "dwell"}},
+    ], ids=["weakvalue", "dwell"])
+    def test_subnormal_tails_raise_no_warning(self, tmp_path, doc):
+        # the packet tails reach subnormal amplitudes, so dividing by psi
+        # overflows there; those points are nodes and come out as NaN
+        cfg = parse_config(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(cfg, out_dir=str(tmp_path))
+
+    def test_dwell_task_builds_no_dense_matrix(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense n x n matrix built")
+
+        monkeypatch.setattr(SpectralOperator, "dense", refuse)
+        cfg = parse_config(json.dumps({
+            "state": {"kind": "gaussian", "center": -8.0, "momentum": 5.0},
+            "ensemble": {"n": 50}, "task": {"name": "dwell"}}))
+        summary = run(cfg, out_dir=str(tmp_path)).summary
+        assert summary["weak_value"] == pytest.approx(summary["density"],
+                                                      rel=1e-6)
+
     def test_csv_full_precision(self, tmp_path):
         cfg = parse_config(json.dumps(FAST))
         run(cfg, out_dir=str(tmp_path))
@@ -126,6 +155,13 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text('{"grid": {"n": 4}}')
         assert main(["propagate", "--config", str(path)]) == 2
+
+    def test_retired_method_exit_two(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {"propagator": {
+            "dt": 0.01, "method": "crank-nicolson"}})
+        assert main(["propagate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "split-operator" in err and "exact" in err
 
     def test_numeric_error_exit_three(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"task": {

@@ -24,7 +24,7 @@ class TestWork:
         h = build_hamiltonian(grid, pot)
         psi = WaveFunction(grid, h.eigenvectors()[:, 0])
         ev = evolve_store(psi, pot, PropagatorConfig(
-            0.01, method="crank-nicolson", steps_per_output=10), 1.0)
+            0.01, method="exact", steps_per_output=10), 1.0)
         starts = sample_initial_positions(psi, 200, seed=3)
         ens = integrate_trajectories(ev, starts)
         recs = work_records(ev, pot, ens, 0.0, 1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      momentum_operator, polar_decompose, position_operator,
                      propagate, window_operator)
 from bohmlab.errors import ConfigurationError, DimensionError
-from bohmlab.qgrid import evolution_operator
+from bohmlab.qgrid import DENSE_EIG_LIMIT, evolution_operator
 
 
 @pytest.fixture
@@ -117,11 +119,11 @@ class TestPropagation:
         assert width == pytest.approx(free_gaussian_width(sigma0, t), abs=1e-4)
 
     def test_stationary_state(self, grid):
-        # dense-H eigenvectors are exact eigenvectors of the Cayley step
+        # dense-H eigenvectors are exact eigenvectors of the exact step
         h = build_hamiltonian(grid, PotentialModel("harmonic", omega=1.0))
         psi = WaveFunction(grid, h.eigenvectors()[:, 2])
         out = propagate(psi, PotentialModel("harmonic", omega=1.0),
-                        PropagatorConfig(0.01, method="crank-nicolson"), 1.0)
+                        PropagatorConfig(0.01, method="exact"), 1.0)
         assert np.allclose(out.density(), psi.density(), atol=1e-10)
 
     def test_zero_duration_identity(self, grid):
@@ -136,9 +138,9 @@ class TestPropagation:
         for i in range(len(ev.times)):
             assert abs(ev.psi(i).norm() - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("method", ["split-operator", "crank-nicolson"])
+    @pytest.mark.parametrize("method", ["split-operator", "exact"])
     def test_energy_conservation(self, grid, method):
-        # Crank-Nicolson commutes with a static H, conserving <H> exactly;
+        # the exact step commutes with a static H, conserving <H> exactly;
         # the split-operator drift stays within tolerance at this dt.
         pot = PotentialModel("harmonic", omega=1.0)
         psi = WaveFunction.gaussian(grid, center=1.0)
@@ -149,13 +151,34 @@ class TestPropagation:
         out = propagate(psi, pot, PropagatorConfig(dt, method=method), 1.0)
         assert expectation(h, out) == pytest.approx(e0, abs=tol)
 
-    def test_crank_nicolson_time_reversal(self, grid):
+    @pytest.mark.parametrize("method", PropagatorConfig.METHODS)
+    def test_time_reversal(self, grid, method):
+        # both steps are exactly inverted by the same step with -dt
         pot = PotentialModel("harmonic", omega=1.0)
         psi = WaveFunction.gaussian(grid, center=2.0, momentum=1.0)
-        cfg = PropagatorConfig(0.01, method="crank-nicolson")
+        cfg = PropagatorConfig(0.01, method=method)
         there = propagate(psi, pot, cfg, 1.0)
         back = propagate(there, pot, cfg, -1.0)
         assert np.allclose(back.amplitudes, psi.amplitudes, atol=1e-8)
+
+    def test_exact_rejects_drive(self, grid):
+        psi = WaveFunction.gaussian(grid)
+        with pytest.raises(ConfigurationError):
+            propagate(psi, PotentialModel("drive", amplitude=0.3),
+                      PropagatorConfig(0.01, method="exact"), 0.1)
+
+    def test_exact_size_guard_before_dense_allocation(self):
+        n = DENSE_EIG_LIMIT + 1
+        psi = WaveFunction.gaussian(Grid1D(-20.0, 20.0, n))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="limited to n <="):
+                propagate(psi, PotentialModel("free"),
+                          PropagatorConfig(0.01, method="exact"), 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8  # less than one real n x n array
 
     def test_driven_potential(self, grid):
         pot = PotentialModel("drive", amplitude=0.3)
@@ -170,7 +193,7 @@ class TestPropagation:
         psi = WaveFunction.gaussian(grid, center=1.0)
         u = evolution_operator(grid, pot, 0.7)
         direct = propagate(psi, pot,
-                           PropagatorConfig(0.001, method="crank-nicolson"), 0.7)
+                           PropagatorConfig(0.001, method="exact"), 0.7)
         assert np.allclose(u @ psi.amplitudes, direct.amplitudes, atol=1e-5)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,32 +96,36 @@ class TestEnsembleAverage:
 
 
 class TestDwellOperator:
-    CFG = PropagatorConfig(0.005, method="crank-nicolson", steps_per_output=4)
+    CFG = PropagatorConfig(0.005, method="exact", steps_per_output=4)
 
     def make_packet(self, grid):
         return WaveFunction.gaussian(grid, center=-8.0, width=1.0, momentum=5.0)
 
-    def test_quadrature_matches_density_formula(self, grid):
+    @pytest.mark.parametrize("method", PropagatorConfig.METHODS)
+    def test_quadrature_matches_density_formula(self, grid, method):
         # <psi0|D|psi0> = integral_0^T dt integral_a^b |psi(x,t)|^2 dx
         from bohmlab import evolve_store
         from bohmlab.intrinsics import dwell_time_density
+        cfg = replace(self.CFG, method=method)
         psi0 = self.make_packet(grid)
         region, horizon = (-2.0, 2.0), 4.0
-        d_psi = dwell_operator_state(psi0, region, horizon, self.CFG)
+        d_psi = dwell_operator_state(psi0, region, horizon, cfg)
         quad = float(np.real(np.vdot(psi0.amplitudes, d_psi)) * grid.dx)
 
-        ev = evolve_store(psi0, PotentialModel("free"), self.CFG, horizon)
+        ev = evolve_store(psi0, PotentialModel("free"), cfg, horizon)
         density_formula = dwell_time_density(ev, region, horizon)
         assert quad == pytest.approx(density_formula, rel=1e-6)
         # the packet crosses a width-4 window at speed 5 (plus spreading)
         assert quad == pytest.approx(0.8, rel=0.05)
 
-    def test_hermitian_between_two_packets(self, grid):
+    @pytest.mark.parametrize("method", PropagatorConfig.METHODS)
+    def test_hermitian_between_two_packets(self, grid, method):
+        cfg = replace(self.CFG, method=method)
         psi0 = self.make_packet(grid)
         phi = WaveFunction.gaussian(grid, center=-6.0, width=1.3, momentum=5.0)
         region, horizon = (-2.0, 2.0), 4.0
-        d_psi = dwell_operator_state(psi0, region, horizon, self.CFG)
-        d_phi = dwell_operator_state(phi, region, horizon, self.CFG)
+        d_psi = dwell_operator_state(psi0, region, horizon, cfg)
+        d_phi = dwell_operator_state(phi, region, horizon, cfg)
         lhs = np.vdot(phi.amplitudes, d_psi) * grid.dx
         rhs = np.conj(np.vdot(psi0.amplitudes, d_phi)) * grid.dx
         assert abs(lhs - rhs) < 1e-10
