@@ -296,19 +296,37 @@ class RunManifest:
 # Output writers (17 significant digits so downstream diffs are exact)
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x)).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.16e}"
+_CSV_BLOCK_CELLS = 1 << 16
+
+
+def _cell_format(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "%s"
+    if isinstance(value, (int, np.integer)):
+        return "%d"
+    return "%.16e"
 
 
 def _write_csv(path, header, rows):
+    """Header, then rows written in blocks of about _CSV_BLOCK_CELLS cells.
+
+    Each column keeps the format of its first cell: bools as true/false,
+    ints as %d, everything else as %.16e.
+    """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if len(rows) == 0:
+            return
+        line = ",".join(map(_cell_format, rows[0])) + "\n"
+        # %s gives True/False; the int and float text is lower case already.
+        lower = "%s" in line
+        step = max(1, _CSV_BLOCK_CELLS // len(rows[0]))
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            text = "".join([line % tuple(row) for row in block])
+            fh.write(text.lower() if lower else text)
 
 
 def _write_json(path, obj):
@@ -504,15 +522,18 @@ def _task_measure(config, tmp, threads):
     files = ["joint_distribution.csv", "measure_summary.json"]
     if task["mode"] == "monte_carlo":
         log_path = os.path.join(tmp, "experiments.jsonl")
-        lam = ancilla.coupling
+        # The text json.dumps gives each record: floats print as repr, and
+        # between y_k and weight only the (outcome, hit) pair varies.
+        middles = [[f', "y_g": {y_g!r}, "post_selected": {flag}, "weight": '
+                    for flag in ("false", "true")]
+                   for y_g in (ancilla.coupling * joint.g_values).tolist()]
         with open(log_path, "w") as fh:
             def log(done, y_k, outcome, hit, weights):
-                for j in range(len(y_k)):
-                    fh.write(json.dumps({
-                        "i": int(done + j), "y_k": float(y_k[j]),
-                        "y_g": float(lam * joint.g_values[outcome[j]]),
-                        "post_selected": bool(hit[j]),
-                        "weight": float(weights[j])}) + "\n")
+                fh.write("".join([
+                    '{"i": %d, "y_k": %r%s%r}\n' % (done + j, y, middles[o][h], w)
+                    for j, (y, o, h, w) in enumerate(zip(
+                        y_k.tolist(), outcome.tolist(), hit.tolist(),
+                        weights.tolist()))]))
 
             mc = operational_weak_value(
                 system, ancilla, g_index, mode="monte_carlo",

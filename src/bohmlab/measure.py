@@ -18,7 +18,6 @@ and grid wavefunctions reduce to this form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
@@ -343,6 +342,11 @@ def perturbation_decomposition(system: TwoTimeSystem, ancilla: AncillaModel,
 # Operational weak-value estimator
 # ---------------------------------------------------------------------------
 
+# Monte Carlo rows per block: the (rows, n_s) and (rows, n_g) work arrays stay
+# a few MB and cache-sized whatever n_experiments and chunk are.
+MC_BLOCK_ROWS = 4096
+
+
 @dataclass(frozen=True)
 class OperationalEstimate:
     value: float
@@ -364,6 +368,9 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
     experiments whose projective G outcome is the target eigenvalue
     (discrete outcomes select the exact index; for a position-valued G the
     eigenvalues are grid cells, so the bin is one grid cell wide).
+    Each chunk draws its choices, normal deviates and uniforms in that
+    order, then runs the chain over blocks of about MC_BLOCK_ROWS rows;
+    log_callback(first_index, y_k, outcome, hit, weight) is called per block.
     """
     if mode == "exact":
         joint = two_time_joint(system, ancilla)
@@ -391,16 +398,29 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
         m = min(chunk, n_experiments - done)
         comp = rng.choice(len(s), size=m, p=probs)
         y_k = lam * s[comp] + rng.normal(0.0, sig / np.sqrt(2.0), size=m)
-        collapsed = ancilla.profile(y_k[:, None] - lam * s[None, :]) * c[None, :]
-        evolved = collapsed @ system.transform.T          # (m, n_g)
-        pg = np.abs(evolved) ** 2
-        pg /= pg.sum(axis=1, keepdims=True)
         u = rng.random(m)
-        outcome = (np.cumsum(pg, axis=1) < u[:, None]).sum(axis=1)
+        # Near-equal blocks, so none is a single row: numpy sends a one-row
+        # product to gemv, whose rounding differs from gemm's.
+        n_blocks = -(-m // MC_BLOCK_ROWS)
+        blocks = [(m * b // n_blocks, m * (b + 1) // n_blocks)
+                  for b in range(n_blocks)]
+        outcome = np.empty(m, dtype=int)
+        weight = np.empty(m)
+        for lo, hi in blocks:
+            collapsed = (ancilla.profile(y_k[lo:hi, None] - lam * s[None, :])
+                         * c[None, :])
+            pg = np.abs(collapsed @ system.transform.T) ** 2  # (rows, n_g)
+            pg /= pg.sum(axis=1, keepdims=True)
+            outcome[lo:hi] = (np.cumsum(pg, axis=1) < u[lo:hi, None]).sum(axis=1)
+            if log_callback is not None:
+                weight[lo:hi] = np.linalg.norm(collapsed, axis=1)
         hit = outcome == g_index
+        # Logged after the products: BLAS worker threads spin-wait between
+        # calls, so a log write between two products would keep them busy.
         if log_callback is not None:
-            log_callback(done, y_k, outcome, hit,
-                         np.linalg.norm(collapsed, axis=1))
+            for lo, hi in blocks:
+                log_callback(done + lo, y_k[lo:hi], outcome[lo:hi],
+                             hit[lo:hi], weight[lo:hi])
         selected_y.append(y_k[hit])
         done += m
     y_sel = np.concatenate(selected_y)

@@ -205,9 +205,11 @@ class SpectralOperator:
     """An observable on the grid: direct application rule + eigen decomposition.
 
     Eigenvectors are columns, orthonormal under the dx-weighted inner
-    product sum(conj(u) v) dx.  Position, momentum and window operators use
-    implicit (analytic) eigenbases; the Hamiltonian is diagonalized densely
-    on demand (n <= 2048).
+    product sum(conj(u) v) dx.  Position, momentum and window operators have
+    analytic eigenbases: eigenvalues are given and `eigenvectors` is a
+    zero-argument builder run on the first eigenvectors() call.  The
+    Hamiltonian is diagonalized densely on demand.  Every n x n array is
+    built only for n <= DENSE_EIG_LIMIT.
     """
 
     def __init__(self, label: str, grid: Grid1D, apply_fn, eigenvalues=None,
@@ -223,11 +225,14 @@ class SpectralOperator:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self._apply(np.asarray(values, dtype=complex))
 
+    def _check_dense_size(self):
+        if self.grid.n > DENSE_EIG_LIMIT:
+            raise ConfigurationError(
+                f"dense {self.label} arrays limited to n <= {DENSE_EIG_LIMIT}, "
+                f"got n = {self.grid.n}")
+
     def _ensure_eigs(self):
         if self._eigvals is None:
-            if self.grid.n > DENSE_EIG_LIMIT:
-                raise ConfigurationError(
-                    f"dense eigendecomposition limited to n <= {DENSE_EIG_LIMIT}")
             h = self.dense()
             vals, vecs = np.linalg.eigh(h)
             self._eigvals = vals
@@ -239,10 +244,14 @@ class SpectralOperator:
 
     def eigenvectors(self) -> np.ndarray:
         self._ensure_eigs()
+        if callable(self._eigvecs):
+            self._check_dense_size()
+            self._eigvecs = self._eigvecs()
         return self._eigvecs
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
+            self._check_dense_size()
             if self._dense_builder is not None:
                 m = self._dense_builder()
             else:
@@ -267,20 +276,22 @@ class SpectralOperator:
 
 def position_operator(grid: Grid1D) -> SpectralOperator:
     x = grid.x
-    eye = np.eye(grid.n) / np.sqrt(grid.dx)
     return SpectralOperator("position", grid, lambda v: x * v,
-                            eigenvalues=x.copy(), eigenvectors=eye)
+                            eigenvalues=x.copy(),
+                            eigenvectors=lambda: np.eye(grid.n) / np.sqrt(grid.dx))
 
 
 def momentum_operator(grid: Grid1D, hbar: float = 1.0) -> SpectralOperator:
     hk = hbar * grid.k
-    vecs = np.exp(1j * np.outer(grid.x, grid.k)) / np.sqrt(grid.length)
 
     def apply(v):
         return np.fft.ifft(hk * np.fft.fft(v))
 
+    def eigenvectors():
+        return np.exp(1j * np.outer(grid.x, grid.k)) / np.sqrt(grid.length)
+
     return SpectralOperator("momentum", grid, apply,
-                            eigenvalues=hk.copy(), eigenvectors=vecs)
+                            eigenvalues=hk.copy(), eigenvectors=eigenvectors)
 
 
 def window_operator(grid: Grid1D, a: float, b: float) -> SpectralOperator:
@@ -294,9 +305,9 @@ def window_operator(grid: Grid1D, a: float, b: float) -> SpectralOperator:
         raise ConfigurationError(f"window needs b > a, got [{a}, {b}]")
     lo, hi = grid.x - 0.5 * grid.dx, grid.x + 0.5 * grid.dx
     ind = np.clip((np.minimum(hi, b) - np.maximum(lo, a)) / grid.dx, 0.0, 1.0)
-    eye = np.eye(grid.n) / np.sqrt(grid.dx)
     return SpectralOperator("window", grid, lambda v: ind * v,
-                            eigenvalues=ind.copy(), eigenvectors=eye)
+                            eigenvalues=ind.copy(),
+                            eigenvectors=lambda: np.eye(grid.n) / np.sqrt(grid.dx))
 
 
 def build_hamiltonian(grid: Grid1D, potential: PotentialModel, t: float = 0.0,

@@ -2,8 +2,10 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
+from bohmlab import harness
 from bohmlab.cli import main
 from bohmlab.errors import ConfigurationError
 from bohmlab.harness import DEFAULTS, parse_config, resolve_out_dir, run
@@ -128,6 +130,39 @@ class TestRun:
         assert "e" in first and len(first.split(".")[1]) >= 16
 
 
+def per_cell_csv(path, header, rows):
+    """Oracle: the CSV writer that formatted every cell on its own."""
+    def fmt(x):
+        if isinstance(x, (bool, np.bool_)):
+            return str(bool(x)).lower()
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return f"{float(x):.16e}"
+
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("rows", [
+        np.column_stack([np.arange(5), [0.1, -0.0, np.nan, np.inf, -1e-300],
+                         [1e300, 2.5, -np.inf, 5e-324, 1 / 3]]),
+        [(0, 1.5, np.float64(-2.0), True, np.bool_(False)),
+         (np.int64(7), -0.0, np.float64(np.nan), False, np.bool_(True))],
+        [(np.float64(0.05), 0.9999999999999999), (np.float64(0.1), 1.0)],
+        np.random.default_rng(1).normal(size=(5, 20_000)),
+        np.empty((0, 3)),
+    ], ids=["float-array", "mixed-tuples", "float-tuples", "wide", "empty"])
+    def test_bytes_match_per_cell_writer(self, tmp_path, rows):
+        header = [f"c{j}" for j in range(len(rows[0]) if len(rows) else 3)]
+        harness._write_csv(tmp_path / "bulk.csv", header, rows)
+        per_cell_csv(tmp_path / "cells.csv", header, rows)
+        assert ((tmp_path / "bulk.csv").read_bytes()
+                == (tmp_path / "cells.csv").read_bytes())
+
+
 class TestCli:
     def write_config(self, tmp_path, extra=None):
         cfg = {**FAST, **(extra or {})}
@@ -209,3 +244,22 @@ class TestMeasureTask:
         assert n_sel == manifest.summary["n_selected"]
         header = (tmp_path / "joint_distribution.csv").read_text().splitlines()[0]
         assert header.startswith("y_k,g=")
+
+    def test_jsonl_lines_are_json_dumps_text(self, tmp_path):
+        # more experiments than one Monte Carlo block, so the log is written
+        # by several callbacks
+        cfg = parse_config(json.dumps({
+            "grid": {"n": 64, "x_min": -20.0, "x_max": 20.0},
+            "state": {"kind": "gaussian", "width": 2.0, "momentum": 1.0},
+            "ensemble": {"seed": 4},
+            "task": {"name": "measure", "coupling": 0.05,
+                     "mode": "monte_carlo", "n_experiments": 9000}}))
+        run(cfg, out_dir=str(tmp_path))
+        with open(tmp_path / "experiments.jsonl") as fh:
+            lines = fh.readlines()
+        assert len(lines) == 9000
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            assert list(rec) == ["i", "y_k", "y_g", "post_selected", "weight"]
+            assert rec["i"] == i
+            assert json.dumps(rec) + "\n" == line

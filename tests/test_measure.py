@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -6,7 +8,7 @@ from bohmlab import Grid1D, PotentialModel, WaveFunction, momentum_operator, \
     position_operator
 from bohmlab.errors import (BasisCoverageError, ConfigurationError,
                             GridRangeError, InsufficientStatisticsError)
-from bohmlab.measure import (AncillaModel, TwoTimeSystem,
+from bohmlab.measure import (MC_BLOCK_ROWS, AncillaModel, TwoTimeSystem,
                              ancilla_moment_checks, ideal_weak_correlation,
                              marginal_mean, one_time_mean,
                              operational_weak_value,
@@ -46,6 +48,64 @@ def correlation_oracle(system, ancilla):
         w = t[j] * c                    # amplitudes c_i C_ji
         total += lam * g[j] * np.real(w.conj() @ moment @ w)
     return float(total)
+
+
+def grid_system(n):
+    """Momentum-S, position-G system of a moving packet on an n-point grid."""
+    grid = Grid1D(-40.0, 40.0, n)
+    psi = WaveFunction.gaussian(grid, width=2.0, momentum=1.0)
+    u = evolution_operator(grid, PotentialModel("free"), 1.0)
+    system = TwoTimeSystem.from_wavefunction(
+        psi, momentum_operator(grid), position_operator(grid), u)
+    anc = AncillaModel.gaussian(0.05, 1.0, np.abs(system.s_values).max())
+    g_index = int(np.argmax(two_time_joint(system, anc)
+                            .second_outcome_probabilities()))
+    return system, anc, g_index
+
+
+def unblocked_monte_carlo(system, ancilla, g_index, n_experiments, seed,
+                          chunk, log_callback):
+    """Oracle: the Monte Carlo loop over whole chunks, as it was before the
+    chain ran in row blocks; returns (value, stderr, n_selected)."""
+    rng = np.random.default_rng(seed)
+    lam, sig = ancilla.coupling, ancilla.width
+    s, c = system.s_values, system.coeffs
+    probs = np.abs(c) ** 2
+    probs = probs / probs.sum()
+    selected_y = []
+    done = 0
+    while done < n_experiments:
+        m = min(chunk, n_experiments - done)
+        comp = rng.choice(len(s), size=m, p=probs)
+        y_k = lam * s[comp] + rng.normal(0.0, sig / np.sqrt(2.0), size=m)
+        collapsed = ancilla.profile(y_k[:, None] - lam * s[None, :]) * c[None, :]
+        evolved = collapsed @ system.transform.T
+        pg = np.abs(evolved) ** 2
+        pg /= pg.sum(axis=1, keepdims=True)
+        u = rng.random(m)
+        outcome = (np.cumsum(pg, axis=1) < u[:, None]).sum(axis=1)
+        hit = outcome == g_index
+        log_callback(done, y_k, outcome, hit, np.linalg.norm(collapsed, axis=1))
+        selected_y.append(y_k[hit])
+        done += m
+    y_sel = np.concatenate(selected_y)
+    return (float(np.mean(y_sel) / lam),
+            float(np.std(y_sel, ddof=1) / np.sqrt(y_sel.size) / lam),
+            int(y_sel.size))
+
+
+class ExperimentRecorder:
+    """log_callback that keeps every (y_k, outcome, hit, weight) in order."""
+
+    def __init__(self):
+        self.parts = []
+
+    def __call__(self, first, y_k, outcome, hit, weight):
+        assert first == sum(len(p[0]) for p in self.parts)
+        self.parts.append((y_k.copy(), outcome.copy(), hit.copy(), weight.copy()))
+
+    def columns(self):
+        return [np.concatenate(col) for col in zip(*self.parts)]
 
 
 class TestAncilla:
@@ -222,6 +282,42 @@ class TestOperationalEstimator:
         b = operational_weak_value(system, anc, 1, "monte_carlo",
                                    n_experiments=20_000, seed=5)
         assert a.value == b.value and a.n_selected == b.n_selected
+
+    @pytest.mark.parametrize("chunk, n_experiments", [
+        (2 * MC_BLOCK_ROWS + 1000, 2 * (2 * MC_BLOCK_ROWS + 1000) + 5000),
+        (1000, 2 * MC_BLOCK_ROWS + 77),
+        (3 * MC_BLOCK_ROWS, MC_BLOCK_ROWS + 1),
+    ], ids=["blocks-within-chunks", "chunks-below-block", "one-row-over"])
+    def test_blocked_chain_matches_unblocked(self, chunk, n_experiments):
+        system, anc, g_index = grid_system(64)
+        want = ExperimentRecorder()
+        oracle = unblocked_monte_carlo(system, anc, g_index, n_experiments,
+                                       seed=17, chunk=chunk, log_callback=want)
+        got = ExperimentRecorder()
+        est = operational_weak_value(system, anc, g_index, "monte_carlo",
+                                     n_experiments=n_experiments, seed=17,
+                                     chunk=chunk, log_callback=got)
+        assert (est.value, est.stderr, est.n_selected) == oracle
+        assert len(got.parts) >= n_experiments // MC_BLOCK_ROWS
+        # a one-row block would go through gemv instead of gemm
+        assert min(len(part[0]) for part in got.parts) > 1
+        for mine, theirs in zip(got.columns(), want.columns()):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+
+    def test_monte_carlo_memory_bounded_by_block(self):
+        # one (2e5, 128) complex array alone would take 410 MB
+        system, anc, g_index = grid_system(128)
+        assert len(system.g_values) == 128
+        tracemalloc.start()
+        try:
+            est = operational_weak_value(system, anc, g_index, "monte_carlo",
+                                         n_experiments=200_000, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_selected > 0
+        assert peak < 64e6
 
     def test_impossible_postselection(self):
         # S eigenstate, U = identity: orthogonal G outcomes never occur

@@ -197,6 +197,66 @@ class TestPropagation:
         assert np.allclose(u @ psi.amplitudes, direct.amplitudes, atol=1e-5)
 
 
+def traced_peak(fn):
+    """Run fn() under tracemalloc; return (result, peak bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseGuards:
+    N = 2 * DENSE_EIG_LIMIT
+    BIG = Grid1D(-40.0, 40.0, N)
+    ANALYTIC = {
+        "position": position_operator,
+        "momentum": momentum_operator,
+        "window": lambda g: window_operator(g, -1.0, 1.0),
+    }
+
+    def raises_small(self, fn):
+        """fn() raises the size guard's error with less than an eighth of a
+        real n x n array allocated."""
+        def call():
+            with pytest.raises(ConfigurationError, match="limited to n <="):
+                fn()
+        assert traced_peak(call)[1] < self.N * self.N
+
+    @pytest.mark.parametrize("kind", sorted(ANALYTIC))
+    def test_analytic_eigenbasis_is_lazy_and_guarded(self, kind):
+        op, peak = traced_peak(lambda: self.ANALYTIC[kind](self.BIG))
+        assert peak < self.N * self.N
+        assert len(op.eigenvalues()) == self.N
+        self.raises_small(op.eigenvectors)
+
+    @pytest.mark.parametrize("kind", sorted(ANALYTIC))
+    def test_analytic_eigenbasis_orthonormal(self, grid, kind):
+        op = self.ANALYTIC[kind](grid)
+        vecs = op.eigenvectors()
+        assert op.eigenvectors() is vecs
+        gram = vecs.conj().T @ vecs * grid.dx
+        assert np.allclose(gram, np.eye(grid.n), atol=1e-10)
+        v = WaveFunction.gaussian(grid, center=1.0, momentum=0.7).amplitudes
+        assert np.allclose(op.synthesize(op.eigenvalues() * op.coefficients(v)),
+                           op.apply(v), atol=1e-10)
+
+    def test_dense_raises_before_allocating(self):
+        h = build_hamiltonian(self.BIG, PotentialModel("harmonic", omega=1.0))
+        self.raises_small(h.dense)
+        self.raises_small(h.eigenvalues)
+
+    def test_dwell_operator_allocates_no_dense_array(self):
+        from bohmlab.weakval import dwell_operator_state
+        psi0 = WaveFunction.gaussian(self.BIG, center=-8.0, momentum=5.0)
+        cfg = PropagatorConfig(0.005, steps_per_output=20)
+        d_psi, peak = traced_peak(
+            lambda: dwell_operator_state(psi0, (-2.0, 2.0), 4.0, cfg))
+        assert np.all(np.isfinite(d_psi))
+        assert peak < self.N * self.N
+
+
 class TestPolarDecomposition:
     def test_plane_wave(self, grid):
         k = grid.k[4]
