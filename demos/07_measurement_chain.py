@@ -10,7 +10,6 @@ post-selection) the post-selected estimator reproduces the AAV weak value
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 from bohmlab import Grid1D, PotentialModel, WaveFunction, momentum_operator, \
     position_operator
@@ -29,8 +28,10 @@ def herm(n=3):
     return 0.5 * (m + m.conj().T)
 
 
-system = TwoTimeSystem.from_matrices(rng.normal(size=3), herm(), herm(),
-                                     expm(1j * herm()))
+psi, s_op, g_op = rng.normal(size=3), herm(), herm()
+lam_u, vec = np.linalg.eigh(herm())  # random unitary U = exp(iH)
+system = TwoTimeSystem.from_matrices(psi, s_op, g_op,
+                                     (vec * np.exp(1j * lam_u)) @ vec.conj().T)
 lam = 0.5
 print("random 3-level system, coupling = 0.5")
 print(f"{'sigma':>8} {'one-time mean':>15} {'two-time corr':>15}")

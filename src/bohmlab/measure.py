@@ -17,10 +17,10 @@ and grid wavefunctions reduce to this form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (BasisCoverageError, ConfigurationError, GridRangeError,
                      InsufficientStatisticsError)
@@ -83,12 +83,10 @@ class AncillaModel:
     def tail_mass_outside(self, s_values) -> float:
         """Largest |a|^2 mass beyond the grid edge over the shifted components."""
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
-        centers = self.coupling * s
-        sd = self.width / np.sqrt(2.0)  # |a|^2 is N(center, sd^2)
-        lo, hi = self.y_grid[0], self.y_grid[-1]
-        upper = 0.5 * (1.0 - erf((hi - centers) / (np.sqrt(2) * sd)))
-        lower = 0.5 * (1.0 - erf((centers - lo) / (np.sqrt(2) * sd)))
-        return float(np.max(upper + lower))
+        lo, hi = float(self.y_grid[0]), float(self.y_grid[-1])
+        w = self.width  # |a|^2 is N(center, w^2 / 2): a tail is erfc(d / w) / 2
+        return max(0.5 * (math.erfc((hi - m) / w) + math.erfc((m - lo) / w))
+                   for m in (self.coupling * s).tolist())
 
 
 def ancilla_moment_checks(ancilla: AncillaModel,

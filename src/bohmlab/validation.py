@@ -8,7 +8,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     build_hamiltonian, evolution_operator, evolve_store,
@@ -35,7 +34,10 @@ def _discrete_system(seed=0, dim=3, eigenstate=None):
         return 0.5 * (m + m.conj().T)
 
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    system = TwoTimeSystem.from_matrices(psi, herm(), herm(), expm(1j * herm()))
+    s_op, g_op = herm(), herm()
+    lam, vec = np.linalg.eigh(herm())  # U = exp(iH), drawn after S and G
+    system = TwoTimeSystem.from_matrices(
+        psi, s_op, g_op, (vec * np.exp(1j * lam)) @ vec.conj().T)
     if eigenstate is not None:
         coeffs = np.zeros(dim, dtype=complex)
         coeffs[eigenstate] = 1.0

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,3 +266,29 @@ class TestMeasureTask:
             assert list(rec) == ["i", "y_k", "y_g", "post_selected", "weight"]
             assert rec["i"] == i
             assert json.dumps(rec) + "\n" == line
+
+
+COLD_START = """
+import json, sys
+import bohmlab.cli, bohmlab.validation
+from bohmlab.harness import parse_config, run
+cfg = parse_config(json.dumps({
+    "grid": {"n": 64, "x_min": -20.0, "x_max": 20.0},
+    "state": {"kind": "gaussian", "width": 2.0, "momentum": 1.0},
+    "ensemble": {"seed": 4},
+    "task": {"name": "measure", "coupling": 0.05, "mode": "monte_carlo",
+             "n_experiments": 500}}))
+run(cfg, out_dir=sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_cli_cold_start_imports_no_scipy(tmp_path):
+    # a fresh interpreter: this test process has scipy loaded as an oracle
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert (tmp_path / "experiments.jsonl").exists()
+    assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import erf
 
 from bohmlab import Grid1D, PotentialModel, WaveFunction, momentum_operator, \
     position_operator
@@ -16,6 +18,7 @@ from bohmlab.measure import (MC_BLOCK_ROWS, AncillaModel, TwoTimeSystem,
                              readout_marginal, readout_sample, two_time_joint,
                              two_time_correlation)
 from bohmlab.qgrid import evolution_operator
+from bohmlab.validation import _discrete_system
 
 
 def random_system(seed=0, dim=3):
@@ -29,6 +32,36 @@ def random_system(seed=0, dim=3):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     u = expm(1j * herm())
     return TwoTimeSystem.from_matrices(psi, herm(), herm(), u)
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12, 13, 14])
+def test_validation_unitary_matches_expm(seed):
+    # the validation suite's eigh-built unitary against scipy's expm, with its
+    # draws replayed in their order: psi, S, G, then the generator
+    rng = np.random.default_rng(seed)
+
+    def herm():
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return 0.5 * (m + m.conj().T)
+
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    s_op, g_op = herm(), herm()
+    want = TwoTimeSystem.from_matrices(psi, s_op, g_op, expm(1j * herm()))
+    got = _discrete_system(seed=seed)
+    assert np.max(np.abs(got.transform - want.transform)) < 1e-12
+    assert np.array_equal(got.coeffs, want.coeffs)
+    t = got.transform
+    assert np.max(np.abs(t.conj().T @ t - np.eye(3))) < 1e-12
+
+
+def erf_tail_oracle(ancilla, s_values):
+    """The tail mass as 1 - erf, as bohmlab computed it with scipy."""
+    centers = ancilla.coupling * np.atleast_1d(np.asarray(s_values, dtype=float))
+    sd = ancilla.width / np.sqrt(2.0)
+    lo, hi = ancilla.y_grid[0], ancilla.y_grid[-1]
+    upper = 0.5 * (1.0 - erf((hi - centers) / (np.sqrt(2) * sd)))
+    lower = 0.5 * (1.0 - erf((centers - lo) / (np.sqrt(2) * sd)))
+    return upper + lower
 
 
 def correlation_oracle(system, ancilla):
@@ -134,6 +167,45 @@ class TestAncilla:
         anc = AncillaModel.gaussian(coupling=1.0, width=0.5, s_max=2.0)
         assert anc.tail_mass_outside([2.0, -2.0]) < 1e-12
         assert anc.tail_mass_outside([100.0]) > 0.9
+
+    def test_tail_mass_matches_erf_oracle(self):
+        # the grid spans +-6; centres inside it, at and past its edge, and far
+        # beyond, including the stretch where the 1e-6 gate flips
+        anc = AncillaModel.gaussian(coupling=1.0, width=0.5, s_max=2.0)
+        centers = np.concatenate([np.linspace(-12.0, 12.0, 4801),
+                                  [-1e6, -100.0, 100.0, 1e6]])
+        want = erf_tail_oracle(anc, centers)
+        got = np.array([anc.tail_mass_outside([c]) for c in centers])
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.array_equal(got > 1e-6, want > 1e-6)
+        assert (got > 1e-6).any() and (got <= 1e-6).any()
+        assert anc.tail_mass_outside(centers) == pytest.approx(want.max(),
+                                                               abs=1e-12)
+
+    def test_tail_mass_below_erf_resolution(self):
+        # 1 - erf(12) is exactly 0 in double precision; erfc keeps the tail
+        anc = AncillaModel.gaussian(coupling=1.0, width=0.5, s_max=2.0)
+        assert erf_tail_oracle(anc, [0.0])[0] == 0.0
+        tail = anc.tail_mass_outside([0.0])
+        assert tail > 0.0
+        assert tail == pytest.approx(math.erfc(anc.y_grid[-1] / anc.width),
+                                     rel=1e-14)
+
+    @pytest.mark.parametrize("margin", [0.5, 1.5])
+    def test_narrow_grid_rejected_by_exact_paths(self, margin):
+        # the outermost centre sits `margin` inside the edge: a tail of
+        # erfc(margin / 0.5) / 2 > 1e-6; at margin 2.0 it is 7.7e-9
+        system = random_system(seed=5)
+        edge = float(np.abs(system.s_values).max())
+        wide = AncillaModel(1.0, 0.5, np.linspace(-edge - 2.0, edge + 2.0, 2048))
+        readout_marginal(premeasure(system.coeffs, system.s_values, wide))
+        two_time_joint(system, wide)
+        anc = AncillaModel(1.0, 0.5, np.linspace(-edge - margin, edge + margin,
+                                                 2048))
+        with pytest.raises(GridRangeError):
+            readout_marginal(premeasure(system.coeffs, system.s_values, anc))
+        with pytest.raises(GridRangeError):
+            two_time_joint(system, anc)
 
 
 class TestPremeasurement:
