@@ -4,8 +4,9 @@ How long does a packet spend inside a window in front of a low barrier?
 The trajectory ensemble, the density quadrature, and the equilibrium
 average of the dwell-operator weak value must all agree; the pointwise
 per-trajectory comparison against the weak value at the starting position
-is reported as a distribution.  All three estimators use one split-operator
-propagator: the dwell operator sweeps forward and back with the same step.
+is reported as a distribution.  All three estimators share one stored
+split-operator history: the dwell operator reuses its forward frames and
+sweeps back with the same step, -dt.
 """
 
 import numpy as np
@@ -28,10 +29,11 @@ ev = evolve_store(psi, pot, cfg, horizon)
 ens = integrate_trajectories(
     ev, sample_initial_positions(psi, 2000, seed=4), substeps=2)
 
-t_traj, stderr = dwell_time_ensemble(ens, region)
+taus = per_trajectory_dwell_times(ens, region)
+t_traj, stderr = dwell_time_ensemble(taus)
 t_density = dwell_time_density(ev, region, horizon)
 
-field = dwell_operator_field(psi, region, horizon, cfg, potential=pot)
+field = dwell_operator_field(ev, region, horizon, cfg)
 ok = np.isfinite(field)
 t_wv = float(np.sum(psi.density()[ok] * field[ok]) * grid.dx)
 
@@ -40,7 +42,6 @@ print(f"  trajectory ensemble : {t_traj:.5f} +- {stderr:.5f}")
 print(f"  density quadrature  : {t_density:.5f}")
 print(f"  weak-value average  : {t_wv:.5f}")
 
-taus = per_trajectory_dwell_times(ens, region)
 wv_at_start = _periodic_spline(grid, np.nan_to_num(field))(ens.positions[0])
 disc = np.abs(taus - wv_at_start)
 print("\nper-trajectory |tau_i - wv_D(x_i(0))|:")

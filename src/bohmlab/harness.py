@@ -18,7 +18,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,7 @@ DEFAULTS = {
     "units": {"hbar": 1.0, "mass": 1.0, "charge": 1.0},
     "grid": {"x_min": -30.0, "x_max": 30.0, "n": 512},
     "potential": {"kind": "free"},
-    "state": {"kind": "gaussian", "center": 0.0, "width": 1.0, "momentum": 0.0},
+    "state": {"kind": "gaussian"},
     "propagator": {"dt": 0.005, "method": "split-operator",
                    "steps_per_output": 10},
     "ensemble": {"n": 1000, "seed": 42},
@@ -55,11 +55,13 @@ _POTENTIAL_KEYS = {
     "harmonic": {"omega"},
     "drive": {"amplitude"},
 }
-_STATE_KEYS = {
-    "gaussian": {"center", "width", "momentum"},
-    "eigenstate": {"index"},
-    "superposition": {"components"},
+# Each state kind's keys with their defaults; None marks a key to be given.
+_STATE_DEFAULTS = {
+    "gaussian": {"center": 0.0, "width": 1.0, "momentum": 0.0},
+    "eigenstate": {"index": 0},
+    "superposition": {"components": None},
 }
+_COMPONENT_DEFAULTS = {**_STATE_DEFAULTS["gaussian"], "weight": 1.0}
 _TASK_DEFAULTS = {
     "propagate": {"duration": 1.0},
     "trajectories": {"duration": 1.0, "substeps": 2},
@@ -98,9 +100,7 @@ class ScenarioConfig:
     task: dict
 
     def normalized(self) -> dict:
-        return {k: copy.deepcopy(getattr(self, k)) for k in
-                ("units", "grid", "potential", "state", "propagator",
-                 "ensemble", "task")}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.normalized(), sort_keys=True, indent=2)
@@ -131,9 +131,9 @@ class ScenarioConfig:
         return Grid1D(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
 
     def build_potential(self) -> PotentialModel:
-        p = dict(self.potential)
-        kind = p.pop("kind")
-        return PotentialModel(kind, charge=float(self.units["charge"]), **p)
+        p = {key: float(v) for key, v in self.potential.items() if key != "kind"}
+        return PotentialModel(self.potential["kind"],
+                              charge=float(self.units["charge"]), **p)
 
     def build_state(self, grid: Grid1D) -> WaveFunction:
         s, hbar = self.state, float(self.units["hbar"])
@@ -143,16 +143,17 @@ class ScenarioConfig:
                                          momentum=float(s["momentum"]),
                                          hbar=hbar)
         if s["kind"] == "eigenstate":
+            if not int(s["index"]) < grid.n:
+                raise ConfigurationError(f"state.index must be < grid.n = {grid.n}")
             h = build_hamiltonian(grid, self.build_potential(),
                                   mass=float(self.units["mass"]), hbar=hbar)
             return WaveFunction(grid, h.eigenvectors()[:, int(s["index"])])
         amp = np.zeros(grid.n, dtype=complex)
         for comp in s["components"]:
-            part = WaveFunction.gaussian(grid, center=float(comp["center"]),
-                                         width=float(comp["width"]),
-                                         momentum=float(comp.get("momentum", 0.0)),
-                                         hbar=hbar)
-            amp += np.sqrt(float(comp["weight"])) * part.amplitudes
+            c = {key: float(v) for key, v in {**_COMPONENT_DEFAULTS, **comp}.items()}
+            part = WaveFunction.gaussian(grid, c["center"], c["width"],
+                                         c["momentum"], hbar=hbar)
+            amp += np.sqrt(c["weight"]) * part.amplitudes
         return WaveFunction(grid, amp).normalize()
 
     def build_propagator(self) -> PropagatorConfig:
@@ -161,88 +162,100 @@ class ScenarioConfig:
                                 steps_per_output=int(p["steps_per_output"]))
 
 
+_ANY = (lambda v: True, "")
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_COUNT = (lambda v: v.is_integer() and v >= 1, "must be an integer >= 1")
+_INDEX = (lambda v: v.is_integer() and v >= 0, "must be an integer >= 0")
+# Each numeric key's rule (test, description[, a non-number it also takes]),
+# checked where present.  Grid1D, PotentialModel and PropagatorConfig keep
+# their own range rules, applied by building them.
+_NUMBERS = {
+    "units": {"hbar": _POSITIVE, "mass": _POSITIVE, "charge": _ANY},
+    "grid": {"x_min": _ANY, "x_max": _ANY, "n": _COUNT},
+    "potential": dict.fromkeys(sorted(set().union(*_POTENTIAL_KEYS.values())), _ANY),
+    "state": {"center": _ANY, "momentum": _ANY, "width": _POSITIVE, "index": _INDEX},
+    "propagator": {"dt": _ANY, "steps_per_output": _COUNT},
+    "ensemble": {"n": _COUNT, "seed": _INDEX},
+    "task": {"duration": (lambda v: v >= 0, "must be >= 0"), "substeps": _COUNT,
+             "horizon": _POSITIVE, "tau_max": _POSITIVE, "coupling": _POSITIVE,
+             "width": _POSITIVE, "n_experiments": _COUNT,
+             "device_length": (*_POSITIVE, None), "g_index": (*_INDEX, "auto")},
+}
+
+
 def _validate(cfg: dict) -> list[str]:
+    """Every violation in cfg; a known state or task kind gets its defaults."""
     errors = []
-    _check_keys("top level", cfg, DEFAULTS, errors)
 
-    def num(section, key, cond, desc):
+    def num(where, value, rule=_ANY):
         try:
-            v = float(cfg[section][key])
-        except (KeyError, TypeError, ValueError):
-            errors.append(f"{section}.{key}: not a number")
-            return
-        if not cond(v):
-            errors.append(f"{section}.{key}: {desc}, got {v}")
+            v = float(value)
+        except (TypeError, ValueError, OverflowError):
+            v = float("nan")
+        if np.isfinite(v) and rule[0](v):
+            return True
+        errors.append(f"{where}: {rule[1] if np.isfinite(v) else 'not a number'}"
+                      f", got {value!r}")
+        return False
 
+    _check_keys("top level", cfg, DEFAULTS, errors)
     for section in ("units", "grid", "propagator", "ensemble"):
-        _check_keys(section, cfg.get(section, {}), DEFAULTS[section], errors)
-    num("units", "hbar", lambda v: v > 0, "must be > 0")
-    num("units", "mass", lambda v: v > 0, "must be > 0")
-    num("grid", "n", lambda v: v >= 16 and v == int(v), "must be an integer >= 16")
-    if float(cfg["grid"]["x_max"]) <= float(cfg["grid"]["x_min"]):
-        errors.append("grid: x_max must exceed x_min")
-    num("propagator", "dt", lambda v: v > 0, "must be > 0")
-    num("propagator", "steps_per_output", lambda v: v >= 1 and v == int(v),
-        "must be an integer >= 1")
-    if cfg["propagator"]["method"] not in PropagatorConfig.METHODS:
-        errors.append(f"propagator.method: unknown method "
-                      f"{cfg['propagator']['method']!r} (valid: "
-                      f"{', '.join(PropagatorConfig.METHODS)})")
-    num("ensemble", "n", lambda v: v >= 1 and v == int(v),
-        "must be an integer >= 1")
-    num("ensemble", "seed", lambda v: v >= 0 and v == int(v),
-        "must be a non-negative integer")
+        _check_keys(section, cfg[section], DEFAULTS[section], errors)
+    kinds = {}
+    for section, key, table in (("potential", "kind", _POTENTIAL_KEYS),
+                                ("state", "kind", _STATE_DEFAULTS),
+                                ("task", "name", _TASK_DEFAULTS)):
+        kind = cfg[section].get(key)
+        if isinstance(kind, str) and kind in table:
+            kinds[section] = kind
+            if section != "potential":
+                cfg[section] = _merge({key: kind, **table[kind]}, cfg[section])
+            _check_keys(f"{section}({kind})", [k for k in cfg[section] if k != key],
+                        table[kind], errors)
+        else:
+            errors.append(f"{section}.{key}: " + _suggest(str(kind), table))
+    for section, rules in _NUMBERS.items():
+        for key, rule in rules.items():
+            if key in cfg[section] and cfg[section][key] not in rule[2:]:
+                num(f"{section}.{key}", cfg[section][key], rule)
 
-    pot = cfg.get("potential", {})
-    kind = pot.get("kind")
-    if kind not in _POTENTIAL_KEYS:
-        errors.append("potential.kind: " + _suggest(str(kind), _POTENTIAL_KEYS))
-    else:
-        _check_keys("potential", set(pot) - {"kind"}, _POTENTIAL_KEYS[kind],
-                    errors)
-        if kind == "barrier" and float(pot.get("right", 1)) <= float(pot.get("left", 0)):
-            errors.append("potential: barrier needs right > left")
+    scenario = ScenarioConfig(**{section: cfg[section] for section in DEFAULTS})
 
-    state = cfg.get("state", {})
-    skind = state.get("kind")
-    if skind not in _STATE_KEYS:
-        errors.append("state.kind: " + _suggest(str(skind), _STATE_KEYS))
-    else:
-        _check_keys("state", set(state) - {"kind"}, _STATE_KEYS[skind], errors)
-        if skind == "gaussian" and float(state.get("width", 1.0)) <= 0:
-            errors.append(f"state.width: must be > 0, got {state['width']}")
-        if skind == "superposition":
-            for i, comp in enumerate(state.get("components", [])):
-                if float(comp.get("weight", 1.0)) <= 0:
-                    errors.append(f"state.components[{i}].weight: must be > 0")
-                if float(comp.get("width", 1.0)) <= 0:
-                    errors.append(f"state.components[{i}].width: must be > 0")
+    def build(section, builder):
+        try:
+            builder()
+        except ConfigurationError as exc:
+            errors.append(f"{section}: {exc}")
+        except (TypeError, ValueError, OverflowError):
+            pass  # a malformed number or an unknown key, recorded above
 
-    task = cfg.get("task", {})
-    name = task.get("name")
-    if name not in _TASK_DEFAULTS:
-        errors.append("task.name: " + _suggest(str(name), _TASK_DEFAULTS))
-        return errors
-    _check_keys(f"task({name})", set(task) - {"name"}, _TASK_DEFAULTS[name],
-                errors)
-    if "duration" in task and float(task["duration"]) < 0:
-        errors.append(f"task.duration: must be >= 0, got {task['duration']}")
-    if name == "dwell":
-        a, b = task["region"]
-        if not float(b) > float(a):
-            errors.append(f"task.region: needs b > a, got {task['region']}")
-        if float(task["horizon"]) <= 0:
-            errors.append("task.horizon: must be > 0")
-    if name == "psd" and float(task["tau_max"]) <= 0:
-        errors.append("task.tau_max: must be > 0")
-    if name == "measure":
-        for key in ("coupling", "width"):
-            if float(task[key]) <= 0:
-                errors.append(f"task.{key}: must be > 0, got {task[key]}")
-        if task["mode"] not in ("exact", "monte_carlo"):
-            errors.append(f"task.mode: unknown mode {task['mode']!r}")
-        if int(task["n_experiments"]) < 1:
-            errors.append("task.n_experiments: must be >= 1")
+    build("grid", scenario.build_grid)
+    build("propagator", scenario.build_propagator)
+    if "potential" in kinds:
+        build("potential", scenario.build_potential)
+    state, task = cfg["state"], cfg["task"]
+    if kinds.get("state") == "superposition":
+        comps = state["components"]
+        if not (isinstance(comps, list) and comps
+                and all(isinstance(comp, dict) for comp in comps)):
+            errors.append("state.components: must be a non-empty list of "
+                          f"objects, got {comps!r}")
+            comps = []
+        for i, comp in enumerate(comps):
+            _check_keys(f"state.components[{i}]", comp, _COMPONENT_DEFAULTS, errors)
+            for key, default in _COMPONENT_DEFAULTS.items():  # weight > 0
+                num(f"state.components[{i}].{key}", comp.get(key, default),
+                    _NUMBERS["state"].get(key, _POSITIVE))
+    if kinds.get("task") == "dwell":
+        region = task["region"]
+        if not isinstance(region, list) or len(region) != 2:
+            errors.append(f"task.region: must be a pair of numbers, got {region!r}")
+        elif all([num(f"task.region[{i}]", v) for i, v in enumerate(region)]) \
+                and not float(region[1]) > float(region[0]):
+            errors.append(f"task.region: needs b > a, got {region}")
+    if kinds.get("task") == "measure" and task["mode"] not in ("exact",
+                                                               "monte_carlo"):
+        errors.append(f"task.mode: unknown mode {task['mode']!r}")
     return errors
 
 
@@ -265,11 +278,10 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
     merged = _merge(DEFAULTS, raw)
-    task_name = merged["task"].get("name")
-    if task_name in _TASK_DEFAULTS:
-        merged["task"] = _merge({"name": task_name,
-                                 **_TASK_DEFAULTS[task_name]}, merged["task"])
-    violations = _validate(merged)
+    violations = [f"{section}: must be a JSON object" for section in DEFAULTS
+                  if not isinstance(merged[section], dict)]
+    if not violations:
+        violations = _validate(merged)
     if violations:
         err = ConfigurationError("invalid config:\n  " + "\n  ".join(violations))
         err.violations = violations
@@ -450,7 +462,7 @@ def _task_dwell(config, tmp, threads):
     ens = _trajectory_ensemble(config, ev, psi, threads,
                                substeps=int(config.task["substeps"]))
     taus = per_trajectory_dwell_times(ens, region)
-    t_traj, stderr = dwell_time_ensemble(ens, region)
+    t_traj, stderr = dwell_time_ensemble(taus)
     t_density = dwell_time_density(ev, region, horizon)
     _write_csv(os.path.join(tmp, "dwell_times.csv"),
                ["experiment_id", "x_start", "tau"],
@@ -459,10 +471,8 @@ def _task_dwell(config, tmp, threads):
                "trajectory_stderr": float(stderr),
                "density": float(t_density)}
     if not pot.time_dependent:
-        mass, hbar = _mass_hbar(config)
-        field_vals = dwell_operator_field(psi, region, horizon,
-                                          config.build_propagator(),
-                                          potential=pot, mass=mass, hbar=hbar)
+        field_vals = dwell_operator_field(ev, region, horizon,
+                                          config.build_propagator())
         ok = np.isfinite(field_vals)
         summary["weak_value"] = float(
             np.sum(psi.density()[ok] * field_vals[ok]) * grid.dx)

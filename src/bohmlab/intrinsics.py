@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, EmptyEnsembleError, HorizonError,
                      LagError, NodeError)
-from .qgrid import Evolution, PotentialModel, nodes_at
+from .qgrid import HORIZON_MASS_TOL, Evolution, PotentialModel, nodes_at
 from .bohm import Trajectory, TrajectoryEnsemble, quantum_potential
 from .weakval import local_energy
 
@@ -246,10 +246,8 @@ def dwell_time_trajectory(trajectory: Trajectory | np.ndarray,
     return float(_dwell_times(pos[:, None], t, region)[0])
 
 
-def dwell_time_ensemble(ensemble: TrajectoryEnsemble,
-                        region: tuple[float, float]) -> tuple[float, float]:
-    """Mean per-trajectory dwell time and its standard error."""
-    taus = per_trajectory_dwell_times(ensemble, region)
+def dwell_time_ensemble(taus: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-trajectory dwell times taus and its standard error."""
     stderr = float(np.std(taus, ddof=1) / np.sqrt(len(taus))) if len(taus) > 1 \
         else float("inf")
     return float(np.mean(taus)), stderr
@@ -285,7 +283,7 @@ def dwell_time_density(evolution: Evolution, region: tuple[float, float],
     """Dwell time from the density: time integral of the in-region mass."""
     i_t = evolution.index_of(evolution.times[0] + horizon)
     mass = _region_mass(evolution.frames[:i_t + 1], evolution.grid, region)
-    if mass[-1] > 1e-4:
+    if mass[-1] > HORIZON_MASS_TOL:
         raise HorizonError(
             f"probability mass {mass[-1]:.2e} still inside {region} at T={horizon}")
     return float(np.trapezoid(mass, evolution.times[:i_t + 1]))

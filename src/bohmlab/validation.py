@@ -285,9 +285,10 @@ def check_dwell_triple_agreement():
     t_density = dwell_time_density(ev, region, horizon)
     starts = sample_initial_positions(psi, 2000, seed=91)
     ens = integrate_trajectories(ev, starts, substeps=2)
-    t_traj, stderr = dwell_time_ensemble(ens, region)
+    taus = per_trajectory_dwell_times(ens, region)
+    t_traj, stderr = dwell_time_ensemble(taus)
 
-    field = dwell_operator_field(psi, region, horizon, cfg, potential=pot)
+    field = dwell_operator_field(ev, region, horizon, cfg)
     ok = np.isfinite(field)
     t_wv = float(np.sum(psi.density()[ok] * field[ok]) * grid.dx)
 
@@ -295,7 +296,6 @@ def check_dwell_triple_agreement():
     pair_rel = max(abs(a - b) / max(abs(a), abs(b))
                    for i, a in enumerate(vals) for b in vals[i + 1:])
 
-    taus = per_trajectory_dwell_times(ens, region)
     from .bohm import _periodic_spline
     wv_at_start = _periodic_spline(grid, np.nan_to_num(field))(ens.positions[0])
     disc = np.abs(taus - wv_at_start)

@@ -13,9 +13,10 @@ import numpy as np
 
 from .errors import (ConfigurationError, EmptyEnsembleError, HorizonError,
                      NodeError)
-from .qgrid import (PotentialModel, PropagatorConfig, SpectralOperator,
-                    WaveFunction, _make_stepper, build_hamiltonian, evolve_store,
-                    node_mask, nodes_at, window_operator)
+from .qgrid import (HORIZON_MASS_TOL, Evolution, PotentialModel,
+                    PropagatorConfig, SpectralOperator, WaveFunction,
+                    _make_stepper, build_hamiltonian, node_mask, nodes_at,
+                    window_operator)
 from .bohm import _periodic_spline
 
 
@@ -70,67 +71,61 @@ def weak_average_quadrature(op: SpectralOperator, psi: WaveFunction) -> float:
     return float(np.sum(integrand) * psi.grid.dx)
 
 
-def dwell_operator_state(psi0: WaveFunction, region: tuple[float, float],
-                         horizon: float, cfg: PropagatorConfig,
-                         potential: PotentialModel | None = None,
-                         mass: float = 1.0, hbar: float = 1.0) -> np.ndarray:
+def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
+                         horizon: float, cfg: PropagatorConfig) -> np.ndarray:
     """Apply the dwell operator D = integral_0^T U^dag(t) A U(t) dt to psi0.
 
-    A is the window projector on `region`.  The forward frames come from
-    evolve_store with cfg's propagator, and the time quadrature is trapezoid
-    at their spacing.  The backward sweep runs the same stepper with -dt,
-    the exact inverse of the forward step for both methods (Strang
-    splitting: S(-dt) = S(dt)^-1), so forward and backward propagation
-    cancel, D is Hermitian and <psi0|D|psi0> equals the density quadrature
-    on the same frames.
+    psi0 is the evolution's first frame, A the window projector on `region`.
+    The forward frames are the evolution's own up to times[0] + horizon, and
+    the time quadrature is trapezoid at their spacing.  cfg must be the
+    propagator the evolution was built with: the backward sweep runs its
+    stepper with -dt, the exact inverse of the forward step for both methods
+    (Strang splitting: S(-dt) = S(dt)^-1), so D is Hermitian and
+    <psi0|D|psi0> equals the density quadrature on the same frames.
     """
-    if potential is None:
-        potential = PotentialModel("free")
+    potential, grid = evolution.potential, evolution.grid
     if potential.time_dependent:
         raise ConfigurationError(
             "dwell operator requires a time-independent potential")
-    grid = psi0.grid
-    a, b = region
-    window = window_operator(grid, a, b)
-    frames = evolve_store(psi0, potential, cfg, horizon, mass, hbar).frames
-    n_frames = len(frames) - 1
-    spo = cfg.steps_per_output
-    dt = horizon / (n_frames * spo)  # the step evolve_store took
+    window = window_operator(grid, *region)
+    i_t = evolution.index_of(evolution.times[0] + horizon)
+    if i_t == 0:
+        raise ConfigurationError(f"dwell operator needs horizon > 0, got {horizon}")
+    frames, spo = evolution.frames, cfg.steps_per_output
+    dt = horizon / (i_t * spo)  # bit-equal to evolve_store's step
     dt_out = dt * spo
-    back = _make_stepper(grid, potential, -dt, cfg.method, mass, hbar)
+    back = _make_stepper(grid, potential, -dt, cfg.method, evolution.mass,
+                         evolution.hbar)
 
-    mass_in = np.sum(np.abs(window.apply(frames[-1])) ** 2) * grid.dx
-    if mass_in > 1e-4:
+    mass_in = np.sum(np.abs(window.apply(frames[i_t])) ** 2) * grid.dx
+    if mass_in > HORIZON_MASS_TOL:
         raise HorizonError(
             f"probability mass {mass_in:.2e} still inside {region} at T={horizon}")
 
-    weights = np.full(n_frames + 1, dt_out)
+    weights = np.full(i_t + 1, dt_out)
     weights[0] = weights[-1] = 0.5 * dt_out
-    chi = weights[-1] * window.apply(frames[-1])
-    for j in range(n_frames - 1, -1, -1):
+    chi = weights[-1] * window.apply(frames[i_t])
+    for j in range(i_t - 1, -1, -1):
         for _ in range(spo):
             chi = back.step(chi, 0.0)
         chi = chi + weights[j] * window.apply(frames[j])
     return chi
 
 
-def dwell_operator_weak_value(psi0: WaveFunction, x, region: tuple[float, float],
-                              horizon: float, cfg: PropagatorConfig,
-                              potential: PotentialModel | None = None,
-                              mass: float = 1.0, hbar: float = 1.0):
+def dwell_operator_weak_value(evolution: Evolution, x, region: tuple[float, float],
+                              horizon: float, cfg: PropagatorConfig):
     """Re[ <x|D|psi0> / <x|psi0> ] for scalar or array post-selection x."""
-    d_psi = dwell_operator_state(psi0, region, horizon, cfg, potential, mass, hbar)
-    val = _ratio_at(psi0, d_psi, x)
+    d_psi = dwell_operator_state(evolution, region, horizon, cfg)
+    val = _ratio_at(evolution.psi(0), d_psi, x)
     return np.real(val) if np.ndim(x) else float(np.real(val))
 
 
-def dwell_operator_field(psi0: WaveFunction, region: tuple[float, float],
-                         horizon: float, cfg: PropagatorConfig,
-                         potential: PotentialModel | None = None,
-                         mass: float = 1.0, hbar: float = 1.0) -> np.ndarray:
+def dwell_operator_field(evolution: Evolution, region: tuple[float, float],
+                         horizon: float, cfg: PropagatorConfig) -> np.ndarray:
     """Dwell-operator weak value at every non-node grid point (NaN at nodes)."""
-    d_psi = dwell_operator_state(psi0, region, horizon, cfg, potential, mass, hbar)
+    d_psi = dwell_operator_state(evolution, region, horizon, cfg)
+    psi0 = evolution.frames[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        wv = np.real(d_psi / psi0.amplitudes)
-    wv[node_mask(psi0.amplitudes)] = np.nan
+        wv = np.real(d_psi / psi0)
+    wv[node_mask(psi0)] = np.nan
     return wv

@@ -8,6 +8,7 @@ from bohmlab.errors import (ConfigurationError, HorizonError, LagError)
 from bohmlab.intrinsics import (CurrentConfig, autocorrelation,
                                 dwell_time_density, dwell_time_ensemble,
                                 dwell_time_trajectory, ensemble_currents,
+                                per_trajectory_dwell_times,
                                 power_balance_residual, psd, work_distribution,
                                 work_records)
 
@@ -186,5 +187,6 @@ class TestDwellTime:
         t_density = dwell_time_density(ev, region, horizon)
         starts = sample_initial_positions(psi, 400, seed=21)
         ens = integrate_trajectories(ev, starts)
-        t_traj, stderr = dwell_time_ensemble(ens, region)
+        t_traj, stderr = dwell_time_ensemble(
+            per_trajectory_dwell_times(ens, region))
         assert abs(t_traj - t_density) < max(3 * stderr, 0.02 * t_density)

@@ -251,8 +251,9 @@ class TestDenseGuards:
         from bohmlab.weakval import dwell_operator_state
         psi0 = WaveFunction.gaussian(self.BIG, center=-8.0, momentum=5.0)
         cfg = PropagatorConfig(0.005, steps_per_output=20)
-        d_psi, peak = traced_peak(
-            lambda: dwell_operator_state(psi0, (-2.0, 2.0), 4.0, cfg))
+        d_psi, peak = traced_peak(lambda: dwell_operator_state(
+            evolve_store(psi0, PotentialModel("free"), cfg, 4.0),
+            (-2.0, 2.0), 4.0, cfg))
         assert np.all(np.isfinite(d_psi))
         assert peak < self.N * self.N
 

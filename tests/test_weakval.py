@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
-                     build_hamiltonian, momentum_operator, position_operator)
+                     build_hamiltonian, evolve_store, momentum_operator,
+                     position_operator)
 from bohmlab.bohm import sample_initial_positions, velocity_field
 from bohmlab.errors import ConfigurationError, HorizonError, NodeError
 from bohmlab.weakval import (aav_weak_value, dwell_operator_state,
@@ -101,18 +102,20 @@ class TestDwellOperator:
     def make_packet(self, grid):
         return WaveFunction.gaussian(grid, center=-8.0, width=1.0, momentum=5.0)
 
+    def evolve(self, psi0, cfg=CFG, potential=PotentialModel("free")):
+        return evolve_store(psi0, potential, cfg, 4.0)
+
     @pytest.mark.parametrize("method", PropagatorConfig.METHODS)
     def test_quadrature_matches_density_formula(self, grid, method):
         # <psi0|D|psi0> = integral_0^T dt integral_a^b |psi(x,t)|^2 dx
-        from bohmlab import evolve_store
         from bohmlab.intrinsics import dwell_time_density
         cfg = replace(self.CFG, method=method)
         psi0 = self.make_packet(grid)
         region, horizon = (-2.0, 2.0), 4.0
-        d_psi = dwell_operator_state(psi0, region, horizon, cfg)
+        ev = self.evolve(psi0, cfg)
+        d_psi = dwell_operator_state(ev, region, horizon, cfg)
         quad = float(np.real(np.vdot(psi0.amplitudes, d_psi)) * grid.dx)
 
-        ev = evolve_store(psi0, PotentialModel("free"), cfg, horizon)
         density_formula = dwell_time_density(ev, region, horizon)
         assert quad == pytest.approx(density_formula, rel=1e-6)
         # the packet crosses a width-4 window at speed 5 (plus spreading)
@@ -124,24 +127,34 @@ class TestDwellOperator:
         psi0 = self.make_packet(grid)
         phi = WaveFunction.gaussian(grid, center=-6.0, width=1.3, momentum=5.0)
         region, horizon = (-2.0, 2.0), 4.0
-        d_psi = dwell_operator_state(psi0, region, horizon, cfg)
-        d_phi = dwell_operator_state(phi, region, horizon, cfg)
+        d_psi = dwell_operator_state(self.evolve(psi0, cfg), region, horizon, cfg)
+        d_phi = dwell_operator_state(self.evolve(phi, cfg), region, horizon, cfg)
         lhs = np.vdot(phi.amplitudes, d_psi) * grid.dx
         rhs = np.conj(np.vdot(psi0.amplitudes, d_phi)) * grid.dx
         assert abs(lhs - rhs) < 1e-10
 
     def test_weak_value_positive_along_packet(self, grid):
-        psi0 = self.make_packet(grid)
-        wv = dwell_operator_weak_value(psi0, -8.0, (-2.0, 2.0), 4.0, self.CFG)
+        ev = self.evolve(self.make_packet(grid))
+        wv = dwell_operator_weak_value(ev, -8.0, (-2.0, 2.0), 4.0, self.CFG)
         assert 0.5 < wv < 1.2  # near width/speed = 0.8 for the packet core
 
     def test_horizon_too_short(self, grid):
-        psi0 = self.make_packet(grid)
+        # the packet is still inside the window at the stored frame t = 1
+        ev = self.evolve(self.make_packet(grid))
         with pytest.raises(HorizonError):
-            dwell_operator_state(psi0, (-2.0, 2.0), 1.0, self.CFG)
+            dwell_operator_state(ev, (-2.0, 2.0), 1.0, self.CFG)
+
+    def test_horizon_before_last_frame_uses_its_prefix(self, grid):
+        region = (-6.0, -2.0)
+        ev = self.evolve(self.make_packet(grid))
+        short = evolve_store(self.make_packet(grid), PotentialModel("free"),
+                             self.CFG, 3.0)
+        assert np.array_equal(dwell_operator_state(ev, region, 3.0, self.CFG),
+                              dwell_operator_state(short, region, 3.0, self.CFG))
 
     def test_time_dependent_potential_rejected(self, grid):
-        psi0 = self.make_packet(grid)
+        cfg = replace(self.CFG, method="split-operator")
+        ev = self.evolve(self.make_packet(grid), cfg,
+                         PotentialModel("drive", amplitude=0.1))
         with pytest.raises(ConfigurationError):
-            dwell_operator_state(psi0, (-2.0, 2.0), 4.0, self.CFG,
-                                 potential=PotentialModel("drive", amplitude=0.1))
+            dwell_operator_state(ev, (-2.0, 2.0), 4.0, cfg)
