@@ -133,6 +133,7 @@ class ScenarioConfig:
     def build_potential(self) -> PotentialModel:
         p = {key: float(v) for key, v in self.potential.items() if key != "kind"}
         return PotentialModel(self.potential["kind"],
+                              mass=float(self.units["mass"]),
                               charge=float(self.units["charge"]), **p)
 
     def build_state(self, grid: Grid1D) -> WaveFunction:

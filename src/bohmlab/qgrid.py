@@ -359,9 +359,13 @@ def expectation(op: SpectralOperator, psi: WaveFunction) -> float:
 # ---------------------------------------------------------------------------
 
 def node_mask(amplitudes: np.ndarray) -> np.ndarray:
-    """True at the grid points where the state is a node."""
+    """True at the grid points where the state is a node.
+
+    Works per row: for a (..., n) array of amplitudes, each row is judged
+    against its own maximum density, exactly as it would be alone.
+    """
     dens = np.abs(amplitudes) ** 2
-    return dens < NODE_THRESHOLD_REL * dens.max()
+    return dens < NODE_THRESHOLD_REL * dens.max(axis=-1, keepdims=True)
 
 
 def nodes_at(psi: WaveFunction, x) -> np.ndarray:

@@ -3,16 +3,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      bohm, evolve_store)
-from bohmlab.bohm import (_clamp_nodes, _periodic_spline, equivariance_l1,
+from bohmlab.bohm import (_clamp_nodes, _hermite_coefficients, _hermite_eval,
+                          _periodic_spline, _spline_slopes, equivariance_l1,
                           grid_velocity, integrate_trajectories,
                           quantum_potential, sample_initial_positions,
                           velocity_field)
 from bohmlab.errors import ConfigurationError, NodeError
 from bohmlab.harness import parse_config, run
+from bohmlab.qgrid import Evolution, node_mask
 
 
 @pytest.fixture
@@ -219,6 +223,151 @@ class TestSampling:
         psi = psi.normalize()
         xs = sample_initial_positions(psi, 100_000, seed=2)
         assert np.mean(xs < 0) == pytest.approx(0.75, abs=0.01)
+
+
+def _two_gaussian_frames(grid, nt, c1, c2, w1, w2, k, boost, node):
+    """nt frames of a two-Gaussian superposition, boosted by boost and
+    rescaled per frame, so that every frame has its own maximum.
+
+    With node, the second packet cancels the first at the grid point nearest
+    the midpoint of the centres, so every frame has an interior node there.
+    """
+    x = grid.x
+    g1 = np.exp(-((x - c1) ** 2) / (4.0 * w1 ** 2) + 1j * k * x)
+    g2 = np.exp(-((x - c2) ** 2) / (4.0 * w2 ** 2) - 1j * k * x)
+    m = int(np.argmin(np.abs(x - 0.5 * (c1 + c2))))
+    amp = g1 - g1[m] / g2[m] * g2 if node else g1 + 0.5 * g2
+    j = np.arange(nt)[:, None]
+    return amp[None, :] * (1.0 + 0.5 * j) * np.exp(1j * boost * j * x)
+
+
+class TestVelocityFieldBuild:
+    """The block build gives each frame's row of a frame-by-frame build."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(64, 512), nt=st.integers(2, 70),
+           c1=st.floats(-8.0, -1.0), c2=st.floats(1.0, 8.0),
+           w1=st.floats(0.3, 2.0), w2=st.floats(0.3, 2.0),
+           k=st.floats(-2.0, 2.0), boost=st.floats(-0.2, 0.2),
+           mass=st.floats(0.5, 3.0), node=st.booleans())
+    def test_rows_match_single_frame_build(self, n, nt, c1, c2, w1, w2, k,
+                                           boost, mass, node):
+        grid = Grid1D(-20.0, 20.0, n)
+        frames = _two_gaussian_frames(grid, nt, c1, c2, w1, w2, k, boost, node)
+        ev = Evolution(grid, 0.1 * np.arange(nt), frames,
+                       PotentialModel("free"), mass=mass)
+        field = bohm.VelocityField(ev)
+        masks = node_mask(frames)
+        for j in range(nt):
+            v = grid_velocity(ev.psi(j), mass)
+            assert np.array_equal(field.values[j], v)
+            assert np.array_equal(field.slopes[j], _spline_slopes(grid, v))
+            assert np.array_equal(masks[j], node_mask(frames[j]))
+            raw = grid_velocity(ev.psi(j), mass, clamp=False)
+            assert np.array_equal(v, _argmin_clamp(raw, masks[j]))
+        if node:
+            assert masks[:, n // 4:3 * n // 4].any(axis=1).all()
+
+
+def _reference_velocity(vel, x, t):
+    """The field at (x, t): blend the two frames' knots, then build and
+    evaluate one Hermite table (the evaluation before tables were shared)."""
+    pos = (t - vel.times[0]) / vel.frame_dt
+    lo = int(np.clip(np.floor(pos), 0, len(vel.times) - 2))
+    w = float(np.clip(pos - lo, 0.0, 1.0))
+    values, slopes = vel.values[lo], vel.slopes[lo]
+    if w != 0.0:
+        values = (1.0 - w) * values + w * vel.values[lo + 1]
+        slopes = (1.0 - w) * slopes + w * vel.slopes[lo + 1]
+    return _hermite_eval(_hermite_coefficients(values, slopes, vel.grid.dx),
+                         vel.grid, x)
+
+
+def _reference_rk4(evolution, starts, substeps):
+    """RK4 with four independent field evaluations per substep."""
+    grid, times, vel = evolution.grid, evolution.times, evolution.velocity
+    h = evolution.frame_dt / substeps
+    pos = np.empty((len(times), len(starts)))
+    pos[0] = starts
+    trunc = np.zeros(len(starts), dtype=bool)
+    x = starts.copy()
+    for j in range(len(times) - 1):
+        t = times[j]
+        for _ in range(substeps):
+            k1 = _reference_velocity(vel, x, t)
+            k2 = _reference_velocity(vel, x + 0.5 * h * k1, t + 0.5 * h)
+            k3 = _reference_velocity(vel, x + 0.5 * h * k2, t + 0.5 * h)
+            k4 = _reference_velocity(vel, x + h * k3, t + h)
+            x_new = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            out = ~grid.contains(x_new)
+            trunc |= out
+            x = np.where(out, x, x_new)
+            t += h
+        pos[j + 1] = x
+    return pos, trunc
+
+
+@pytest.fixture(scope="module")
+def leaving_evolution():
+    # a fast packet near the right edge: part of the ensemble leaves
+    grid = Grid1D(-10.0, 10.0, 256)
+    psi = WaveFunction.gaussian(grid, center=5.0, width=1.0, momentum=6.0)
+    return evolve_store(psi, PotentialModel("free"),
+                        PropagatorConfig(0.005, steps_per_output=10), 0.6)
+
+
+@pytest.fixture(scope="module")
+def node_evolution():
+    # an odd superposition: a node at x = 0 in the initial state
+    grid = Grid1D(-25.0, 25.0, 512)
+    a = WaveFunction.gaussian(grid, center=-3.0).amplitudes
+    b = WaveFunction.gaussian(grid, center=3.0).amplitudes
+    psi = WaveFunction(grid, a - b).normalize()
+    return evolve_store(psi, PotentialModel("harmonic", omega=0.5),
+                        PropagatorConfig(0.005, steps_per_output=10), 0.5)
+
+
+class TestRk4Stages:
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_leaving_trajectories_bit_identical(self, leaving_evolution,
+                                                substeps):
+        ev = leaving_evolution
+        starts = sample_initial_positions(ev.psi(0), 300, seed=5)
+        ens = integrate_trajectories(ev, starts, substeps=substeps)
+        pos, trunc = _reference_rk4(ev, starts, substeps)
+        assert 0 < np.count_nonzero(trunc) < len(starts)
+        assert np.array_equal(ens.positions, pos)
+        assert np.array_equal(ens.truncated, trunc)
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_node_state_bit_identical(self, node_evolution, substeps):
+        ev = node_evolution
+        grid = ev.grid
+        assert node_mask(ev.frames[0])[grid.n // 2]
+        starts = np.concatenate([
+            sample_initial_positions(ev.psi(0), 300, seed=6),
+            [-1e-3, 1e-3, grid.x[grid.n // 2 + 1]]])
+        ens = integrate_trajectories(ev, starts, substeps=substeps)
+        pos, trunc = _reference_rk4(ev, starts, substeps)
+        assert np.array_equal(ens.positions, pos)
+        assert np.array_equal(ens.truncated, trunc)
+
+    @pytest.mark.parametrize("substeps", [1, 2, 4])
+    def test_hermite_builds_bounded(self, leaving_evolution, monkeypatch,
+                                    substeps):
+        ev = leaving_evolution
+        ev.velocity  # the field build itself builds no Hermite table
+        builds = []
+        build = bohm._hermite_coefficients
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(bohm, "_hermite_coefficients", counting)
+        integrate_trajectories(ev, np.linspace(3.0, 7.0, 11), substeps=substeps)
+        nt = len(ev.times)
+        assert len(builds) <= (nt - 1) * (2 * substeps + 1)
 
 
 class TestTrajectories:

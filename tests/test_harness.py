@@ -12,7 +12,7 @@ from bohmlab import harness
 from bohmlab.cli import main
 from bohmlab.errors import ConfigurationError
 from bohmlab.harness import DEFAULTS, parse_config, resolve_out_dir, run
-from bohmlab.qgrid import SpectralOperator
+from bohmlab.qgrid import SpectralOperator, build_hamiltonian
 
 FAST = {
     "grid": {"n": 128, "x_min": -20.0, "x_max": 20.0},
@@ -84,6 +84,16 @@ class TestParseConfig:
             parse_config('{"state": {"kind": "superposition"}}')
         assert len(err.value.violations) == 1
         assert err.value.violations[0].startswith("state.components:")
+
+    def test_harmonic_potential_uses_units_mass(self):
+        # V = m omega^2 x^2 / 2 with the configured m: the ground energy is
+        # hbar omega / 2 whatever the mass (0.3536 if V took m = 1)
+        cfg = parse_config(json.dumps({
+            "units": {"mass": 2.0},
+            "grid": {"n": 256, "x_min": -12.0, "x_max": 12.0},
+            "potential": {"kind": "harmonic", "omega": 1.0}}))
+        h = build_hamiltonian(cfg.build_grid(), cfg.build_potential(), mass=2.0)
+        assert h.eigenvalues()[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_seed_streams_deterministic(self):
         cfg = parse_config(json.dumps(FAST))
