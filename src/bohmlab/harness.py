@@ -19,6 +19,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -453,7 +454,8 @@ def _task_work(config, tmp, threads):
         "flagged_count": dist.flagged_count})
     return ["work_records.csv", "work_distribution.json"], {
         "mean_work": dist.mean, "std_work": dist.std,
-        "delta_h": float(delta_h), "flagged": dist.flagged_count}
+        "delta_h": float(delta_h), "flagged": dist.flagged_count,
+        "truncated": int(ens.truncated.sum())}
 
 
 def _task_dwell(config, tmp, threads):
@@ -497,7 +499,8 @@ def _task_psd(config, tmp, threads):
     mid = len(result.omega) // 2
     return ["autocorrelation.csv", "psd.csv"], {
         "psd_zero": float(result.values[mid]),
-        "n_lags": len(result.lags), "device_length": length}
+        "n_lags": len(result.lags), "device_length": length,
+        "truncated": int(ens.truncated.sum())}
 
 
 def _task_measure(config, tmp, threads):
@@ -534,17 +537,18 @@ def _task_measure(config, tmp, threads):
     if task["mode"] == "monte_carlo":
         log_path = os.path.join(tmp, "experiments.jsonl")
         # The text json.dumps gives each record: floats print as repr, and
-        # between y_k and weight only the (outcome, hit) pair varies.
-        middles = [[f', "y_g": {y_g!r}, "post_selected": {flag}, "weight": '
-                    for flag in ("false", "true")]
-                   for y_g in (ancilla.coupling * joint.g_values).tolist()]
+        # between y_k and weight only the (outcome, hit) pair varies, so
+        # middles[2 * outcome + hit] is that text.
+        middles = [f', "y_g": {y_g!r}, "post_selected": {flag}, "weight": '
+                   for y_g in (ancilla.coupling * joint.g_values).tolist()
+                   for flag in ("false", "true")]
         with open(log_path, "w") as fh:
             def log(done, y_k, outcome, hit, weights):
-                fh.write("".join([
-                    '{"i": %d, "y_k": %r%s%r}\n' % (done + j, y, middles[o][h], w)
-                    for j, (y, o, h, w) in enumerate(zip(
-                        y_k.tolist(), outcome.tolist(), hit.tolist(),
-                        weights.tolist()))]))
+                m = len(y_k)
+                mids = [middles[k] for k in (2 * outcome + hit).tolist()]
+                fh.write(('{"i": %d, "y_k": %r%s%r}\n' * m) % tuple(
+                    chain.from_iterable(zip(range(done, done + m), y_k.tolist(),
+                                            mids, weights.tolist()))))
 
             mc = operational_weak_value(
                 system, ancilla, g_index, mode="monte_carlo",

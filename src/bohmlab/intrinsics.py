@@ -133,7 +133,8 @@ def ensemble_currents(evolution: Evolution, ensemble: TrajectoryEnsemble,
     out = np.empty_like(ensemble.positions)
     for j, t in enumerate(evolution.times):
         out[j] = vel(ensemble.positions[j], float(t))
-    return cfg.charge / cfg.length * out
+    out *= cfg.charge / cfg.length
+    return out
 
 
 _ACF_CHUNK = 512  # records per FFT batch in autocorrelation

@@ -341,8 +341,12 @@ def perturbation_decomposition(system: TwoTimeSystem, ancilla: AncillaModel,
 # ---------------------------------------------------------------------------
 
 # Monte Carlo rows per block: the (rows, n_s) and (rows, n_g) work arrays stay
-# a few MB and cache-sized whatever n_experiments and chunk are.
-MC_BLOCK_ROWS = 4096
+# about 1 MB each, inside a 2 MB per-core L2, whatever n_experiments and chunk
+# are.  The logged Monte Carlo call at measure-mc size (n_s = n_g = 128, 2e5
+# experiments, real products, medians of 5 on a 2-core Xeon) took 0.489 s at
+# 256 rows, 0.413 s at 512, 0.410 s at 768, 0.418 s at 1024, 0.563 s at 2048
+# and 0.557 s at 4096; with one complex product per 4096-row block, 0.581 s.
+MC_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -352,6 +356,24 @@ class OperationalEstimate:
     mode: str
     n_selected: int = 0
     post_selection_probability: float = 1.0
+
+
+def _g_probabilities(prof: np.ndarray, w_re: np.ndarray,
+                     w_im: np.ndarray) -> np.ndarray:
+    """Normalized G-outcome probabilities of a block of collapsed states.
+
+    prof is the real profile block P = a(y - l s), shape (rows, n_s), and
+    w_re, w_im are the parts of W = c[:, None] * C^T.  The G amplitudes
+    (P o c) C^T equal P W, so |P W|^2 = (P W_re)^2 + (P W_im)^2 takes two
+    real products; it matches the complex product's |.|^2 to rounding.
+    """
+    pg = prof @ w_re
+    pg *= pg
+    im = prof @ w_im
+    im *= im
+    pg += im
+    pg /= pg.sum(axis=1, keepdims=True)
+    return pg
 
 
 def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
@@ -367,8 +389,12 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
     (discrete outcomes select the exact index; for a position-valued G the
     eigenvalues are grid cells, so the bin is one grid cell wide).
     Each chunk draws its choices, normal deviates and uniforms in that
-    order, then runs the chain over blocks of about MC_BLOCK_ROWS rows;
-    log_callback(first_index, y_k, outcome, hit, weight) is called per block.
+    order, then runs the chain over blocks of about MC_BLOCK_ROWS rows.
+    The ancilla profile of a block is real, so the G probabilities come
+    from two real products with W = c[:, None] * C^T, built once per call
+    (see _g_probabilities); weight is the norm of the collapsed state
+    profile * c.  log_callback(first_index, y_k, outcome, hit, weight) is
+    called per block.
     """
     if mode == "exact":
         joint = two_time_joint(system, ancilla)
@@ -390,6 +416,9 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
     s, c = system.s_values, system.coeffs
     probs = np.abs(c) ** 2
     probs = probs / probs.sum()
+    w = c[:, None] * system.transform.T                   # (n_s, n_g)
+    w_re, w_im = np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
+    lam_s = lam * s[None, :]
     selected_y = []
     done = 0
     while done < n_experiments:
@@ -405,13 +434,11 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
         outcome = np.empty(m, dtype=int)
         weight = np.empty(m)
         for lo, hi in blocks:
-            collapsed = (ancilla.profile(y_k[lo:hi, None] - lam * s[None, :])
-                         * c[None, :])
-            pg = np.abs(collapsed @ system.transform.T) ** 2  # (rows, n_g)
-            pg /= pg.sum(axis=1, keepdims=True)
+            prof = ancilla.profile(y_k[lo:hi, None] - lam_s)  # (rows, n_s)
+            pg = _g_probabilities(prof, w_re, w_im)            # (rows, n_g)
             outcome[lo:hi] = (np.cumsum(pg, axis=1) < u[lo:hi, None]).sum(axis=1)
             if log_callback is not None:
-                weight[lo:hi] = np.linalg.norm(collapsed, axis=1)
+                weight[lo:hi] = np.linalg.norm(prof * c[None, :], axis=1)
         hit = outcome == g_index
         # Logged after the products: BLAS worker threads spin-wait between
         # calls, so a log write between two products would keep them busy.

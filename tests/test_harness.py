@@ -201,6 +201,18 @@ class TestRun:
         summary = run(cfg, out_dir=str(tmp_path)).summary
         assert summary["final_norm"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("task", ["psd", "work"])
+    def test_wrapped_packet_reports_truncated(self, tmp_path, task):
+        # a k = 5 packet on [-10, 10] runs into the edge within the duration,
+        # and every trajectory freezes there
+        cfg = parse_config(json.dumps({
+            "grid": {"n": 256, "x_min": -10.0, "x_max": 10.0},
+            "potential": {"kind": "free"},
+            "state": {"kind": "gaussian", "momentum": 5.0},
+            "ensemble": {"n": 1000, "seed": 3},
+            "task": {"name": task, "duration": 4.0}}))
+        assert run(cfg, out_dir=str(tmp_path)).summary["truncated"] == 1000
+
     def test_csv_full_precision(self, tmp_path):
         cfg = parse_config(json.dumps(FAST))
         run(cfg, out_dir=str(tmp_path))
@@ -392,14 +404,16 @@ def test_cli_cold_start_imports_no_scipy(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
-def test_trace_mode_finds_every_layer(tmp_path):
+@pytest.mark.parametrize("workload", ["dwell-desk", "measure-mc"])
+def test_trace_mode_finds_every_layer(tmp_path, workload):
     # the benchmark's traced run wraps the layer functions bohmlab.harness
-    # imports and binds some of their arguments by name, so renaming one of
-    # them fails this test instead of the benchmark
+    # imports (and the Monte Carlo log_callback) and binds some of their
+    # arguments by name, so renaming one of them fails this test instead of
+    # the benchmark
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run(
-        [sys.executable, "perfbench/tracer.py", "dwell-desk", "11",
+        [sys.executable, "perfbench/tracer.py", workload, "11",
          str(tmp_path / "out"), str(tmp_path / "spans.jsonl")],
         cwd=root, env=env, capture_output=True, text=True, check=True)
     assert json.loads(done.stdout.splitlines()[-1])["problems"] == []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,26 @@ class TestCurrentAndPsd:
         cur = ensemble_currents(ev, ens, CurrentConfig(length=60.0, charge=1.0))
         assert cur.shape == ens.positions.shape
         assert np.allclose(cur, k0 / 60.0, rtol=0.05)
+
+    def test_currents_scaled_in_place(self, grid):
+        psi = WaveFunction.gaussian(grid, width=3.0, momentum=2.0)
+        # 101 frames, so the record outweighs the per-frame temporaries
+        ev = evolve_store(psi, PotentialModel("free"),
+                          PropagatorConfig(0.01, steps_per_output=1), 1.0)
+        ens = integrate_trajectories(ev, sample_initial_positions(psi, 2000, seed=5))
+        vel = ev.velocity  # built lazily: outside the traced call
+        raw = np.array([vel(ens.positions[j], float(t))
+                        for j, t in enumerate(ev.times)])
+        cfg = CurrentConfig(length=7.3, charge=1.6)
+        tracemalloc.start()
+        try:
+            cur = ensemble_currents(ev, ens, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the scaled record is the only (nt, N) array the call allocates
+        assert np.array_equal(cur, cfg.charge / cfg.length * raw)
+        assert peak < 1.2 * cur.nbytes
 
     def test_autocorrelation_constant_signal(self):
         # biased estimator: C(m dt) = c^2 (nt - m)/nt for a constant record

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import erf
 
@@ -11,9 +13,9 @@ from bohmlab import Grid1D, PotentialModel, WaveFunction, momentum_operator, \
 from bohmlab.errors import (BasisCoverageError, ConfigurationError,
                             GridRangeError, InsufficientStatisticsError)
 from bohmlab.measure import (MC_BLOCK_ROWS, AncillaModel, TwoTimeSystem,
-                             ancilla_moment_checks, ideal_weak_correlation,
-                             marginal_mean, one_time_mean,
-                             operational_weak_value,
+                             _g_probabilities, ancilla_moment_checks,
+                             ideal_weak_correlation, marginal_mean,
+                             one_time_mean, operational_weak_value,
                              perturbation_decomposition, premeasure,
                              readout_marginal, readout_sample, two_time_joint,
                              two_time_correlation)
@@ -99,7 +101,9 @@ def grid_system(n):
 def unblocked_monte_carlo(system, ancilla, g_index, n_experiments, seed,
                           chunk, log_callback):
     """Oracle: the Monte Carlo loop over whole chunks, as it was before the
-    chain ran in row blocks; returns (value, stderr, n_selected)."""
+    chain ran in row blocks, with one complex G product per chunk; returns
+    (value, stderr, n_selected).  With chunk=4096 each chunk is one of the
+    complex 4096-row blocks the chain ran before its G products were real."""
     rng = np.random.default_rng(seed)
     lam, sig = ancilla.coupling, ancilla.width
     s, c = system.s_values, system.coeffs
@@ -390,6 +394,66 @@ class TestOperationalEstimator:
             tracemalloc.stop()
         assert est.n_selected > 0
         assert peak < 64e6
+
+    def test_monte_carlo_peak_below_16mb(self):
+        # 1024-row blocks with real G products; 4096-row complex blocks
+        # peaked at 27.7 MB here
+        system, anc, g_index = grid_system(128)
+        tracemalloc.start()
+        try:
+            operational_weak_value(system, anc, g_index, "monte_carlo",
+                                   n_experiments=200_000, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("seed", [3, 19, 41])
+    @pytest.mark.parametrize("kind", ["grid", "discrete"])
+    def test_real_products_match_complex_blocks(self, kind, seed):
+        if kind == "grid":
+            system, anc, g_index = grid_system(128)
+        else:
+            system, g_index = random_system(seed=9), 0
+            anc = AncillaModel.gaussian(0.5, 2.0, np.abs(system.s_values).max())
+        want = ExperimentRecorder()
+        oracle = unblocked_monte_carlo(system, anc, g_index, 50_000, seed,
+                                       chunk=4096, log_callback=want)
+        got = ExperimentRecorder()
+        est = operational_weak_value(system, anc, g_index, "monte_carlo",
+                                     n_experiments=50_000, seed=seed,
+                                     chunk=4096, log_callback=got)
+        assert (est.value, est.stderr, est.n_selected) == oracle
+        for mine, theirs in zip(got.columns(), want.columns()):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n_s=st.integers(2, 64), n_g=st.integers(2, 128),
+           rows=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1),
+           coupling=st.floats(0.01, 2.0), width=st.floats(0.2, 3.0))
+    def test_g_probabilities_match_complex_product(self, n_s, n_g, rows, seed,
+                                                   coupling, width):
+        rng = np.random.default_rng(seed)
+        n = max(n_s, n_g)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        transform = q[:n_g, :n_s]
+        c = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
+        c /= np.linalg.norm(c)
+        s = rng.normal(scale=3.0, size=n_s)
+        anc = AncillaModel.gaussian(coupling, width, np.abs(s).max())
+        y = coupling * s[rng.integers(n_s, size=rows)] + \
+            rng.normal(scale=width, size=rows)
+        prof = anc.profile(y[:, None] - coupling * s[None, :])
+        w = c[:, None] * transform.T
+        pg = _g_probabilities(prof, np.ascontiguousarray(w.real),
+                              np.ascontiguousarray(w.imag))
+        want = np.abs((prof * c[None, :]) @ transform.T) ** 2
+        want /= want.sum(axis=1, keepdims=True)
+        # relative to each row's largest probability: an entry that is a
+        # near-cancelling sum keeps only the rounding of its terms
+        assert np.all(np.abs(pg - want)
+                      <= 1e-13 * want.max(axis=1, keepdims=True))
 
     def test_impossible_postselection(self):
         # S eigenstate, U = identity: orthogonal G outcomes never occur
