@@ -19,7 +19,6 @@ nodes with probability ~0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,7 +218,6 @@ class TrajectoryEnsemble:
 
     times: np.ndarray
     positions: np.ndarray
-    seed: int
     truncated: np.ndarray  # (N,) bool
 
     @property
@@ -238,8 +236,8 @@ class VelocityField:
     its periodic spline, as two (nt, n) arrays, each row equal bit for bit
     to grid_velocity of that frame and its _spline_slopes.  They are filled
     BUILD_BLOCK_FRAMES frames at a time.  Nothing changes after
-    construction, so threads may share one field.  Build it through
-    Evolution.velocity, which keeps one per evolution.
+    construction.  Build it through Evolution.velocity, which keeps one
+    per evolution.
     """
 
     def __init__(self, evolution: Evolution):
@@ -273,15 +271,13 @@ class VelocityField:
 
 
 def integrate_trajectories(evolution: Evolution, starts: np.ndarray,
-                           seed: int = 0, substeps: int = 2,
-                           threads: int = 1) -> TrajectoryEnsemble:
+                           substeps: int = 2) -> TrajectoryEnsemble:
     """RK4 integration of the guidance equation for all starting points.
 
-    The stored evolution is shared read-only; the integration is
-    data-parallel over experiments (chunked threads when threads > 1, with
-    results identical to the serial order).  Each substep builds the field's
-    Hermite table once per stage time: k2 and k3 share the t + h/2 table,
-    and the t + h table of k4 is the next substep's k1 table.
+    All trajectories advance together, vectorised over the ensemble, on the
+    stored evolution.  Each substep builds the field's Hermite table once
+    per stage time: k2 and k3 share the t + h/2 table, and the t + h table
+    of k4 is the next substep's k1 table.
     """
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     grid = evolution.grid
@@ -289,42 +285,30 @@ def integrate_trajectories(evolution: Evolution, starts: np.ndarray,
         raise ConfigurationError("some starting positions are outside the domain")
     vel = evolution.velocity
     times = evolution.times
-    nt, n_traj = len(times), len(starts)
+    nt = len(times)
     h = evolution.frame_dt / substeps
-
-    def run_chunk(x0):
-        pos = np.empty((nt, len(x0)))
-        pos[0] = x0
-        trunc = np.zeros(len(x0), dtype=bool)
-        x = x0.copy()
-        for j in range(nt - 1):
-            t = times[j]
-            c_start = vel.coefficients(t)
-            for _ in range(substeps):
-                c_half = vel.coefficients(t + 0.5 * h)
-                c_end = vel.coefficients(t + h)
-                k1 = _hermite_eval(c_start, grid, x)
-                k2 = _hermite_eval(c_half, grid, x + 0.5 * h * k1)
-                k3 = _hermite_eval(c_half, grid, x + 0.5 * h * k2)
-                k4 = _hermite_eval(c_end, grid, x + h * k3)
-                x_new = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-                out = ~grid.contains(x_new)
-                trunc |= out
-                x = np.where(out, x, x_new)  # freeze trajectories that leave
-                t += h
-                c_start = c_end
-            pos[j + 1] = x
-        return pos, trunc
-
-    if threads > 1 and n_traj > 1:
-        chunks = np.array_split(np.arange(n_traj), min(threads, n_traj))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda ix: run_chunk(starts[ix]), chunks))
-        positions = np.concatenate([r[0] for r in results], axis=1)
-        truncated = np.concatenate([r[1] for r in results])
-    else:
-        positions, truncated = run_chunk(starts)
-    return TrajectoryEnsemble(times, positions, seed, truncated)
+    pos = np.empty((nt, len(starts)))
+    pos[0] = starts
+    trunc = np.zeros(len(starts), dtype=bool)
+    x = starts.copy()
+    for j in range(nt - 1):
+        t = times[j]
+        c_start = vel.coefficients(t)
+        for _ in range(substeps):
+            c_half = vel.coefficients(t + 0.5 * h)
+            c_end = vel.coefficients(t + h)
+            k1 = _hermite_eval(c_start, grid, x)
+            k2 = _hermite_eval(c_half, grid, x + 0.5 * h * k1)
+            k3 = _hermite_eval(c_half, grid, x + 0.5 * h * k2)
+            k4 = _hermite_eval(c_end, grid, x + h * k3)
+            x_new = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            out = ~grid.contains(x_new)
+            trunc |= out
+            x = np.where(out, x, x_new)  # freeze trajectories that leave
+            t += h
+            c_start = c_end
+        pos[j + 1] = x
+    return TrajectoryEnsemble(times, pos, trunc)
 
 
 def equivariance_l1(evolution: Evolution, ensemble: TrajectoryEnsemble,

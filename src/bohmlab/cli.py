@@ -33,8 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory "
                        "(overrides the BOHMLAB_OUT environment variable)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="ensemble worker threads")
     return parser
 
 
@@ -63,7 +61,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        manifest = run(config, out_dir=args.out, threads=args.threads)
+        manifest = run(config, out_dir=args.out)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

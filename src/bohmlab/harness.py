@@ -367,7 +367,7 @@ def _evolve(config, duration):
     return grid, pot, psi, ev
 
 
-def _task_propagate(config, tmp, threads):
+def _task_propagate(config, tmp):
     grid, _, _, ev = _evolve(config, float(config.task["duration"]))
     header = ["x"] + [f"t={t:.6g}" for t in ev.times]
     dens = np.array([ev.psi(i).density() for i in range(len(ev.times))])
@@ -379,16 +379,15 @@ def _task_propagate(config, tmp, threads):
         "n_frames": len(ev.times), "final_norm": float(ev.psi(len(ev.times) - 1).norm())}
 
 
-def _trajectory_ensemble(config, ev, psi, threads, substeps=2):
+def _trajectory_ensemble(config, ev, psi, substeps=2):
     starts = sample_initial_positions(psi, int(config.ensemble["n"]),
                                       seed=config.subsystem_seeds()["sampling"])
-    return integrate_trajectories(ev, starts, substeps=substeps,
-                                  threads=threads)
+    return integrate_trajectories(ev, starts, substeps=substeps)
 
 
-def _task_trajectories(config, tmp, threads):
+def _task_trajectories(config, tmp):
     _, _, psi, ev = _evolve(config, float(config.task["duration"]))
-    ens = _trajectory_ensemble(config, ev, psi, threads,
+    ens = _trajectory_ensemble(config, ev, psi,
                                substeps=int(config.task["substeps"]))
     header = ["t"] + [f"x_{i}" for i in range(ens.count)]
     _write_csv(os.path.join(tmp, "trajectories.csv"), header,
@@ -410,7 +409,7 @@ def _operator(name, grid, mass, hbar, potential):
     raise ConfigurationError(f"unknown operator {name!r}")
 
 
-def _task_weakvalue(config, tmp, threads):
+def _task_weakvalue(config, tmp):
     duration = float(config.task["duration"])
     if duration > 0:
         grid, pot, _, ev = _evolve(config, duration)
@@ -433,9 +432,9 @@ def _task_weakvalue(config, tmp, threads):
         "quadrature_average": weak_average_quadrature(op, psi)}
 
 
-def _task_work(config, tmp, threads):
+def _task_work(config, tmp):
     grid, pot, psi, ev = _evolve(config, float(config.task["duration"]))
-    ens = _trajectory_ensemble(config, ev, psi, threads)
+    ens = _trajectory_ensemble(config, ev, psi)
     t2 = float(ev.times[-1])
     records = work_records(ev, pot, ens, 0.0, t2)
     _write_csv(os.path.join(tmp, "work_records.csv"),
@@ -458,11 +457,11 @@ def _task_work(config, tmp, threads):
         "truncated": int(ens.truncated.sum())}
 
 
-def _task_dwell(config, tmp, threads):
+def _task_dwell(config, tmp):
     region = tuple(float(v) for v in config.task["region"])
     horizon = float(config.task["horizon"])
     grid, pot, psi, ev = _evolve(config, horizon)
-    ens = _trajectory_ensemble(config, ev, psi, threads,
+    ens = _trajectory_ensemble(config, ev, psi,
                                substeps=int(config.task["substeps"]))
     taus = per_trajectory_dwell_times(ens, region)
     t_traj, stderr = dwell_time_ensemble(taus)
@@ -483,9 +482,9 @@ def _task_dwell(config, tmp, threads):
     return ["dwell_times.csv", "dwell.json"], summary
 
 
-def _task_psd(config, tmp, threads):
+def _task_psd(config, tmp):
     grid, _, psi, ev = _evolve(config, float(config.task["duration"]))
-    ens = _trajectory_ensemble(config, ev, psi, threads)
+    ens = _trajectory_ensemble(config, ev, psi)
     length = config.task["device_length"]
     length = float(length) if length is not None else grid.x_max - grid.x_min
     currents = ensemble_currents(ev, ens, CurrentConfig(
@@ -503,7 +502,7 @@ def _task_psd(config, tmp, threads):
         "truncated": int(ens.truncated.sum())}
 
 
-def _task_measure(config, tmp, threads):
+def _task_measure(config, tmp):
     grid = config.build_grid()
     pot = config.build_potential()
     psi = config.build_state(grid)
@@ -561,7 +560,7 @@ def _task_measure(config, tmp, threads):
     return files, summary
 
 
-def _task_validate(config, tmp, threads):
+def _task_validate(config, tmp):
     from .validation import validate_all
     report = validate_all()
     _write_json(os.path.join(tmp, "validation_report.json"), report)
@@ -588,13 +587,20 @@ def resolve_out_dir(explicit: str | None = None) -> str:
 
 def run(config: ScenarioConfig, out_dir: str | None = None,
         threads: int = 1) -> RunManifest:
-    """Execute the configured task; outputs appear atomically in out_dir."""
+    """Execute the configured task; outputs appear atomically in out_dir.
+
+    Trajectories are integrated serially.  threads accepts only 1: it is
+    kept for perfbench, which passes threads=1, and goes at the next
+    benchmark revision (ROADMAP item 1, step (a)).
+    """
+    if threads != 1:
+        raise ConfigurationError(f"threads must be 1, got {threads!r}")
     out_dir = resolve_out_dir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     tmp = tempfile.mkdtemp(dir=out_dir, prefix=".partial-")
     start = time.perf_counter()
     try:
-        files, summary = _TASKS[config.task["name"]](config, tmp, threads)
+        files, summary = _TASKS[config.task["name"]](config, tmp)
         manifest = RunManifest(config.config_hash, config.seed, __version__,
                                files + ["manifest.json"],
                                time.perf_counter() - start, summary)

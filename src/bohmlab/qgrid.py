@@ -432,17 +432,16 @@ class _SplitOperatorStepper:
         self.dt = dt
         self.hbar = hbar
         self._kin_phase = np.exp(-1j * hbar * grid.k ** 2 * dt / (2.0 * mass))
-        self._v_cache = {}
+        # a static potential's half-step phase is the same at every t
+        self._static_v = None
+        if not potential.time_dependent:
+            self._static_v = self._half_v(0.0)
 
     def _half_v(self, t):
-        # cache the static-potential phase; time-dependent drives are rebuilt
-        if self.potential.time_dependent:
-            v = self.potential.values(self.grid.x, t)
-            return np.exp(-0.5j * v * self.dt / self.hbar)
-        if "static" not in self._v_cache:
-            v = self.potential.values(self.grid.x, t)
-            self._v_cache["static"] = np.exp(-0.5j * v * self.dt / self.hbar)
-        return self._v_cache["static"]
+        if self._static_v is not None:
+            return self._static_v
+        v = self.potential.values(self.grid.x, t)
+        return np.exp(-0.5j * v * self.dt / self.hbar)
 
     def step(self, amp, t):
         amp = self._half_v(t) * amp

@@ -396,12 +396,6 @@ class TestTrajectories:
         last = len(free_evolution.times) - 1
         assert equivariance_l1(free_evolution, ens, last) < 0.05
 
-    def test_threaded_matches_serial(self, free_evolution):
-        starts = np.linspace(-2, 2, 17)
-        serial = integrate_trajectories(free_evolution, starts, threads=1)
-        threaded = integrate_trajectories(free_evolution, starts, threads=4)
-        assert np.array_equal(serial.positions, threaded.positions)
-
     def test_psd_task_builds_field_once(self, tmp_path, monkeypatch):
         builds = []
 

@@ -117,10 +117,19 @@ class TestRun:
         cfg = parse_config(json.dumps({**FAST, "task": {
             "name": "trajectories", "duration": 0.5}}))
         run(cfg, out_dir=str(tmp_path / "a"))
-        run(cfg, out_dir=str(tmp_path / "b"), threads=4)
+        run(cfg, out_dir=str(tmp_path / "b"))
         a = (tmp_path / "a" / "trajectories.csv").read_bytes()
         b = (tmp_path / "b" / "trajectories.csv").read_bytes()
         assert a == b
+
+    def test_threads_other_than_one_rejected(self, tmp_path):
+        # trajectories are integrated serially; threads=1 is all run takes
+        cfg = parse_config(json.dumps(FAST))
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ConfigurationError, match="threads must be 1"):
+            run(cfg, out_dir=str(out), threads=2)
+        assert list(out.iterdir()) == []
 
     def test_failed_run_leaves_nothing(self, tmp_path):
         # packet never leaves the window within the horizon
@@ -317,6 +326,15 @@ class TestCli:
         assert main(["dwell", "--config", path,
                      "--out", str(tmp_path / "out")]) == 3
 
+    def test_threads_flag_exit_two(self, tmp_path, monkeypatch, capsys):
+        # the flag is gone, so argparse rejects it before anything runs
+        monkeypatch.setenv("BOHMLAB_OUT", str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main(["propagate", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
         main(["propagate", "--config", path, "--seed", "99",
@@ -390,12 +408,14 @@ cfg = parse_config(json.dumps({
              "n_experiments": 500}}))
 run(cfg, out_dir=sys.argv[1])
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+                        if m.split(".")[0] == "scipy"
+                        or m.startswith("concurrent.futures"))))
 """
 
 
 def test_cli_cold_start_imports_no_scipy(tmp_path):
-    # a fresh interpreter: this test process has scipy loaded as an oracle
+    # a fresh interpreter: this test process has scipy loaded as an oracle;
+    # the serial integrator needs no thread pool either
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
