@@ -6,8 +6,8 @@ same quantities operationally through post-selection.
 from . import bohm, errors, intrinsics, measure, qgrid, weakval
 from .qgrid import (Evolution, Grid1D, PotentialModel, PropagatorConfig,
                     WaveFunction, build_hamiltonian, evolve_store, expectation,
-                    momentum_operator, polar_decompose, position_operator,
-                    propagate, window_operator)
+                    momentum_operator, position_operator, propagate,
+                    window_operator)
 
 __version__ = "0.1.0"
 
@@ -15,6 +15,6 @@ __all__ = [
     "bohm", "errors", "intrinsics", "measure", "qgrid", "weakval",
     "Grid1D", "WaveFunction", "PotentialModel", "PropagatorConfig",
     "Evolution", "build_hamiltonian", "propagate", "evolve_store",
-    "expectation", "polar_decompose", "position_operator",
-    "momentum_operator", "window_operator",
+    "expectation", "position_operator", "momentum_operator",
+    "window_operator",
 ]

@@ -144,25 +144,27 @@ def grid_velocity(psi: WaveFunction, mass: float = 1.0, hbar: float = 1.0,
     return _grid_velocities(psi.grid, psi.amplitudes, mass, hbar, clamp)
 
 
-def velocity_field(psi: WaveFunction, x, mass: float = 1.0, hbar: float = 1.0,
-                   on_node: str = "raise"):
+def velocity_field(psi: WaveFunction, x, mass: float = 1.0, hbar: float = 1.0):
     """Velocity at arbitrary positions (cubic interpolation between grid points).
 
-    on_node: 'raise' signals NodeError when |psi(x)|^2 is below the node
-    threshold; 'clamp' returns the nearest non-node interpolant instead.
+    Raises NodeError when |psi(x)|^2 is below the node threshold at any x.
     """
     xq = np.asarray(x, dtype=float)
     if not np.all(psi.grid.contains(xq)):
         raise ConfigurationError("query position outside the grid domain")
-    if on_node == "raise" and np.any(nodes_at(psi, xq)):
+    if np.any(nodes_at(psi, xq)):
         raise NodeError("velocity requested at a wavefunction node")
     v = _periodic_spline(psi.grid, grid_velocity(psi, mass, hbar))(xq)
     return v if np.ndim(x) else float(v)
 
 
 def quantum_potential(psi: WaveFunction, x=None, mass: float = 1.0,
-                      hbar: float = 1.0, on_node: str = "raise"):
-    """Q = -(hbar^2/2m) R''/R with spectral second derivative of R = |psi|."""
+                      hbar: float = 1.0):
+    """Q = -(hbar^2/2m) R''/R with spectral second derivative of R = |psi|.
+
+    Q on the grid when x is None; at positions x it raises NodeError when
+    |psi(x)|^2 is below the node threshold at any of them.
+    """
     r = np.abs(psi.amplitudes)
     mask = node_mask(psi.amplitudes)
     d2r = np.fft.ifft(-psi.grid.k ** 2 * np.fft.fft(r)).real
@@ -173,7 +175,7 @@ def quantum_potential(psi: WaveFunction, x=None, mass: float = 1.0,
     if x is None:
         return q
     xq = np.asarray(x, dtype=float)
-    if on_node == "raise" and np.any(nodes_at(psi, xq)):
+    if np.any(nodes_at(psi, xq)):
         raise NodeError("quantum potential requested at a wavefunction node")
     qv = _periodic_spline(psi.grid, q)(xq)
     return qv if np.ndim(x) else float(qv)
@@ -199,20 +201,6 @@ def sample_initial_positions(psi: WaveFunction, n: int, seed: int) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    positions: np.ndarray
-    experiment_id: int = 0
-    truncated: bool = False
-
-    def __post_init__(self):
-        if not np.all(np.diff(self.times) > 0):
-            raise ConfigurationError("trajectory times must be strictly increasing")
-        if not np.all(np.isfinite(self.positions)):
-            raise ConfigurationError("trajectory positions must be finite")
-
-
-@dataclass(frozen=True)
 class TrajectoryEnsemble:
     """N trajectories on a shared time axis; positions has shape (nt, N)."""
 
@@ -223,10 +211,6 @@ class TrajectoryEnsemble:
     @property
     def count(self) -> int:
         return self.positions.shape[1]
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(self.times, self.positions[:, i], i,
-                          bool(self.truncated[i]))
 
 
 class VelocityField:

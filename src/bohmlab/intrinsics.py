@@ -12,7 +12,7 @@ import numpy as np
 from .errors import (ConfigurationError, EmptyEnsembleError, HorizonError,
                      LagError, NodeError)
 from .qgrid import HORIZON_MASS_TOL, Evolution, PotentialModel, nodes_at
-from .bohm import Trajectory, TrajectoryEnsemble, quantum_potential
+from .bohm import TrajectoryEnsemble, quantum_potential
 from .weakval import local_energy
 
 
@@ -80,12 +80,13 @@ def work_distribution(records: list[WorkRecord]) -> WorkDistribution:
 
 
 def power_balance_residual(evolution: Evolution, potential: PotentialModel,
-                           trajectory: Trajectory, t: float) -> float:
-    """Residual of dE/dt = q v E_field + dQ/dt along the trajectory.
+                           positions: np.ndarray, t: float) -> float:
+    """Residual of dE/dt = q v E_field + dQ/dt along one trajectory.
 
-    E = m v^2/2 + Q is the unperturbed energy carried by the trajectory;
-    all time derivatives are centered finite differences at the frame
-    spacing, so the residual decays at 2nd order in the output step.
+    positions holds the trajectory at every stored frame, one column of
+    TrajectoryEnsemble.positions.  E = m v^2/2 + Q is the unperturbed energy
+    it carries; all time derivatives are centered finite differences at the
+    frame spacing, so the residual decays at 2nd order in the output step.
     """
     i = evolution.index_of(t)
     if i == 0 or i == len(evolution.times) - 1:
@@ -102,7 +103,7 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
         q = quantum_potential(psi, x, m, hbar)
         return 0.5 * m * v ** 2 + q
 
-    x_m, x_0, x_p = (float(trajectory.positions[j]) for j in (i - 1, i, i + 1))
+    x_m, x_0, x_p = (float(positions[j]) for j in (i - 1, i, i + 1))
     de_dt = (energy(i + 1, x_p) - energy(i - 1, x_m)) / (2.0 * dt)
     dq_dt = (quantum_potential(evolution.psi(i + 1), x_0, m, hbar)
              - quantum_potential(evolution.psi(i - 1), x_0, m, hbar)) / (2.0 * dt)
@@ -231,20 +232,6 @@ def _dwell_times(positions: np.ndarray, times: np.ndarray,
         frac *= dt
         taus[start:start + _DWELL_CHUNK] = frac.sum(axis=-1)
     return taus
-
-
-def dwell_time_trajectory(trajectory: Trajectory | np.ndarray,
-                          region: tuple[float, float],
-                          times: np.ndarray | None = None) -> float:
-    """Time spent inside [a, b], with linear sub-step crossing refinement."""
-    if isinstance(trajectory, Trajectory):
-        pos, t = trajectory.positions, trajectory.times
-    else:
-        pos, t = np.asarray(trajectory, dtype=float), times
-    a, b = region
-    if b > a and a < pos[-1] < b:  # _dwell_times rejects b <= a
-        raise HorizonError("trajectory still inside the region at the final time")
-    return float(_dwell_times(pos[:, None], t, region)[0])
 
 
 def dwell_time_ensemble(taus: np.ndarray) -> tuple[float, float]:

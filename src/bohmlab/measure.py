@@ -229,25 +229,6 @@ def marginal_mean(ent: EntangledState) -> float:
     return float(np.trapezoid(ent.ancilla.y_grid * p, ent.ancilla.y_grid))
 
 
-@dataclass(frozen=True)
-class ReadoutSample:
-    y: float
-    collapsed: np.ndarray  # normalized coefficients in the S basis
-    weight: float          # norm of the unnormalized collapsed state
-
-
-def readout_sample(ent: EntangledState, rng: np.random.Generator) -> ReadoutSample:
-    """Draw one ancilla outcome and the collapsed (normalized) system state."""
-    probs = np.abs(ent.coeffs) ** 2
-    i = rng.choice(len(probs), p=probs / probs.sum())
-    # |a|^2 for a Gaussian profile of width sigma is N(center, sigma^2/2)
-    y = ent.ancilla.coupling * ent.s_values[i] + \
-        rng.normal(0.0, ent.ancilla.width / np.sqrt(2.0))
-    raw = ent.ancilla.profile(y - ent.ancilla.coupling * ent.s_values) * ent.coeffs
-    weight = float(np.linalg.norm(raw))
-    return ReadoutSample(float(y), raw / weight, weight)
-
-
 # ---------------------------------------------------------------------------
 # Two-time statistics (exact quadrature)
 # ---------------------------------------------------------------------------
@@ -268,9 +249,6 @@ class JointOutcomeDistribution:
     @property
     def yw_values(self) -> np.ndarray:
         return self.coupling * self.g_values
-
-    def normalization(self) -> float:
-        return float(np.sum(np.trapezoid(self.density, self.yk_grid, axis=1)))
 
     def second_outcome_probabilities(self) -> np.ndarray:
         return np.trapezoid(self.density, self.yk_grid, axis=1)

@@ -18,9 +18,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -113,11 +113,6 @@ class WaveFunction:
                      + 1j * momentum * x / hbar)
         psi = WaveFunction(grid, amp, time)
         return psi.normalize()
-
-    @staticmethod
-    def plane_wave(grid: Grid1D, k: float, time: float = 0.0) -> "WaveFunction":
-        amp = np.exp(1j * k * grid.x)
-        return WaveFunction(grid, amp, time).normalize()
 
 
 def _drive_profile(amplitude, profile):
@@ -257,9 +252,6 @@ class SpectralOperator:
         values = psi.amplitudes if isinstance(psi, WaveFunction) else np.asarray(psi)
         return self.eigenvectors().conj().T @ values * self.grid.dx
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.eigenvectors() @ np.asarray(coeffs, dtype=complex)
-
     def expectation_value(self, psi: WaveFunction) -> complex:
         if psi.grid != self.grid:
             raise DimensionError("operator and state live on different grids")
@@ -355,7 +347,7 @@ def expectation(op: SpectralOperator, psi: WaveFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Nodes and polar decomposition
+# Nodes
 # ---------------------------------------------------------------------------
 
 def node_mask(amplitudes: np.ndarray) -> np.ndarray:
@@ -374,33 +366,6 @@ def nodes_at(psi: WaveFunction, x) -> np.ndarray:
     dens = psi.density()
     return np.asarray(_periodic_spline(psi.grid, dens)(x)) \
         < NODE_THRESHOLD_REL * dens.max()
-
-
-class PolarFields(NamedTuple):
-    modulus: np.ndarray        # R >= 0
-    phase_action: np.ndarray   # curly-S, with psi = R exp(i S / hbar)
-    node_mask: np.ndarray      # True where the phase is undefined
-
-
-def polar_decompose(psi: WaveFunction, hbar: float = 1.0) -> PolarFields:
-    """Split psi into modulus and (unwrapped) phase action.
-
-    The phase is unwrapped cumulatively along increasing x and restarted
-    after each node; at flagged nodes it is left at the raw angle value and
-    must not be trusted.
-    """
-    amp = psi.amplitudes
-    r = np.abs(amp)
-    mask = node_mask(amp)
-    theta = np.angle(amp)
-    unwrapped = theta.copy()
-    # unwrap each contiguous non-node segment independently
-    idx = np.flatnonzero(~mask)
-    if idx.size:
-        splits = np.flatnonzero(np.diff(idx) > 1) + 1
-        for seg in np.split(idx, splits):
-            unwrapped[seg] = np.unwrap(theta[seg])
-    return PolarFields(r, hbar * unwrapped, mask)
 
 
 # ---------------------------------------------------------------------------

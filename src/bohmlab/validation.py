@@ -15,10 +15,9 @@ from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
 from .bohm import (equivariance_l1, grid_velocity, integrate_trajectories,
                    quantum_potential, sample_initial_positions)
 from .weakval import (aav_weak_value, dwell_operator_field, local_energy)
-from .intrinsics import (autocorrelation, dwell_time_density,
-                         dwell_time_ensemble, per_trajectory_dwell_times,
-                         power_balance_residual, psd, work_distribution,
-                         work_records)
+from .intrinsics import (dwell_time_density, dwell_time_ensemble,
+                         per_trajectory_dwell_times, power_balance_residual,
+                         psd, work_distribution, work_records)
 from .measure import (AncillaModel, TwoTimeSystem, ancilla_moment_checks,
                       ideal_weak_correlation, one_time_mean,
                       operational_weak_value, perturbation_decomposition,
@@ -214,7 +213,7 @@ def check_energy_decomposition():
                           1.0)
         ens = integrate_trajectories(ev, np.array([1.0]), substeps=4)
         t_mid = float(ev.times[len(ev.times) // 2])
-        return power_balance_residual(ev, pot, ens.trajectory(0), t_mid)
+        return power_balance_residual(ev, pot, ens.positions[:, 0], t_mid)
 
     ev = evolve_store(psi0, pot, PropagatorConfig(0.002, steps_per_output=25), 1.0)
     psi = ev.psi(len(ev.times) // 2)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (ConfigurationError, EmptyEnsembleError, HorizonError,
-                     NodeError)
+from .errors import ConfigurationError, HorizonError, NodeError
 from .qgrid import (HORIZON_MASS_TOL, Evolution, PotentialModel,
                     PropagatorConfig, SpectralOperator, WaveFunction,
                     _make_stepper, build_hamiltonian, node_mask, nodes_at,
@@ -42,23 +41,6 @@ def local_energy(psi: WaveFunction, potential: PotentialModel, x,
     h = build_hamiltonian(psi.grid, potential, psi.time, mass, hbar)
     val = _ratio_at(psi, h.apply(psi.amplitudes), x)
     return np.real(val) if np.ndim(x) else float(np.real(val))
-
-
-def ensemble_weak_average(op: SpectralOperator, psi: WaveFunction,
-                          positions: np.ndarray):
-    """Mean of Re[weak value] over equilibrium-sampled positions.
-
-    Returns (mean, standard error).  Node positions are excluded; if every
-    position sits on a node the ensemble is empty and an error is raised.
-    """
-    positions = np.asarray(positions, dtype=float)
-    ok = ~nodes_at(psi, positions)
-    if not ok.any():
-        raise EmptyEnsembleError("all sampled positions sit on nodes")
-    vals = np.real(aav_weak_value(op, psi, positions[ok]))
-    n = vals.size
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return float(np.mean(vals)), stderr
 
 
 def weak_average_quadrature(op: SpectralOperator, psi: WaveFunction) -> float:
@@ -110,14 +92,6 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
             chi = back.step(chi, 0.0)
         chi = chi + weights[j] * window.apply(frames[j])
     return chi
-
-
-def dwell_operator_weak_value(evolution: Evolution, x, region: tuple[float, float],
-                              horizon: float, cfg: PropagatorConfig):
-    """Re[ <x|D|psi0> / <x|psi0> ] for scalar or array post-selection x."""
-    d_psi = dwell_operator_state(evolution, region, horizon, cfg)
-    val = _ratio_at(evolution.psi(0), d_psi, x)
-    return np.real(val) if np.ndim(x) else float(np.real(val))
 
 
 def dwell_operator_field(evolution: Evolution, region: tuple[float, float],

@@ -5,12 +5,12 @@ import pytest
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      build_hamiltonian, evolve_store, expectation)
-from bohmlab.bohm import integrate_trajectories, sample_initial_positions
+from bohmlab.bohm import (TrajectoryEnsemble, integrate_trajectories,
+                          sample_initial_positions)
 from bohmlab.errors import (ConfigurationError, HorizonError, LagError)
 from bohmlab.intrinsics import (CurrentConfig, autocorrelation,
                                 dwell_time_density, dwell_time_ensemble,
-                                dwell_time_trajectory, ensemble_currents,
-                                per_trajectory_dwell_times,
+                                ensemble_currents, per_trajectory_dwell_times,
                                 power_balance_residual, psd, work_distribution,
                                 work_records)
 
@@ -73,7 +73,7 @@ class TestPowerBalance:
         starts = np.array([1.0])
         ens = integrate_trajectories(ev, starts, substeps=4)
         t_mid = ev.times[len(ev.times) // 2]
-        return power_balance_residual(ev, pot, ens.trajectory(0), float(t_mid))
+        return power_balance_residual(ev, pot, ens.positions[:, 0], float(t_mid))
 
     def test_second_order_decay(self, grid):
         r_coarse = self.residual_at_spacing(grid, 50)   # frame dt = 0.1
@@ -86,7 +86,7 @@ class TestPowerBalance:
         ev = evolve_store(psi, pot, PropagatorConfig(0.01, steps_per_output=10), 0.5)
         ens = integrate_trajectories(ev, np.array([0.5]))
         with pytest.raises(ConfigurationError):
-            power_balance_residual(ev, pot, ens.trajectory(0), 0.0)
+            power_balance_residual(ev, pot, ens.positions[:, 0], 0.0)
 
 
 def _direct_autocorrelation(currents, m_max):
@@ -177,27 +177,34 @@ class TestCurrentAndPsd:
             psd(np.ones((50, 1)), 0.1, 2.0, window="blackman")
 
 
+def single_dwell_time(x, region, times):
+    """Dwell time of one trajectory x(times), as a one-column ensemble."""
+    ens = TrajectoryEnsemble(times, np.asarray(x, dtype=float)[:, None],
+                             np.zeros(1, dtype=bool))
+    return float(per_trajectory_dwell_times(ens, region)[0])
+
+
 class TestDwellTime:
     def test_linear_crossing_exact(self):
         # x(t) = -5 + 2t crosses [-1, 1] during t in [2, 3]; the linear
         # refinement makes the answer exact even on a coarse time grid
         t = np.linspace(0.0, 5.0, 11)
         x = -5.0 + 2.0 * t
-        assert dwell_time_trajectory(x, (-1.0, 1.0), t) == pytest.approx(1.0)
+        assert single_dwell_time(x, (-1.0, 1.0), t) == pytest.approx(1.0)
 
     def test_never_enters(self):
         t = np.linspace(0.0, 1.0, 5)
-        assert dwell_time_trajectory(np.full(5, 3.0), (-1.0, 1.0), t) == 0.0
+        assert single_dwell_time(np.full(5, 3.0), (-1.0, 1.0), t) == 0.0
 
     def test_still_inside_raises(self):
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(HorizonError):
-            dwell_time_trajectory(np.zeros(5), (-1.0, 1.0), t)
+            single_dwell_time(np.zeros(5), (-1.0, 1.0), t)
 
     def test_bad_region(self):
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ConfigurationError):
-            dwell_time_trajectory(np.full(5, 3.0), (1.0, -1.0), t)
+            single_dwell_time(np.full(5, 3.0), (1.0, -1.0), t)
 
     def test_trajectory_mean_matches_density_formula(self, grid):
         psi = WaveFunction.gaussian(grid, center=-8.0, width=1.0, momentum=5.0)

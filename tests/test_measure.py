@@ -17,7 +17,7 @@ from bohmlab.measure import (MC_BLOCK_ROWS, AncillaModel, TwoTimeSystem,
                              ideal_weak_correlation, marginal_mean,
                              one_time_mean, operational_weak_value,
                              perturbation_decomposition, premeasure,
-                             readout_marginal, readout_sample, two_time_joint,
+                             readout_marginal, two_time_joint,
                              two_time_correlation)
 from bohmlab.qgrid import evolution_operator
 from bohmlab.validation import _discrete_system
@@ -242,24 +242,14 @@ class TestPremeasurement:
         with pytest.raises(GridRangeError):
             readout_marginal(ent)
 
-    def test_readout_sample_collapse(self):
-        anc = AncillaModel.gaussian(1.0, 0.5, 2.0)
-        ent = premeasure(self.COEFFS, self.S_VALUES, anc)
-        rng = np.random.default_rng(12)
-        sample = readout_sample(ent, rng)
-        assert np.linalg.norm(sample.collapsed) == pytest.approx(1.0)
-        assert sample.weight > 0
-        rng2 = np.random.default_rng(12)
-        again = readout_sample(ent, rng2)
-        assert again.y == sample.y
-
 
 class TestTwoTimeStatistics:
     def test_joint_normalized(self):
         system = random_system(seed=1)
         anc = AncillaModel.gaussian(0.5, 1.0, np.abs(system.s_values).max())
         joint = two_time_joint(system, anc)
-        assert joint.normalization() == pytest.approx(1.0, abs=1e-9)
+        assert joint.second_outcome_probabilities().sum() == \
+            pytest.approx(1.0, abs=1e-9)
         assert np.all(joint.density >= 0)
 
     def test_second_outcome_probabilities_born_rule(self):
@@ -485,7 +475,8 @@ class TestGridSystems:
         anc = AncillaModel.gaussian(0.05, 5.0,
                                     np.abs(system.s_values).max(), n_min=512)
         joint = two_time_joint(system, anc)
-        assert joint.normalization() == pytest.approx(1.0, abs=1e-8)
+        assert joint.second_outcome_probabilities().sum() == \
+            pytest.approx(1.0, abs=1e-8)
 
     def test_aggressive_truncation_rejected(self):
         grid = Grid1D(-20.0, 20.0, 128)

@@ -5,8 +5,8 @@ import pytest
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      build_hamiltonian, evolve_store, expectation,
-                     momentum_operator, polar_decompose, position_operator,
-                     propagate, window_operator)
+                     momentum_operator, position_operator, propagate,
+                     window_operator)
 from bohmlab.errors import ConfigurationError, DimensionError
 from bohmlab.qgrid import DENSE_EIG_LIMIT, evolution_operator
 
@@ -73,7 +73,7 @@ class TestHamiltonian:
         rng = np.random.default_rng(7)
         v = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
         direct = h.apply(v)
-        via_eigs = h.synthesize(h.eigenvalues() * h.coefficients(v))
+        via_eigs = h.eigenvectors() @ (h.eigenvalues() * h.coefficients(v))
         assert np.allclose(direct, via_eigs, atol=1e-8 * np.abs(direct).max())
 
     def test_eigenvector_orthonormality(self, grid):
@@ -91,7 +91,7 @@ class TestExpectation:
 
     def test_momentum_on_plane_wave(self, grid):
         k = grid.k[5]
-        psi = WaveFunction.plane_wave(grid, k)
+        psi = WaveFunction(grid, np.exp(1j * k * grid.x)).normalize()
         p = momentum_operator(grid)
         assert expectation(p, psi) == pytest.approx(k, abs=1e-10)
 
@@ -239,7 +239,7 @@ class TestDenseGuards:
         gram = vecs.conj().T @ vecs * grid.dx
         assert np.allclose(gram, np.eye(grid.n), atol=1e-10)
         v = WaveFunction.gaussian(grid, center=1.0, momentum=0.7).amplitudes
-        assert np.allclose(op.synthesize(op.eigenvalues() * op.coefficients(v)),
+        assert np.allclose(vecs @ (op.eigenvalues() * op.coefficients(v)),
                            op.apply(v), atol=1e-10)
 
     def test_dense_raises_before_allocating(self):
@@ -256,31 +256,6 @@ class TestDenseGuards:
             (-2.0, 2.0), 4.0, cfg))
         assert np.all(np.isfinite(d_psi))
         assert peak < self.N * self.N
-
-
-class TestPolarDecomposition:
-    def test_plane_wave(self, grid):
-        k = grid.k[4]
-        psi = WaveFunction.plane_wave(grid, k)
-        r, s, mask = polar_decompose(psi)
-        assert not mask.any()
-        assert np.allclose(r, r[0])
-        slope = np.diff(s) / grid.dx
-        assert np.allclose(slope, k, atol=1e-8)
-
-    def test_real_gaussian_zero_phase(self, grid):
-        psi = WaveFunction.gaussian(grid)
-        _, s, mask = polar_decompose(psi)
-        assert np.allclose(s[~mask], 0.0, atol=1e-12)
-
-    def test_node_flagging_and_reconstruction(self, grid):
-        a = WaveFunction.gaussian(grid, center=-3.0).amplitudes
-        b = WaveFunction.gaussian(grid, center=3.0).amplitudes
-        psi = WaveFunction(grid, a - b).normalize()
-        r, s, mask = polar_decompose(psi)
-        assert mask.any()  # odd superposition has a node at the center
-        recon = r * np.exp(1j * s)
-        assert np.allclose(recon[~mask], psi.amplitudes[~mask], atol=1e-10)
 
 
 class TestWindowOperator:
