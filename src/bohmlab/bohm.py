@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NodeError
-from .qgrid import Evolution, Grid1D, WaveFunction, node_mask, nodes_at
+from .qgrid import (NODE_THRESHOLD_REL, Evolution, Grid1D, WaveFunction,
+                    node_mask)
 
 # Frames per VelocityField build block: enough to amortise the per-call
 # cost of the FFTs, few enough that the build's complex temporaries stay
@@ -122,26 +123,31 @@ def _periodic_spline(grid: Grid1D, values: np.ndarray):
     return lambda x: _hermite_eval(coef, grid, x)
 
 
-def _grid_velocities(grid: Grid1D, amp: np.ndarray, mass: float, hbar: float,
-                     clamp: bool = True) -> np.ndarray:
+def nodes_at(psi: WaveFunction, x) -> np.ndarray:
+    """True where the periodic-spline density at positions x marks a node."""
+    dens = psi.density()
+    return np.asarray(_periodic_spline(psi.grid, dens)(x)) \
+        < NODE_THRESHOLD_REL * dens.max()
+
+
+def _grid_velocities(grid: Grid1D, amp: np.ndarray, mass: float,
+                     hbar: float) -> np.ndarray:
     """grid_velocity of each row of amp, a (..., n) array of amplitudes."""
     mask = node_mask(amp)
     dpsi = _spectral_derivative(grid, amp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = hbar / mass * np.imag(dpsi / amp)
     v[mask] = 0.0
-    if not clamp:
-        return np.where(mask, np.nan, v)
     rows, masks = np.atleast_2d(v), np.atleast_2d(mask)  # views into v, mask
     for r in np.flatnonzero(masks.any(axis=-1)):
         _clamp_nodes(rows[r], masks[r])
     return v
 
 
-def grid_velocity(psi: WaveFunction, mass: float = 1.0, hbar: float = 1.0,
-                  clamp: bool = True) -> np.ndarray:
+def grid_velocity(psi: WaveFunction, mass: float = 1.0,
+                  hbar: float = 1.0) -> np.ndarray:
     """Bohmian velocity v = (hbar/m) Im[psi'/psi] at the grid points."""
-    return _grid_velocities(psi.grid, psi.amplitudes, mass, hbar, clamp)
+    return _grid_velocities(psi.grid, psi.amplitudes, mass, hbar)
 
 
 def velocity_field(psi: WaveFunction, x, mass: float = 1.0, hbar: float = 1.0):
@@ -296,8 +302,8 @@ def integrate_trajectories(evolution: Evolution, starts: np.ndarray,
 
 
 def equivariance_l1(evolution: Evolution, ensemble: TrajectoryEnsemble,
-                    frame: int, bins: int = 25) -> float:
-    """L1 distance between the trajectory histogram and |psi|^2 at a frame."""
+                    frame: int) -> float:
+    """L1 distance between a 25-bin trajectory histogram and |psi|^2 at a frame."""
     psi = evolution.psi(frame)
     dens = psi.density()
     dx = evolution.grid.dx
@@ -305,7 +311,7 @@ def equivariance_l1(evolution: Evolution, ensemble: TrajectoryEnsemble,
     lo = evolution.grid.x[np.searchsorted(mass_cdf, 5e-4)]
     hi = evolution.grid.x[min(np.searchsorted(mass_cdf, 1 - 5e-4),
                               evolution.grid.n - 1)]
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, 26)
     hist, _ = np.histogram(ensemble.positions[frame], bins=edges)
     emp = hist / ensemble.count
     # reference probability per bin from the grid density; cells are

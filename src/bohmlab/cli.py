@@ -10,13 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .errors import BohmlabError, ConfigurationError
-from .harness import parse_config, run
-
-TASKS = ("propagate", "trajectories", "weakvalue", "work", "dwell", "psd",
-         "measure", "validate")
+from .harness import TASKS, parse_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +67,7 @@ def main(argv=None) -> int:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    print(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(manifest), indent=2, sort_keys=True))
     if args.task == "validate" and not manifest.summary.get("passed", False):
         return 1
     return 0

@@ -18,7 +18,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -103,9 +103,6 @@ class ScenarioConfig:
     def normalized(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.normalized(), sort_keys=True, indent=2)
-
     @property
     def config_hash(self) -> str:
         canonical = json.dumps(self.normalized(), sort_keys=True,
@@ -120,11 +117,10 @@ class ScenarioConfig:
         """Deterministic per-subsystem streams from the one master seed.
 
         Fixed spawn order: 0 = equilibrium sampling, 1 = Monte Carlo
-        measurement chains, 2 = reserved.
+        measurement chains.
         """
-        state = np.random.SeedSequence(self.seed).generate_state(3)
-        return {"sampling": int(state[0]), "monte_carlo": int(state[1]),
-                "reserved": int(state[2])}
+        state = np.random.SeedSequence(self.seed).generate_state(2)
+        return {"sampling": int(state[0]), "monte_carlo": int(state[1])}
 
     # -- builders ----------------------------------------------------------
     def build_grid(self) -> Grid1D:
@@ -298,12 +294,7 @@ class RunManifest:
     version: str
     outputs: list
     wall_clock: float
-    summary: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"config_hash": self.config_hash, "seed": self.seed,
-                "version": self.version, "outputs": list(self.outputs),
-                "wall_clock": self.wall_clock, "summary": self.summary}
+    summary: dict
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +560,7 @@ def _task_validate(config, tmp):
         "n_total": report["n_total"]}
 
 
-_TASKS = {
+TASKS = {
     "propagate": _task_propagate,
     "trajectories": _task_trajectories,
     "weakvalue": _task_weakvalue,
@@ -600,11 +591,11 @@ def run(config: ScenarioConfig, out_dir: str | None = None,
     tmp = tempfile.mkdtemp(dir=out_dir, prefix=".partial-")
     start = time.perf_counter()
     try:
-        files, summary = _TASKS[config.task["name"]](config, tmp)
+        files, summary = TASKS[config.task["name"]](config, tmp)
         manifest = RunManifest(config.config_hash, config.seed, __version__,
                                files + ["manifest.json"],
                                time.perf_counter() - start, summary)
-        _write_json(os.path.join(tmp, "manifest.json"), manifest.to_dict())
+        _write_json(os.path.join(tmp, "manifest.json"), asdict(manifest))
         for name in manifest.outputs:
             os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
     finally:

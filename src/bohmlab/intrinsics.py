@@ -5,14 +5,14 @@ power spectral density, and dwell times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigurationError, EmptyEnsembleError, HorizonError,
-                     LagError, NodeError)
-from .qgrid import HORIZON_MASS_TOL, Evolution, PotentialModel, nodes_at
-from .bohm import TrajectoryEnsemble, quantum_potential
+                     LagError)
+from .qgrid import HORIZON_MASS_TOL, Evolution, PotentialModel
+from .bohm import TrajectoryEnsemble, nodes_at, quantum_potential
 from .weakval import local_energy
 
 
@@ -26,7 +26,7 @@ class WorkRecord:
     e_initial: float
     e_final: float
     work: float
-    flagged: bool = False  # node at an endpoint; excluded from distributions
+    flagged: bool  # node at an endpoint; excluded from distributions
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class WorkDistribution:
     count: int
     mean: float        # unbinned
     std: float         # unbinned
-    flagged_count: int = 0
+    flagged_count: int
 
 
 def work_records(evolution: Evolution, potential: PotentialModel,
@@ -87,6 +87,7 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
     TrajectoryEnsemble.positions.  E = m v^2/2 + Q is the unperturbed energy
     it carries; all time derivatives are centered finite differences at the
     frame spacing, so the residual decays at 2nd order in the output step.
+    An endpoint on a node raises NodeError, from quantum_potential.
     """
     i = evolution.index_of(t)
     if i == 0 or i == len(evolution.times) - 1:
@@ -96,11 +97,8 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
     vel = evolution.velocity
 
     def energy(j, x):
-        psi = evolution.psi(j)
-        if nodes_at(psi, x):
-            raise NodeError(f"trajectory at a node at frame {j}")
         v = vel(x, float(evolution.times[j]))
-        q = quantum_potential(psi, x, m, hbar)
+        q = quantum_potential(evolution.psi(j), x, m, hbar)
         return 0.5 * m * v ** 2 + q
 
     x_m, x_0, x_p = (float(positions[j]) for j in (i - 1, i, i + 1))
@@ -145,9 +143,8 @@ _ACF_CHUNK = 512  # records per FFT batch in autocorrelation
 class PSDResult:
     omega: np.ndarray
     values: np.ndarray
-    tau_max: float
-    lags: np.ndarray = field(default=None)
-    autocorrelation: np.ndarray = field(default=None)
+    lags: np.ndarray
+    autocorrelation: np.ndarray
 
 
 def autocorrelation(currents: np.ndarray, dt: float, tau_max: float) -> tuple:
@@ -194,7 +191,7 @@ def psd(currents: np.ndarray, dt: float, tau_max: float,
     weights[0] = weights[-1] = 0.5 * dt
     omega = np.pi / tau_max * np.arange(-m_max, m_max + 1) if m_max else np.zeros(1)
     values = np.cos(np.outer(omega, lags)) @ (weights * c)
-    return PSDResult(omega, values, tau_max, lags, c)
+    return PSDResult(omega, values, lags, c)
 
 
 # ---------------------------------------------------------------------------

@@ -52,21 +52,17 @@ class AncillaModel:
 
     @classmethod
     def gaussian(cls, coupling: float, width: float, s_max: float,
-                 n_min: int = 1024, n_max: int = 1 << 17) -> "AncillaModel":
+                 n_min: int = 1024) -> "AncillaModel":
         """Outcome grid spanning +-(coupling*s_max + 8*width), >= n_min points.
 
-        The spacing is kept below width/8 so that narrow-ancilla scenarios
-        remain resolved.
+        The spacing is kept below width/8, up to 2^17 points, so that
+        narrow-ancilla scenarios remain resolved.
         """
         half = coupling * abs(s_max) + 8.0 * width
         n = max(n_min, int(np.ceil(2.0 * half / (width / 8.0))) + 1)
-        n = min(n, n_max)
+        n = min(n, 1 << 17)
         y = np.linspace(-half, half, n)
         return cls(coupling, width, y)
-
-    @property
-    def dy(self) -> float:
-        return float(self.y_grid[1] - self.y_grid[0])
 
     def profile(self, y) -> np.ndarray:
         s2 = self.width ** 2
@@ -198,37 +194,6 @@ class TwoTimeSystem:
         return float(np.ptp(self.s_values))
 
 
-@dataclass(frozen=True)
-class EntangledState:
-    """System-ancilla state after premeasurement: sum_i c_i |s_i> a(y - l s_i)."""
-
-    s_values: np.ndarray
-    coeffs: np.ndarray
-    ancilla: AncillaModel
-
-
-def premeasure(coeffs: np.ndarray, s_values: np.ndarray,
-               ancilla: AncillaModel) -> EntangledState:
-    coeffs = np.asarray(coeffs, dtype=complex)
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    if abs(total - 1.0) > 1e-8:
-        raise ConfigurationError("premeasure needs a normalized coefficient vector")
-    return EntangledState(np.asarray(s_values, dtype=float), coeffs, ancilla)
-
-
-def readout_marginal(ent: EntangledState) -> np.ndarray:
-    """P(y) = sum_i |c_i|^2 a(y - l s_i)^2 on the ancilla outcome grid."""
-    if ent.ancilla.tail_mass_outside(ent.s_values) > 1e-6:
-        raise GridRangeError("outcome grid too narrow: > 1e-6 mass outside")
-    shifted = ent.ancilla.shifted(ent.s_values)
-    return shifted ** 2 @ np.abs(ent.coeffs) ** 2
-
-
-def marginal_mean(ent: EntangledState) -> float:
-    p = readout_marginal(ent)
-    return float(np.trapezoid(ent.ancilla.y_grid * p, ent.ancilla.y_grid))
-
-
 # ---------------------------------------------------------------------------
 # Two-time statistics (exact quadrature)
 # ---------------------------------------------------------------------------
@@ -254,10 +219,14 @@ class JointOutcomeDistribution:
         return np.trapezoid(self.density, self.yk_grid, axis=1)
 
 
-def two_time_joint(system: TwoTimeSystem, ancilla: AncillaModel) -> JointOutcomeDistribution:
-    """Exact quadrature joint distribution: no Monte Carlo on this path."""
+def _check_tail(system: TwoTimeSystem, ancilla: AncillaModel):
     if ancilla.tail_mass_outside(system.s_values) > 1e-6:
         raise GridRangeError("outcome grid too narrow: > 1e-6 mass outside")
+
+
+def two_time_joint(system: TwoTimeSystem, ancilla: AncillaModel) -> JointOutcomeDistribution:
+    """Exact quadrature joint distribution: no Monte Carlo on this path."""
+    _check_tail(system, ancilla)
     shifted = ancilla.shifted(system.s_values)            # (n_y, n_s)
     weighted = system.transform * system.coeffs[None, :]  # (n_g, n_s)
     amp = shifted @ weighted.T                            # (n_y, n_g)
@@ -273,7 +242,11 @@ def two_time_correlation(joint: JointOutcomeDistribution) -> float:
 
 
 def one_time_mean(system: TwoTimeSystem, ancilla: AncillaModel) -> float:
-    return marginal_mean(premeasure(system.coeffs, system.s_values, ancilla))
+    """Mean readout integral y P(y) dy, with P(y) = sum_i |c_i|^2 a(y - l s_i)^2."""
+    _check_tail(system, ancilla)
+    y = ancilla.y_grid
+    p = ancilla.shifted(system.s_values) ** 2 @ np.abs(system.coeffs) ** 2
+    return float(np.trapezoid(y * p, y))
 
 
 def ideal_weak_correlation(system: TwoTimeSystem, coupling: float) -> float:
@@ -319,19 +292,20 @@ def perturbation_decomposition(system: TwoTimeSystem, ancilla: AncillaModel,
 # ---------------------------------------------------------------------------
 
 # Monte Carlo rows per block: the (rows, n_s) and (rows, n_g) work arrays stay
-# about 1 MB each, inside a 2 MB per-core L2, whatever n_experiments and chunk
-# are.  The logged Monte Carlo call at measure-mc size (n_s = n_g = 128, 2e5
+# about 1 MB each, inside a 2 MB per-core L2, whatever n_experiments and
+# MC_CHUNK are.  The logged call at measure-mc size (n_s = n_g = 128, 2e5
 # experiments, real products, medians of 5 on a 2-core Xeon) took 0.489 s at
 # 256 rows, 0.413 s at 512, 0.410 s at 768, 0.418 s at 1024, 0.563 s at 2048
 # and 0.557 s at 4096; with one complex product per 4096-row block, 0.581 s.
 MC_BLOCK_ROWS = 1024
+# Experiments drawn per Monte Carlo chunk; the RNG stream depends on it.
+MC_CHUNK = 200_000
 
 
 @dataclass(frozen=True)
 class OperationalEstimate:
     value: float
     stderr: float
-    mode: str
     n_selected: int = 0
     post_selection_probability: float = 1.0
 
@@ -357,7 +331,6 @@ def _g_probabilities(prof: np.ndarray, w_re: np.ndarray,
 def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
                            g_index: int, mode: str = "exact",
                            n_experiments: int = 0, seed: int = 0,
-                           chunk: int = 200_000,
                            log_callback=None) -> OperationalEstimate:
     """Post-selected estimator (1/l) E[y_k | y_g = l g_a].
 
@@ -366,13 +339,13 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
     experiments whose projective G outcome is the target eigenvalue
     (discrete outcomes select the exact index; for a position-valued G the
     eigenvalues are grid cells, so the bin is one grid cell wide).
-    Each chunk draws its choices, normal deviates and uniforms in that
-    order, then runs the chain over blocks of about MC_BLOCK_ROWS rows.
-    The ancilla profile of a block is real, so the G probabilities come
-    from two real products with W = c[:, None] * C^T, built once per call
-    (see _g_probabilities); weight is the norm of the collapsed state
-    profile * c.  log_callback(first_index, y_k, outcome, hit, weight) is
-    called per block.
+    Each chunk of MC_CHUNK experiments draws its choices, normal deviates
+    and uniforms in that order, then runs the chain over blocks of about
+    MC_BLOCK_ROWS rows.  The ancilla profile of a block is real, so the G
+    probabilities come from two real products with W = c[:, None] * C^T,
+    built once per call (see _g_probabilities); weight is the norm of the
+    collapsed state profile * c.  log_callback(first_index, y_k, outcome,
+    hit, weight) is called per block.
     """
     if mode == "exact":
         joint = two_time_joint(system, ancilla)
@@ -383,7 +356,7 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
                 f"post-selection probability is zero for outcome index {g_index}")
         num = np.trapezoid(joint.yk_grid * p_row, joint.yk_grid)
         return OperationalEstimate(float(num / den / ancilla.coupling), 0.0,
-                                   "exact", post_selection_probability=float(den))
+                                   post_selection_probability=float(den))
     if mode != "monte_carlo":
         raise ConfigurationError(f"unknown estimator mode {mode!r}")
     if n_experiments < 1:
@@ -400,7 +373,7 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
     selected_y = []
     done = 0
     while done < n_experiments:
-        m = min(chunk, n_experiments - done)
+        m = min(MC_CHUNK, n_experiments - done)
         comp = rng.choice(len(s), size=m, p=probs)
         y_k = lam * s[comp] + rng.normal(0.0, sig / np.sqrt(2.0), size=m)
         u = rng.random(m)
@@ -435,5 +408,4 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
             f"(probability ~ {p_post:.3e}); need at least 10")
     value = float(np.mean(y_sel) / lam)
     stderr = float(np.std(y_sel, ddof=1) / np.sqrt(n_sel) / lam)
-    return OperationalEstimate(value, stderr, "monte_carlo", int(n_sel),
-                               float(p_post))
+    return OperationalEstimate(value, stderr, int(n_sel), float(p_post))

@@ -103,16 +103,14 @@ class WaveFunction:
 
     @staticmethod
     def gaussian(grid: Grid1D, center: float = 0.0, width: float = 1.0,
-                 momentum: float = 0.0, time: float = 0.0,
-                 hbar: float = 1.0) -> "WaveFunction":
+                 momentum: float = 0.0, hbar: float = 1.0) -> "WaveFunction":
         """Normalized Gaussian packet with position spread `width` (= sigma_0)."""
         if width <= 0:
             raise ConfigurationError(f"gaussian width must be > 0, got {width}")
         x = grid.x
         amp = np.exp(-((x - center) ** 2) / (4.0 * width ** 2)
                      + 1j * momentum * x / hbar)
-        psi = WaveFunction(grid, amp, time)
-        return psi.normalize()
+        return WaveFunction(grid, amp).normalize()
 
 
 def _drive_profile(amplitude, profile):
@@ -196,8 +194,8 @@ class SpectralOperator:
     product sum(conj(u) v) dx.  Position, momentum and window operators have
     analytic eigenbases: eigenvalues are given and `eigenvectors` is a
     zero-argument builder run on the first eigenvectors() call.  The
-    Hamiltonian is diagonalized densely on demand.  Every n x n array is
-    built only for n <= DENSE_EIG_LIMIT.
+    Hamiltonian is diagonalized densely on demand from its dense_builder.
+    Every n x n array is built only for n <= DENSE_EIG_LIMIT.
     """
 
     def __init__(self, label: str, grid: Grid1D, apply_fn, eigenvalues=None,
@@ -208,7 +206,6 @@ class SpectralOperator:
         self._eigvals = eigenvalues
         self._eigvecs = eigenvectors
         self._dense_builder = dense_builder
-        self._dense = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self._apply(np.asarray(values, dtype=complex))
@@ -238,25 +235,13 @@ class SpectralOperator:
         return self._eigvecs
 
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._check_dense_size()
-            if self._dense_builder is not None:
-                m = self._dense_builder()
-            else:
-                cols = [self.apply(col) for col in np.eye(self.grid.n, dtype=complex)]
-                m = np.array(cols).T
-            self._dense = 0.5 * (m + m.conj().T)  # kill roundoff asymmetry
-        return self._dense
+        self._check_dense_size()
+        m = self._dense_builder()
+        return 0.5 * (m + m.conj().T)  # kill roundoff asymmetry
 
     def coefficients(self, psi: "WaveFunction | np.ndarray") -> np.ndarray:
         values = psi.amplitudes if isinstance(psi, WaveFunction) else np.asarray(psi)
         return self.eigenvectors().conj().T @ values * self.grid.dx
-
-    def expectation_value(self, psi: WaveFunction) -> complex:
-        if psi.grid != self.grid:
-            raise DimensionError("operator and state live on different grids")
-        return complex(np.vdot(psi.amplitudes, self.apply(psi.amplitudes))
-                       * self.grid.dx)
 
 
 def position_operator(grid: Grid1D) -> SpectralOperator:
@@ -319,8 +304,7 @@ def build_hamiltonian(grid: Grid1D, potential: PotentialModel, t: float = 0.0,
 
 
 def evolution_operator(grid: Grid1D, potential: PotentialModel, duration: float,
-                       t: float = 0.0, mass: float = 1.0,
-                       hbar: float = 1.0) -> np.ndarray:
+                       mass: float = 1.0, hbar: float = 1.0) -> np.ndarray:
     """Dense U = exp(-i H duration / hbar) acting on amplitude samples.
 
     Exact (to the dense eigendecomposition) for time-independent H; the
@@ -330,7 +314,7 @@ def evolution_operator(grid: Grid1D, potential: PotentialModel, duration: float,
     if potential.time_dependent:
         raise ConfigurationError(
             "evolution_operator requires a time-independent potential")
-    h = build_hamiltonian(grid, potential, t, mass, hbar)
+    h = build_hamiltonian(grid, potential, mass=mass, hbar=hbar)
     e = h.eigenvalues()
     v = h.eigenvectors()
     phases = np.exp(-1j * e * duration / hbar)
@@ -339,7 +323,9 @@ def evolution_operator(grid: Grid1D, potential: PotentialModel, duration: float,
 
 def expectation(op: SpectralOperator, psi: WaveFunction) -> float:
     """Real expectation value <psi|op|psi>; raises if the residue is not tiny."""
-    val = op.expectation_value(psi)
+    if psi.grid != op.grid:
+        raise DimensionError("operator and state live on different grids")
+    val = complex(np.vdot(psi.amplitudes, op.apply(psi.amplitudes)) * op.grid.dx)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ConfigurationError(
             f"expectation value has imaginary residue {val.imag:.3e}")
@@ -358,14 +344,6 @@ def node_mask(amplitudes: np.ndarray) -> np.ndarray:
     """
     dens = np.abs(amplitudes) ** 2
     return dens < NODE_THRESHOLD_REL * dens.max(axis=-1, keepdims=True)
-
-
-def nodes_at(psi: WaveFunction, x) -> np.ndarray:
-    """True where the periodic-spline density at positions x marks a node."""
-    from .bohm import _periodic_spline  # bohm builds on this module
-    dens = psi.density()
-    return np.asarray(_periodic_spline(psi.grid, dens)(x)) \
-        < NODE_THRESHOLD_REL * dens.max()
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +468,9 @@ class Evolution:
         from .bohm import VelocityField  # bohm builds on this module
         return VelocityField(self)
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
+    def index_of(self, t: float) -> int:
         idx = int(round((t - self.times[0]) / self.frame_dt))
-        if idx < 0 or idx >= len(self.times) or abs(self.times[idx] - t) > tol:
+        if idx < 0 or idx >= len(self.times) or abs(self.times[idx] - t) > 1e-9:
             raise ConfigurationError(f"time {t} is not a stored frame")
         return idx
 

@@ -14,9 +14,9 @@ import numpy as np
 from .errors import ConfigurationError, HorizonError, NodeError
 from .qgrid import (HORIZON_MASS_TOL, Evolution, PotentialModel,
                     PropagatorConfig, SpectralOperator, WaveFunction,
-                    _make_stepper, build_hamiltonian, node_mask, nodes_at,
+                    _make_stepper, build_hamiltonian, node_mask,
                     window_operator)
-from .bohm import _periodic_spline
+from .bohm import _periodic_spline, nodes_at
 
 
 def _ratio_at(psi: WaveFunction, numerator: np.ndarray, x):

@@ -1,11 +1,16 @@
-"""No dead API: every public module-level name in the package is used.
+"""No dead API: every public name in the package is used.
 
 A public function or class defined at module level in src/bohmlab/*.py
 (other than __init__.py) must be named somewhere outside its own
 definition: in another module of the package, elsewhere in its own
 module, or in a demo.  Re-exports in __init__.py do not count, since a
 name that only __init__ lists is still run by no task, criterion or demo.
-Methods are out of scope.
+
+One level down, a public method or property of such a class must be
+named as an attribute, `.name`, outside its own definition in the same
+places.  The match is by name, not by type, so a member that shares its
+name with a used attribute of another object passes.  Keywords and
+dataclass fields are out of scope.
 """
 
 import ast
@@ -18,12 +23,24 @@ MODULES = sorted(p for p in (ROOT / "src" / "bohmlab").glob("*.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def _public_definitions(source):
-    """(name, first line, last line) of each public top-level def or class."""
-    return [(node.name, node.lineno, node.end_lineno)
-            for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+def _public(nodes, kinds):
+    return [node for node in nodes
+            if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def _definitions(source):
+    """(label, pattern, first line, last line) of each public definition:
+    top-level functions and classes, and the methods of public classes."""
+    defs = []
+    for node in _public(ast.parse(source).body, (ast.FunctionDef, ast.ClassDef)):
+        defs.append((node.name, rf"\b{re.escape(node.name)}\b",
+                     node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{method.name}",
+                      rf"\.{re.escape(method.name)}\b",
+                      method.lineno, method.end_lineno)
+                     for method in _public(node.body, ast.FunctionDef)]
+    return defs
 
 
 def _unreferenced():
@@ -31,12 +48,12 @@ def _unreferenced():
     dead = []
     for module in MODULES:
         lines = sources[module].splitlines()
-        for name, first, last in _public_definitions(sources[module]):
-            pattern = re.compile(rf"\b{re.escape(name)}\b")
+        for label, pattern, first, last in _definitions(sources[module]):
+            regex = re.compile(pattern)
             own_rest = "\n".join(lines[:first - 1] + lines[last:])
             others = (text for path, text in sources.items() if path != module)
-            if not any(pattern.search(text) for text in (own_rest, *others)):
-                dead.append(f"{module.stem}.{name}")
+            if not any(regex.search(text) for text in (own_rest, *others)):
+                dead.append(f"{module.stem}.{label}")
     return dead
 
 

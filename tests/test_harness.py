@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bohmlab import harness
-from bohmlab.cli import main
+from bohmlab.cli import build_parser, main
 from bohmlab.errors import ConfigurationError
 from bohmlab.harness import DEFAULTS, parse_config, resolve_out_dir, run
 from bohmlab.qgrid import SpectralOperator, build_hamiltonian
@@ -31,7 +31,7 @@ class TestParseConfig:
 
     def test_round_trip_identity(self):
         cfg = parse_config(json.dumps(FAST))
-        again = parse_config(cfg.to_json())
+        again = parse_config(json.dumps(cfg.normalized()))
         assert again.normalized() == cfg.normalized()
         assert again.config_hash == cfg.config_hash
 
@@ -278,6 +278,12 @@ class TestCli:
         printed = json.loads(capsys.readouterr().out)
         assert (tmp_path / "out" / "density.csv").exists()
         assert printed["summary"]["n_frames"] == 6
+
+    def test_one_task_list(self):
+        # the subcommands, the pipelines and the task defaults share one list
+        assert harness.TASKS.keys() == harness._TASK_DEFAULTS.keys()
+        sub = next(a for a in build_parser()._actions if a.dest == "task")
+        assert list(sub.choices) == list(harness.TASKS)
 
     def test_task_mismatch_is_config_error(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

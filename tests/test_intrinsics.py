@@ -7,7 +7,8 @@ from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      build_hamiltonian, evolve_store, expectation)
 from bohmlab.bohm import (TrajectoryEnsemble, integrate_trajectories,
                           sample_initial_positions)
-from bohmlab.errors import (ConfigurationError, HorizonError, LagError)
+from bohmlab.errors import (ConfigurationError, HorizonError, LagError,
+                            NodeError)
 from bohmlab.intrinsics import (CurrentConfig, autocorrelation,
                                 dwell_time_density, dwell_time_ensemble,
                                 ensemble_currents, per_trajectory_dwell_times,
@@ -87,6 +88,18 @@ class TestPowerBalance:
         ens = integrate_trajectories(ev, np.array([0.5]))
         with pytest.raises(ConfigurationError):
             power_balance_residual(ev, pot, ens.positions[:, 0], 0.0)
+
+    def test_trajectory_on_node_raises(self):
+        # x = 0 is a grid point and the node of the first excited state,
+        # which the exact propagator keeps stationary
+        grid = Grid1D(-10.0, 10.0, 128)
+        pot = PotentialModel("harmonic", omega=1.0)
+        psi = WaveFunction(grid, build_hamiltonian(grid, pot).eigenvectors()[:, 1])
+        ev = evolve_store(psi, pot, PropagatorConfig(
+            0.01, method="exact", steps_per_output=10), 0.5)
+        t_mid = float(ev.times[len(ev.times) // 2])
+        with pytest.raises(NodeError):
+            power_balance_residual(ev, pot, np.zeros(len(ev.times)), t_mid)
 
 
 def _direct_autocorrelation(currents, m_max):

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import erf
 
-from bohmlab import Grid1D, PotentialModel, WaveFunction, momentum_operator, \
-    position_operator
+from bohmlab import Grid1D, PotentialModel, WaveFunction, measure, \
+    momentum_operator, position_operator
 from bohmlab.errors import (BasisCoverageError, ConfigurationError,
                             GridRangeError, InsufficientStatisticsError)
 from bohmlab.measure import (MC_BLOCK_ROWS, AncillaModel, TwoTimeSystem,
                              _g_probabilities, ancilla_moment_checks,
-                             ideal_weak_correlation, marginal_mean,
-                             one_time_mean, operational_weak_value,
-                             perturbation_decomposition, premeasure,
-                             readout_marginal, two_time_joint,
+                             ideal_weak_correlation, one_time_mean,
+                             operational_weak_value,
+                             perturbation_decomposition, two_time_joint,
                              two_time_correlation)
 from bohmlab.qgrid import evolution_operator
 from bohmlab.validation import _discrete_system
@@ -202,12 +201,12 @@ class TestAncilla:
         system = random_system(seed=5)
         edge = float(np.abs(system.s_values).max())
         wide = AncillaModel(1.0, 0.5, np.linspace(-edge - 2.0, edge + 2.0, 2048))
-        readout_marginal(premeasure(system.coeffs, system.s_values, wide))
+        one_time_mean(system, wide)
         two_time_joint(system, wide)
         anc = AncillaModel(1.0, 0.5, np.linspace(-edge - margin, edge + margin,
                                                  2048))
         with pytest.raises(GridRangeError):
-            readout_marginal(premeasure(system.coeffs, system.s_values, anc))
+            one_time_mean(system, anc)
         with pytest.raises(GridRangeError):
             two_time_joint(system, anc)
 
@@ -215,32 +214,28 @@ class TestAncilla:
 class TestPremeasurement:
     S_VALUES = np.array([-1.0, 0.5, 2.0])
     COEFFS = np.sqrt(np.array([0.5, 0.3, 0.2])) * np.exp(1j * np.array([0.0, 1.0, -0.4]))
-
-    def test_marginal_normalized(self):
-        anc = AncillaModel.gaussian(1.0, 0.5, 2.0)
-        ent = premeasure(self.COEFFS, self.S_VALUES, anc)
-        p = readout_marginal(ent)
-        assert np.trapezoid(p, anc.y_grid) == pytest.approx(1.0, abs=1e-10)
+    # the one-time mean reads only the S side of the system
+    SYSTEM = TwoTimeSystem(S_VALUES, COEFFS, S_VALUES, np.eye(3, dtype=complex))
 
     @pytest.mark.parametrize("width", [0.03, 0.3, 3.0])
     def test_mean_is_coupling_times_expectation(self, width):
         # apparatus independence of the one-time mean
         lam = 0.8
         anc = AncillaModel.gaussian(lam, width, 2.0)
-        ent = premeasure(self.COEFFS, self.S_VALUES, anc)
         expected = lam * float(np.abs(self.COEFFS) ** 2 @ self.S_VALUES)
-        assert marginal_mean(ent) == pytest.approx(expected, abs=1e-8)
+        assert one_time_mean(self.SYSTEM, anc) == pytest.approx(expected,
+                                                                abs=1e-8)
 
     def test_unnormalized_coeffs_rejected(self):
-        anc = AncillaModel.gaussian(1.0, 0.5, 2.0)
+        s_values = np.array([0.0, 1.0])
         with pytest.raises(ConfigurationError):
-            premeasure(np.array([1.0, 1.0]), np.array([0.0, 1.0]), anc)
+            TwoTimeSystem(s_values, np.array([1.0, 1.0], dtype=complex),
+                          s_values, np.eye(2, dtype=complex))
 
     def test_narrow_grid_rejected(self):
         anc = AncillaModel(1.0, 0.5, np.linspace(-0.5, 0.5, 2048))
-        ent = premeasure(self.COEFFS, self.S_VALUES, anc)
         with pytest.raises(GridRangeError):
-            readout_marginal(ent)
+            one_time_mean(self.SYSTEM, anc)
 
 
 class TestTwoTimeStatistics:
@@ -354,7 +349,9 @@ class TestOperationalEstimator:
         (1000, 2 * MC_BLOCK_ROWS + 77),
         (3 * MC_BLOCK_ROWS, MC_BLOCK_ROWS + 1),
     ], ids=["blocks-within-chunks", "chunks-below-block", "one-row-over"])
-    def test_blocked_chain_matches_unblocked(self, chunk, n_experiments):
+    def test_blocked_chain_matches_unblocked(self, chunk, n_experiments,
+                                             monkeypatch):
+        monkeypatch.setattr(measure, "MC_CHUNK", chunk)
         system, anc, g_index = grid_system(64)
         want = ExperimentRecorder()
         oracle = unblocked_monte_carlo(system, anc, g_index, n_experiments,
@@ -362,7 +359,7 @@ class TestOperationalEstimator:
         got = ExperimentRecorder()
         est = operational_weak_value(system, anc, g_index, "monte_carlo",
                                      n_experiments=n_experiments, seed=17,
-                                     chunk=chunk, log_callback=got)
+                                     log_callback=got)
         assert (est.value, est.stderr, est.n_selected) == oracle
         assert len(got.parts) >= n_experiments // MC_BLOCK_ROWS
         # a one-row block would go through gemv instead of gemm
@@ -400,7 +397,8 @@ class TestOperationalEstimator:
 
     @pytest.mark.parametrize("seed", [3, 19, 41])
     @pytest.mark.parametrize("kind", ["grid", "discrete"])
-    def test_real_products_match_complex_blocks(self, kind, seed):
+    def test_real_products_match_complex_blocks(self, kind, seed, monkeypatch):
+        monkeypatch.setattr(measure, "MC_CHUNK", 4096)
         if kind == "grid":
             system, anc, g_index = grid_system(128)
         else:
@@ -412,7 +410,7 @@ class TestOperationalEstimator:
         got = ExperimentRecorder()
         est = operational_weak_value(system, anc, g_index, "monte_carlo",
                                      n_experiments=50_000, seed=seed,
-                                     chunk=4096, log_callback=got)
+                                     log_callback=got)
         assert (est.value, est.stderr, est.n_selected) == oracle
         for mine, theirs in zip(got.columns(), want.columns()):
             assert mine.dtype == theirs.dtype
