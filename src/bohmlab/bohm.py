@@ -100,10 +100,7 @@ def _hermite_eval(coef: np.ndarray, grid: Grid1D, x):
     u /= grid.dx
     cell = np.floor(u)
     u -= cell
-    i = cell.astype(np.intp)
-    if i.size and (i.min() < 0 or i.max() >= grid.n):
-        i %= grid.n
-    c = coef.take(i, axis=0)
+    c = coef.take(cell.astype(np.intp), axis=0, mode="wrap")
     out = c[..., 3] * u
     out += c[..., 2]
     out *= u
@@ -208,7 +205,11 @@ def sample_initial_positions(psi: WaveFunction, n: int, seed: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """N trajectories on a shared time axis; positions has shape (nt, N)."""
+    """N trajectories on a shared time axis; positions has shape (nt, N).
+
+    intrinsics.ensemble_currents consumes positions, writing the currents
+    over them.
+    """
 
     times: np.ndarray
     positions: np.ndarray

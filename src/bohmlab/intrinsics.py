@@ -106,8 +106,7 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
     dq_dt = (quantum_potential(evolution.psi(i + 1), x_0, m, hbar)
              - quantum_potential(evolution.psi(i - 1), x_0, m, hbar)) / (2.0 * dt)
     v0 = vel(x_0, t)
-    q_charge = potential.charge
-    drive = q_charge * v0 * float(potential.field(x_0, t))
+    drive = potential.charge * v0 * float(potential.field(x_0, t))
     return float(de_dt - drive - dq_dt)
 
 
@@ -127,11 +126,15 @@ class CurrentConfig:
 
 def ensemble_currents(evolution: Evolution, ensemble: TrajectoryEnsemble,
                       cfg: CurrentConfig) -> np.ndarray:
-    """Current record I^i(t) for every experiment; shape (nt, N)."""
-    vel = evolution.velocity
-    out = np.empty_like(ensemble.positions)
+    """Current record I^i(t) for every experiment; shape (nt, N).
+
+    Consumes ensemble.positions: row j is overwritten by frame j's currents
+    once the field has been evaluated at it, and the record returned is that
+    same array.
+    """
+    out = ensemble.positions
     for j, t in enumerate(evolution.times):
-        out[j] = vel(ensemble.positions[j], float(t))
+        out[j] = evolution.velocity(out[j], float(t))
     out *= cfg.charge / cfg.length
     return out
 

@@ -55,12 +55,14 @@ class AncillaModel:
                  n_min: int = 1024) -> "AncillaModel":
         """Outcome grid spanning +-(coupling*s_max + 8*width), >= n_min points.
 
-        The spacing is kept below width/8, up to 2^17 points, so that
-        narrow-ancilla scenarios remain resolved.
+        The spacing is at most width/8, so narrow ancillas stay resolved; a
+        grid that needs more than 2^17 points raises GridRangeError.
         """
         half = coupling * abs(s_max) + 8.0 * width
         n = max(n_min, int(np.ceil(2.0 * half / (width / 8.0))) + 1)
-        n = min(n, 1 << 17)
+        if n > 1 << 17:
+            raise GridRangeError(f"ancilla grid needs {n} points for spacing "
+                                 f"<= width/8, more than {1 << 17}")
         y = np.linspace(-half, half, n)
         return cls(coupling, width, y)
 
@@ -170,7 +172,6 @@ class TwoTimeSystem:
                           g_op: SpectralOperator, u_matrix: np.ndarray,
                           truncation: float = 1e-12) -> "TwoTimeSystem":
         """Grid system; the S basis is truncated to the dominant coefficients."""
-        dx = psi.grid.dx
         c_full = s_op.coefficients(psi)
         weight = np.abs(c_full) ** 2
         order = np.argsort(weight)[::-1]
@@ -185,7 +186,7 @@ class TwoTimeSystem:
         g_vecs = g_op.eigenvectors()
         coeffs = c_full[kept]
         coeffs = coeffs / np.linalg.norm(coeffs)
-        transform = g_vecs.conj().T @ (u_matrix @ s_vecs) * dx
+        transform = g_vecs.conj().T @ (u_matrix @ s_vecs) * psi.grid.dx
         return cls(s_op.eigenvalues()[kept], coeffs, g_op.eigenvalues(),
                    transform, retained)
 

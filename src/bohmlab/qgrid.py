@@ -218,9 +218,7 @@ class SpectralOperator:
 
     def _ensure_eigs(self):
         if self._eigvals is None:
-            h = self.dense()
-            vals, vecs = np.linalg.eigh(h)
-            self._eigvals = vals
+            self._eigvals, vecs = np.linalg.eigh(self.dense())
             self._eigvecs = vecs / np.sqrt(self.grid.dx)
 
     def eigenvalues(self) -> np.ndarray:
@@ -315,8 +313,7 @@ def evolution_operator(grid: Grid1D, potential: PotentialModel, duration: float,
         raise ConfigurationError(
             "evolution_operator requires a time-independent potential")
     h = build_hamiltonian(grid, potential, mass=mass, hbar=hbar)
-    e = h.eigenvalues()
-    v = h.eigenvectors()
+    e, v = h.eigenvalues(), h.eigenvectors()
     phases = np.exp(-1j * e * duration / hbar)
     return (v * phases) @ v.conj().T * grid.dx
 
@@ -389,8 +386,7 @@ class _SplitOperatorStepper:
     def step(self, amp, t):
         amp = self._half_v(t) * amp
         amp = np.fft.ifft(self._kin_phase * np.fft.fft(amp))
-        amp = self._half_v(t + self.dt) * amp
-        return amp
+        return self._half_v(t + self.dt) * amp
 
 
 class _ExactStepper:

@@ -191,7 +191,6 @@ def check_equilibrium_and_trajectories():
     expected = starts[None, :] * scale[:, None]
     rel = float(np.max(np.abs(ref.positions - expected) / np.abs(expected)))
 
-    order = np.sort(ens.positions[0])
     sorted_paths = ens.positions[:, np.argsort(ens.positions[0])]
     crossing_free = bool(np.all(np.diff(sorted_paths, axis=1) > 0))
     passed = l1 < 0.05 and rel < 1e-3 and crossing_free
@@ -199,7 +198,8 @@ def check_equilibrium_and_trajectories():
             "comparison": "<", "passed": bool(passed),
             "detail": {"max_l1": float(l1), "scaling_rel_error": rel,
                        "non_crossing": crossing_free,
-                       "n_trajectories": ens.count, "start_span": float(np.ptp(order))}}
+                       "n_trajectories": ens.count,
+                       "start_span": float(np.ptp(ens.positions[0]))}}
 
 
 def check_energy_decomposition():
@@ -272,7 +272,9 @@ def check_dwell_triple_agreement():
     """Trajectories, density quadrature and the dwell-operator weak value
     agree on the time spent in a window next to a low barrier; the
     per-trajectory discrepancy against the pointwise weak value is reported
-    as a distribution, not asserted.
+    as a distribution, not asserted.  The weak value equals the density
+    quadrature by construction (same frames), so trajectory against density
+    is the informative pair.
     """
     grid = Grid1D(-40.0, 40.0, 512)
     pot = PotentialModel("barrier", height=1.0, left=2.0, right=3.0)
@@ -389,14 +391,10 @@ def run_criterion(cid: str) -> dict:
 
 
 def _default_pass(out: dict) -> bool:
+    """Score a criterion that sets no "passed": "<=" or "abs" comparison."""
     measured, target, tol = out["measured"], out["target"], out["tolerance"]
-    cmp = out.get("comparison", "abs")
-    if cmp in ("<=", "<"):
+    if out["comparison"] == "<=":
         return measured <= target + tol
-    if cmp == ">":
-        return measured > target
-    if cmp == "factor":
-        return target / tol <= measured <= target * tol
     return abs(measured - target) <= tol
 
 

@@ -79,14 +79,15 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
     back = _make_stepper(grid, potential, -dt, cfg.method, evolution.mass,
                          evolution.hbar)
 
-    mass_in = np.sum(np.abs(window.apply(frames[i_t])) ** 2) * grid.dx
+    chi = window.apply(frames[i_t])
+    mass_in = np.sum(np.abs(chi) ** 2) * grid.dx
     if mass_in > HORIZON_MASS_TOL:
         raise HorizonError(
             f"probability mass {mass_in:.2e} still inside {region} at T={horizon}")
 
     weights = np.full(i_t + 1, dt_out)
     weights[0] = weights[-1] = 0.5 * dt_out
-    chi = weights[-1] * window.apply(frames[i_t])
+    chi = weights[-1] * chi
     for j in range(i_t - 1, -1, -1):
         for _ in range(spo):
             chi = back.step(chi, 0.0)

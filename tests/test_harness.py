@@ -332,6 +332,22 @@ class TestCli:
         assert main(["dwell", "--config", path,
                      "--out", str(tmp_path / "out")]) == 3
 
+    def test_unresolvable_ancilla_exit_three(self, tmp_path, capsys):
+        # the measure-mc benchmark scenario with a unit-coupled ancilla of
+        # width 2e-4: the kept S basis reaches s = 2.75, so spacing width/8
+        # needs 220,041 points, more than the 2^17 an ancilla grid may have
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "grid": {"x_min": -40.0, "x_max": 40.0, "n": 128},
+            "state": {"kind": "gaussian", "center": 0.0, "width": 2.0,
+                      "momentum": 1.0},
+            "task": {"name": "measure", "mode": "monte_carlo", "coupling": 1.0,
+                     "width": 2e-4, "n_experiments": 200_000}}))
+        out = tmp_path / "out"
+        assert main(["measure", "--config", str(path), "--out", str(out)]) == 3
+        assert "GridRangeError" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_threads_flag_exit_two(self, tmp_path, monkeypatch, capsys):
         # the flag is gone, so argparse rejects it before anything runs
         monkeypatch.setenv("BOHMLAB_OUT", str(tmp_path / "out"))
@@ -430,7 +446,7 @@ def test_cli_cold_start_imports_no_scipy(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
-@pytest.mark.parametrize("workload", ["dwell-desk", "measure-mc"])
+@pytest.mark.parametrize("workload", ["dwell-desk", "psd-large", "measure-mc"])
 def test_trace_mode_finds_every_layer(tmp_path, workload):
     # the benchmark's traced run wraps the layer functions bohmlab.harness
     # imports (and the Monte Carlo log_callback) and binds some of their

@@ -166,6 +166,19 @@ class TestAncilla:
         with pytest.raises(ConfigurationError):
             AncillaModel.gaussian(coupling=-1.0, width=0.5, s_max=1.0)
 
+    def test_unresolvable_grid_raises(self):
+        # spacing width/8 over +-(2000 + 8 width) needs 3,200,129 points; a
+        # grid capped at 2^17 would integrate the profile to 0.34
+        with pytest.raises(GridRangeError, match="3200129 points"):
+            AncillaModel.gaussian(coupling=1.0, width=0.01, s_max=2000.0)
+
+    def test_point_limit_is_inclusive(self):
+        # half-width 8191.9375 needs exactly 2^17 points at width 1
+        anc = AncillaModel.gaussian(coupling=1.0, width=1.0, s_max=8183.9375)
+        assert len(anc.y_grid) == 1 << 17
+        with pytest.raises(GridRangeError, match="131073 points"):
+            AncillaModel.gaussian(coupling=1.0, width=1.0, s_max=8184.0)
+
     def test_tail_mass(self):
         anc = AncillaModel.gaussian(coupling=1.0, width=0.5, s_max=2.0)
         assert anc.tail_mass_outside([2.0, -2.0]) < 1e-12
