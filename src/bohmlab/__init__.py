@@ -7,7 +7,7 @@ from . import bohm, errors, intrinsics, measure, qgrid, weakval
 from .qgrid import (Evolution, Grid1D, PotentialModel, PropagatorConfig,
                     WaveFunction, build_hamiltonian, evolve_store, expectation,
                     momentum_operator, position_operator, propagate,
-                    window_operator)
+                    window_weights)
 
 __version__ = "0.1.0"
 
@@ -16,5 +16,5 @@ __all__ = [
     "Grid1D", "WaveFunction", "PotentialModel", "PropagatorConfig",
     "Evolution", "build_hamiltonian", "propagate", "evolve_store",
     "expectation", "position_operator", "momentum_operator",
-    "window_operator",
+    "window_weights",
 ]

@@ -27,10 +27,10 @@ from . import __version__
 from .errors import ConfigurationError
 from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     build_hamiltonian, evolution_operator, evolve_store,
-                    expectation, momentum_operator, node_mask,
-                    position_operator)
+                    expectation, momentum_operator, position_operator)
 from .bohm import equivariance_l1, integrate_trajectories, sample_initial_positions
-from .weakval import dwell_operator_field, weak_average_quadrature
+from .weakval import (dwell_operator_field, grid_weak_value,
+                      weak_average_quadrature)
 from .intrinsics import (CurrentConfig, dwell_time_density, dwell_time_ensemble,
                          ensemble_currents, per_trajectory_dwell_times, psd,
                          work_distribution, work_records)
@@ -412,9 +412,7 @@ def _task_weakvalue(config, tmp):
     mass, hbar = _mass_hbar(config)
     op = _operator(config.task["operator"], grid, mass, hbar, pot)
     dens = psi.density()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        wv = op.apply(psi.amplitudes) / psi.amplitudes
-    wv[node_mask(psi.amplitudes)] = np.nan
+    wv = grid_weak_value(op.apply(psi.amplitudes), psi.amplitudes)
     _write_csv(os.path.join(tmp, "weakvalue.csv"),
                ["x", "real", "imag", "density"],
                np.column_stack([grid.x, wv.real, wv.imag, dens]))
@@ -428,10 +426,12 @@ def _task_work(config, tmp):
     ens = _trajectory_ensemble(config, ev, psi)
     t2 = float(ev.times[-1])
     records = work_records(ev, pot, ens, 0.0, t2)
+    e1, e2 = records.T
+    flagged = np.isnan(records).any(axis=1)
     _write_csv(os.path.join(tmp, "work_records.csv"),
                ["experiment_id", "e_initial", "e_final", "work", "flagged"],
-               [(r.experiment_id, r.e_initial, r.e_final, r.work, r.flagged)
-                for r in records])
+               list(zip(range(ens.count), e1.tolist(), e2.tolist(),
+                        (e2 - e1).tolist(), flagged.tolist())))
     dist = work_distribution(records)
     mass, hbar = _mass_hbar(config)
     delta_h = expectation(build_hamiltonian(grid, pot, t=t2, mass=mass, hbar=hbar),
@@ -452,17 +452,21 @@ def _task_dwell(config, tmp):
     region = tuple(float(v) for v in config.task["region"])
     horizon = float(config.task["horizon"])
     grid, pot, psi, ev = _evolve(config, horizon)
+    # raises HorizonError before any trajectory is integrated
+    t_density = dwell_time_density(ev, region, horizon)
     ens = _trajectory_ensemble(config, ev, psi,
                                substeps=int(config.task["substeps"]))
     taus = per_trajectory_dwell_times(ens, region)
     t_traj, stderr = dwell_time_ensemble(taus)
-    t_density = dwell_time_density(ev, region, horizon)
     _write_csv(os.path.join(tmp, "dwell_times.csv"),
                ["experiment_id", "x_start", "tau"],
                np.column_stack([np.arange(ens.count), ens.positions[0], taus]))
+    final = ens.positions[-1]
     summary = {"trajectory_mean": float(t_traj),
                "trajectory_stderr": float(stderr),
-               "density": float(t_density)}
+               "density": t_density,
+               "stuck": int(np.count_nonzero((final > region[0])
+                                             & (final < region[1])))}
     if not pot.time_dependent:
         field_vals = dwell_operator_field(ev, region, horizon,
                                           config.build_propagator())

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, EmptyEnsembleError, HorizonError,
-                     LagError)
-from .qgrid import HORIZON_MASS_TOL, Evolution, PotentialModel
+from .errors import ConfigurationError, EmptyEnsembleError, LagError
+from .qgrid import Evolution, PotentialModel, check_horizon, window_weights
 from .bohm import TrajectoryEnsemble, nodes_at, quantum_potential
 from .weakval import local_energy
 
@@ -19,15 +18,6 @@ from .weakval import local_energy
 # ---------------------------------------------------------------------------
 # Quantum work
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WorkRecord:
-    experiment_id: int
-    e_initial: float
-    e_final: float
-    work: float
-    flagged: bool  # node at an endpoint; excluded from distributions
-
 
 @dataclass(frozen=True)
 class WorkDistribution:
@@ -40,29 +30,33 @@ class WorkDistribution:
 
 
 def work_records(evolution: Evolution, potential: PotentialModel,
-                 ensemble: TrajectoryEnsemble, t1: float, t2: float) -> list[WorkRecord]:
-    """Per-experiment work from local-energy weak values at the two endpoints."""
+                 ensemble: TrajectoryEnsemble, t1: float, t2: float) -> np.ndarray:
+    """Local-energy weak values at the two endpoints, shape (N, 2).
+
+    Row i holds experiment i's (e_initial, e_final); its work is their
+    difference.  A row is NaN, and the record flagged, where an endpoint
+    sits on a node; flagged records are excluded from distributions.
+    """
     i1, i2 = evolution.index_of(t1), evolution.index_of(t2)
     psi1, psi2 = evolution.psi(i1), evolution.psi(i2)
     x1 = ensemble.positions[i1]
     x2 = ensemble.positions[i2]
     bad = nodes_at(psi1, x1) | nodes_at(psi2, x2)
-    e1 = np.full(ensemble.count, np.nan)
-    e2 = np.full(ensemble.count, np.nan)
+    energies = np.full((ensemble.count, 2), np.nan)
     if (~bad).any():
-        e1[~bad] = local_energy(psi1, potential, x1[~bad],
-                                evolution.mass, evolution.hbar)
-        e2[~bad] = local_energy(psi2, potential, x2[~bad],
-                                evolution.mass, evolution.hbar)
-    return [WorkRecord(i, float(e1[i]), float(e2[i]), float(e2[i] - e1[i]),
-                       flagged=bool(bad[i]))
-            for i in range(ensemble.count)]
+        energies[~bad, 0] = local_energy(psi1, potential, x1[~bad],
+                                         evolution.mass, evolution.hbar)
+        energies[~bad, 1] = local_energy(psi2, potential, x2[~bad],
+                                         evolution.mass, evolution.hbar)
+    return energies
 
 
-def work_distribution(records: list[WorkRecord]) -> WorkDistribution:
-    """Normalized histogram (Freedman-Diaconis bins) plus unbinned moments."""
-    works = np.array([r.work for r in records if not r.flagged])
-    n_flagged = sum(r.flagged for r in records)
+def work_distribution(records: np.ndarray) -> WorkDistribution:
+    """Normalized histogram (Freedman-Diaconis bins) plus unbinned moments
+    of the work of the unflagged rows of work_records."""
+    flagged = np.isnan(records).any(axis=1)
+    works = records[~flagged, 1] - records[~flagged, 0]
+    n_flagged = int(np.count_nonzero(flagged))
     if works.size == 0:
         raise EmptyEnsembleError(
             f"no unflagged work records ({n_flagged} flagged)")
@@ -202,22 +196,28 @@ def psd(currents: np.ndarray, dt: float, tau_max: float,
 # ---------------------------------------------------------------------------
 
 _DWELL_CHUNK = 512  # trajectories per vectorised dwell-time batch
+# Frame cells per block of the region-mass sum.  A whole (frames, n)
+# temporary, freed just before the dwell task integrates its trajectories,
+# would raise glibc's mmap threshold and the task's peak RSS with it.
+_MASS_BLOCK_CELLS = 8192
 
 
-def _dwell_times(positions: np.ndarray, times: np.ndarray,
-                 region: tuple[float, float]) -> np.ndarray:
-    """Time each column of positions (nt, N) spends inside [a, b].
+def per_trajectory_dwell_times(ensemble: TrajectoryEnsemble,
+                               region: tuple[float, float]) -> np.ndarray:
+    """Time each trajectory of the ensemble spends inside [a, b], shape (N,).
 
     Linear sub-step crossing refinement.  Per batch of trajectories the
     per-step contributions form an (N, nt - 1) C-contiguous array summed
     along its last axis, so each trajectory gets the same pairwise sum as
-    a single column would.
+    a single column would.  A trajectory still inside at the final time
+    counts its time up to then; whether the horizon is long enough is
+    judged on |psi|^2 by dwell_time_density.
     """
     a, b = region
     if not b > a:
         raise ConfigurationError(f"region needs b > a, got [{a}, {b}]")
-    positions = np.asarray(positions, dtype=float)
-    dt = np.diff(np.asarray(times, dtype=float))
+    positions = ensemble.positions
+    dt = np.diff(ensemble.times)
     taus = np.empty(positions.shape[1])
     for start in range(0, len(taus), _DWELL_CHUNK):
         pos = np.ascontiguousarray(positions[:, start:start + _DWELL_CHUNK].T)
@@ -241,37 +241,15 @@ def dwell_time_ensemble(taus: np.ndarray) -> tuple[float, float]:
     return float(np.mean(taus)), stderr
 
 
-def per_trajectory_dwell_times(ensemble: TrajectoryEnsemble,
-                               region: tuple[float, float]) -> np.ndarray:
-    """Dwell time of every trajectory in the ensemble, shape (N,)."""
-    a, b = region
-    final = ensemble.positions[-1]
-    stuck = np.count_nonzero((final > a) & (final < b))
-    if stuck:
-        raise HorizonError(
-            f"{stuck} of {ensemble.count} trajectories still inside {region} "
-            "at the final time")
-    return _dwell_times(ensemble.positions, ensemble.times, region)
-
-
-def _region_mass(psi_frames: np.ndarray, grid, region) -> np.ndarray:
-    """integral_a^b |psi|^2 dx per frame, cell-centred cumulative convention."""
-    a, b = region
-    dens = np.abs(psi_frames) ** 2
-    x = np.concatenate([grid.x - 0.5 * grid.dx, [grid.x[-1] + 0.5 * grid.dx]])
-    cum = np.concatenate([np.zeros((dens.shape[0], 1)),
-                          np.cumsum(dens, axis=1) * grid.dx], axis=1)
-    ca = np.array([np.interp(a, x, row) for row in cum])
-    cb = np.array([np.interp(b, x, row) for row in cum])
-    return cb - ca
-
-
 def dwell_time_density(evolution: Evolution, region: tuple[float, float],
                        horizon: float) -> float:
-    """Dwell time from the density: time integral of the in-region mass."""
+    """Dwell time from the density: time integral of the in-region mass
+    sum(w |psi|^2) dx, with w the window_weights of the region."""
     i_t = evolution.index_of(evolution.times[0] + horizon)
-    mass = _region_mass(evolution.frames[:i_t + 1], evolution.grid, region)
-    if mass[-1] > HORIZON_MASS_TOL:
-        raise HorizonError(
-            f"probability mass {mass[-1]:.2e} still inside {region} at T={horizon}")
+    w = window_weights(evolution.grid, *region)
+    frames = evolution.frames[:i_t + 1]
+    step = max(1, _MASS_BLOCK_CELLS // evolution.grid.n)
+    mass = evolution.grid.dx * np.concatenate(
+        [np.abs(frames[s:s + step]) ** 2 @ w for s in range(0, len(frames), step)])
+    check_horizon(mass[-1], region, horizon)
     return float(np.trapezoid(mass, evolution.times[:i_t + 1]))

@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, StepSizeError
+from .errors import (ConfigurationError, DimensionError, HorizonError,
+                     StepSizeError)
 
 NODE_THRESHOLD_REL = 1e-12  # |psi|^2 below this fraction of its max is a node
 DENSE_EIG_LIMIT = 2048
@@ -191,7 +192,7 @@ class SpectralOperator:
     """An observable on the grid: direct application rule + eigen decomposition.
 
     Eigenvectors are columns, orthonormal under the dx-weighted inner
-    product sum(conj(u) v) dx.  Position, momentum and window operators have
+    product sum(conj(u) v) dx.  Position and momentum operators have
     analytic eigenbases: eigenvalues are given and `eigenvectors` is a
     zero-argument builder run on the first eigenvectors() call.  The
     Hamiltonian is diagonalized densely on demand from its dense_builder.
@@ -262,20 +263,29 @@ def momentum_operator(grid: Grid1D, hbar: float = 1.0) -> SpectralOperator:
                             eigenvalues=hk.copy(), eigenvectors=eigenvectors)
 
 
-def window_operator(grid: Grid1D, a: float, b: float) -> SpectralOperator:
-    """(Quasi-)projector onto the spatial window [a, b].
+def window_weights(grid: Grid1D, a: float, b: float) -> np.ndarray:
+    """Read-only (n,) weights of the spatial window [a, b].
 
     Each grid point carries the cell [x - dx/2, x + dx/2]; cells cut by a
-    window edge get the fractional overlap as their weight, so <window>
-    reproduces the exact region mass instead of a cell-quantized one.
+    window edge get the fractional overlap as their weight, so
+    sum(w |psi|^2) dx is the exact region mass instead of a cell-quantized
+    one.  Multiplying by w applies the window projector A of the dwell
+    operator.
     """
     if not b > a:
         raise ConfigurationError(f"window needs b > a, got [{a}, {b}]")
     lo, hi = grid.x - 0.5 * grid.dx, grid.x + 0.5 * grid.dx
-    ind = np.clip((np.minimum(hi, b) - np.maximum(lo, a)) / grid.dx, 0.0, 1.0)
-    return SpectralOperator("window", grid, lambda v: ind * v,
-                            eigenvalues=ind.copy(),
-                            eigenvectors=lambda: np.eye(grid.n) / np.sqrt(grid.dx))
+    w = np.clip((np.minimum(hi, b) - np.maximum(lo, a)) / grid.dx, 0.0, 1.0)
+    w.flags.writeable = False
+    return w
+
+
+def check_horizon(mass: float, region, horizon: float) -> None:
+    """Raise HorizonError if more than HORIZON_MASS_TOL of |psi|^2 is still
+    inside the region at the dwell-time horizon."""
+    if mass > HORIZON_MASS_TOL:
+        raise HorizonError(
+            f"probability mass {mass:.2e} still inside {region} at T={horizon}")
 
 
 def build_hamiltonian(grid: Grid1D, potential: PotentialModel, t: float = 0.0,

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, HorizonError, NodeError
-from .qgrid import (HORIZON_MASS_TOL, Evolution, PotentialModel,
-                    PropagatorConfig, SpectralOperator, WaveFunction,
-                    _make_stepper, build_hamiltonian, node_mask,
-                    window_operator)
+from .errors import ConfigurationError, NodeError
+from .qgrid import (Evolution, PotentialModel, PropagatorConfig,
+                    SpectralOperator, WaveFunction, _make_stepper,
+                    build_hamiltonian, check_horizon, node_mask,
+                    window_weights)
 from .bohm import _periodic_spline, nodes_at
 
 
@@ -28,6 +28,14 @@ def _ratio_at(psi: WaveFunction, numerator: np.ndarray, x):
     den_q = _periodic_spline(psi.grid, psi.amplitudes)(xq)
     val = num_q / den_q
     return val if np.ndim(x) else complex(val)
+
+
+def grid_weak_value(numerator: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """numerator / psi at every grid point, NaN at the nodes of psi."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        wv = numerator / amplitudes
+    wv[node_mask(amplitudes)] = np.nan
+    return wv
 
 
 def aav_weak_value(op: SpectralOperator, psi: WaveFunction, x):
@@ -57,19 +65,20 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
                          horizon: float, cfg: PropagatorConfig) -> np.ndarray:
     """Apply the dwell operator D = integral_0^T U^dag(t) A U(t) dt to psi0.
 
-    psi0 is the evolution's first frame, A the window projector on `region`.
-    The forward frames are the evolution's own up to times[0] + horizon, and
-    the time quadrature is trapezoid at their spacing.  cfg must be the
-    propagator the evolution was built with: the backward sweep runs its
-    stepper with -dt, the exact inverse of the forward step for both methods
-    (Strang splitting: S(-dt) = S(dt)^-1), so D is Hermitian and
-    <psi0|D|psi0> equals the density quadrature on the same frames.
+    psi0 is the evolution's first frame and A multiplies by the
+    window_weights of `region`.  The forward frames are the evolution's own
+    up to times[0] + horizon, and the time quadrature is trapezoid at their
+    spacing.  cfg must be the propagator the evolution was built with: the
+    backward sweep runs its stepper with -dt, the exact inverse of the
+    forward step for both methods (Strang splitting: S(-dt) = S(dt)^-1), so
+    D is Hermitian and <psi0|D|psi0> equals the density quadrature on the
+    same frames.
     """
     potential, grid = evolution.potential, evolution.grid
     if potential.time_dependent:
         raise ConfigurationError(
             "dwell operator requires a time-independent potential")
-    window = window_operator(grid, *region)
+    w = window_weights(grid, *region)
     i_t = evolution.index_of(evolution.times[0] + horizon)
     if i_t == 0:
         raise ConfigurationError(f"dwell operator needs horizon > 0, got {horizon}")
@@ -79,19 +88,15 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
     back = _make_stepper(grid, potential, -dt, cfg.method, evolution.mass,
                          evolution.hbar)
 
-    chi = window.apply(frames[i_t])
-    mass_in = np.sum(np.abs(chi) ** 2) * grid.dx
-    if mass_in > HORIZON_MASS_TOL:
-        raise HorizonError(
-            f"probability mass {mass_in:.2e} still inside {region} at T={horizon}")
+    check_horizon(np.abs(frames[i_t]) ** 2 @ w * grid.dx, region, horizon)
 
     weights = np.full(i_t + 1, dt_out)
     weights[0] = weights[-1] = 0.5 * dt_out
-    chi = weights[-1] * chi
+    chi = weights[-1] * (w * frames[i_t])
     for j in range(i_t - 1, -1, -1):
         for _ in range(spo):
             chi = back.step(chi, 0.0)
-        chi = chi + weights[j] * window.apply(frames[j])
+        chi = chi + weights[j] * (w * frames[j])
     return chi
 
 
@@ -99,8 +104,4 @@ def dwell_operator_field(evolution: Evolution, region: tuple[float, float],
                          horizon: float, cfg: PropagatorConfig) -> np.ndarray:
     """Dwell-operator weak value at every non-node grid point (NaN at nodes)."""
     d_psi = dwell_operator_state(evolution, region, horizon, cfg)
-    psi0 = evolution.frames[0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        wv = np.real(d_psi / psi0)
-    wv[node_mask(psi0)] = np.nan
-    return wv
+    return np.real(grid_weak_value(d_psi, evolution.frames[0]))

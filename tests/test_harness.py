@@ -10,7 +10,7 @@ import pytest
 
 from bohmlab import harness
 from bohmlab.cli import build_parser, main
-from bohmlab.errors import ConfigurationError
+from bohmlab.errors import ConfigurationError, HorizonError
 from bohmlab.harness import DEFAULTS, parse_config, resolve_out_dir, run
 from bohmlab.qgrid import SpectralOperator, build_hamiltonian
 
@@ -140,6 +140,43 @@ class TestRun:
             run(cfg, out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
+    def test_short_horizon_raises_before_trajectories(self, tmp_path,
+                                                      monkeypatch):
+        # the horizon is judged on |psi|^2 before any RK4 work is done
+        def refuse(*args, **kwargs):
+            raise AssertionError("trajectories integrated")
+
+        monkeypatch.setattr(harness, "integrate_trajectories", refuse)
+        cfg = parse_config(json.dumps({**FAST, "task": {
+            "name": "dwell", "region": [-5.0, 5.0], "horizon": 0.5}}))
+        with pytest.raises(HorizonError, match="probability mass"):
+            run(cfg, out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stuck_trajectory_reported(self, tmp_path, monkeypatch):
+        # a trajectory held inside the region past the horizon is counted
+        # and keeps its time up to the horizon in the mean
+        integrate = harness.integrate_trajectories
+
+        def hold_first(*args, **kwargs):
+            ens = integrate(*args, **kwargs)
+            ens.positions[:, 0] = 0.0
+            return ens
+
+        monkeypatch.setattr(harness, "integrate_trajectories", hold_first)
+        cfg = parse_config(json.dumps({**FAST, "state": {
+            "kind": "gaussian", "center": -8.0, "momentum": 5.0},
+            "task": {"name": "dwell", "horizon": 4.0}}))
+        summary = run(cfg, out_dir=str(tmp_path)).summary
+        assert summary["stuck"] == 1
+        taus = np.loadtxt(tmp_path / "dwell_times.csv", delimiter=",",
+                          skiprows=1)[:, 2]
+        assert taus[0] == pytest.approx(4.0)
+        assert summary["trajectory_mean"] == pytest.approx(taus.mean())
+        dwell = json.loads((tmp_path / "dwell.json").read_text())
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert dwell["stuck"] == manifest["summary"]["stuck"] == 1
+
     @pytest.mark.parametrize("doc", [
         {"grid": {"n": 2048}, "state": {"kind": "gaussian", "width": 0.5},
          "task": {"name": "weakvalue"}},
@@ -170,7 +207,7 @@ class TestRun:
     def test_dwell_task_propagates_once(self, tmp_path, monkeypatch):
         # one forward sweep, shared by the trajectories, the density and the
         # dwell operator, one backward sweep and one per-trajectory dwell pass
-        from bohmlab import intrinsics, qgrid, weakval
+        from bohmlab import qgrid, weakval
         steps = {"forward": 0, "backward": 0}
         step = qgrid._SplitOperatorStepper.step
 
@@ -179,14 +216,15 @@ class TestRun:
             return step(stepper, amp, t)
 
         passes = []
-        dwell_times = intrinsics._dwell_times
+        dwell_times = harness.per_trajectory_dwell_times
 
         def counting_dwell_times(*args):
             passes.append(args)
             return dwell_times(*args)
 
         monkeypatch.setattr(qgrid._SplitOperatorStepper, "step", counting_step)
-        monkeypatch.setattr(intrinsics, "_dwell_times", counting_dwell_times)
+        monkeypatch.setattr(harness, "per_trajectory_dwell_times",
+                            counting_dwell_times)
         cfg = parse_config(json.dumps({**FAST, "state": {
             "kind": "gaussian", "center": -8.0, "momentum": 5.0},
             "task": {"name": "dwell", "horizon": 4.0}}))
@@ -329,8 +367,10 @@ class TestCli:
     def test_numeric_error_exit_three(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"task": {
             "name": "dwell", "region": [-5.0, 5.0], "horizon": 0.5}})
-        assert main(["dwell", "--config", path,
-                     "--out", str(tmp_path / "out")]) == 3
+        out = tmp_path / "out"
+        assert main(["dwell", "--config", path, "--out", str(out)]) == 3
+        assert "HorizonError: probability mass" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_unresolvable_ancilla_exit_three(self, tmp_path, capsys):
         # the measure-mc benchmark scenario with a unit-coupled ancilla of

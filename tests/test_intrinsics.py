@@ -2,18 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      build_hamiltonian, evolve_store, expectation)
 from bohmlab.bohm import (TrajectoryEnsemble, integrate_trajectories,
                           sample_initial_positions)
-from bohmlab.errors import (ConfigurationError, HorizonError, LagError,
-                            NodeError)
+from bohmlab.errors import ConfigurationError, LagError, NodeError
 from bohmlab.intrinsics import (CurrentConfig, autocorrelation,
                                 dwell_time_density, dwell_time_ensemble,
                                 ensemble_currents, per_trajectory_dwell_times,
                                 power_balance_residual, psd, work_distribution,
                                 work_records)
+from bohmlab.qgrid import Evolution
 
 
 @pytest.fixture
@@ -53,6 +55,20 @@ class TestWork:
         delta = expectation(h2, ev.psi(len(ev.times) - 1)) - expectation(h1, psi)
         stderr = dist.std / np.sqrt(dist.count)
         assert abs(dist.mean - delta) < 3 * stderr
+
+    def test_node_endpoint_is_flagged(self, grid):
+        # the first excited state has a node at 0, where a trajectory rests
+        pot = PotentialModel("harmonic", omega=1.0)
+        psi = WaveFunction(grid, build_hamiltonian(grid, pot).eigenvectors()[:, 1])
+        ev = evolve_store(psi, pot, PropagatorConfig(
+            0.01, method="exact", steps_per_output=10), 0.5)
+        ens = integrate_trajectories(ev, np.array([-1.0, 0.0, 1.3]))
+        records = work_records(ev, pot, ens, 0.0, 0.5)
+        assert records.shape == (3, 2)
+        assert np.isnan(records[1]).all() and np.isfinite(records[[0, 2]]).all()
+        dist = work_distribution(records)
+        assert (dist.count, dist.flagged_count) == (2, 1)
+        assert dist.mean == pytest.approx(0.0, abs=1e-10)
 
     def test_distribution_normalized(self, grid):
         pot = PotentialModel("free")
@@ -211,10 +227,12 @@ class TestDwellTime:
         t = np.linspace(0.0, 1.0, 5)
         assert single_dwell_time(np.full(5, 3.0), (-1.0, 1.0), t) == 0.0
 
-    def test_still_inside_raises(self):
+    def test_stuck_trajectory_counts_its_time_to_the_end(self):
+        # still inside at the final time: no error, the time up to then
         t = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(HorizonError):
-            single_dwell_time(np.zeros(5), (-1.0, 1.0), t)
+        assert single_dwell_time(np.zeros(5), (-1.0, 1.0), t) == 1.0
+        assert single_dwell_time(-3.0 + 2.5 * t, (-1.0, 1.0), t) == \
+            pytest.approx(0.2)
 
     def test_bad_region(self):
         t = np.linspace(0.0, 1.0, 5)
@@ -234,3 +252,43 @@ class TestDwellTime:
         t_traj, stderr = dwell_time_ensemble(
             per_trajectory_dwell_times(ens, region))
         assert abs(t_traj - t_density) < max(3 * stderr, 0.02 * t_density)
+
+
+def cumulative_region_mass(psi_frames, grid, region):
+    """Oracle: integral_a^b |psi|^2 dx per frame, by linear interpolation
+    of the cell-edge cumulative mass (the former intrinsics convention)."""
+    a, b = region
+    dens = np.abs(psi_frames) ** 2
+    x = np.concatenate([grid.x - 0.5 * grid.dx, [grid.x[-1] + 0.5 * grid.dx]])
+    cum = np.concatenate([np.zeros((dens.shape[0], 1)),
+                          np.cumsum(dens, axis=1) * grid.dx], axis=1)
+    ca = np.array([np.interp(a, x, row) for row in cum])
+    cb = np.array([np.interp(b, x, row) for row in cum])
+    return cb - ca
+
+
+class TestDensityRegionMass:
+    GRID = Grid1D(-10.0, 10.0, 128)
+
+    def frame_mass(self, amplitudes, region):
+        """dwell_time_density's region mass of one frame: followed by an
+        empty frame 2 time units later, the trapezoid returns it exactly."""
+        frames = np.stack([amplitudes, np.zeros_like(amplitudes)])
+        ev = Evolution(self.GRID, np.array([0.0, 2.0]), frames,
+                       PotentialModel("free"))
+        return dwell_time_density(ev, region, 2.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(-11.0, 11.0), cells=st.floats(0.05, 40.0),
+           center=st.floats(-9.0, 9.0), width=st.floats(0.3, 4.0),
+           k=st.floats(-3.0, 3.0))
+    @example(a=-2.3, cells=13.7, center=0.0, width=1.0, k=1.0)   # mid-cell cuts
+    @example(a=-10.9, cells=9.0, center=-8.0, width=2.0, k=0.0)  # overhangs x_min
+    @example(a=9.5, cells=6.0, center=8.0, width=2.0, k=0.0)     # overhangs x_max
+    @example(a=0.31, cells=0.4, center=0.0, width=0.5, k=2.0)    # inside one cell
+    def test_matches_cumulative_interpolation(self, a, cells, center, width, k):
+        amp = WaveFunction.gaussian(self.GRID, center=center, width=width,
+                                    momentum=k).amplitudes
+        region = (a, a + cells * self.GRID.dx)
+        oracle = cumulative_region_mass(amp[None, :], self.GRID, region)[0]
+        assert abs(self.frame_mass(amp, region) - oracle) <= 1e-14

@@ -6,7 +6,7 @@ import pytest
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      build_hamiltonian, evolve_store, expectation,
                      momentum_operator, position_operator, propagate,
-                     window_operator)
+                     window_weights)
 from bohmlab.errors import ConfigurationError, DimensionError
 from bohmlab.qgrid import DENSE_EIG_LIMIT, evolution_operator
 
@@ -213,7 +213,6 @@ class TestDenseGuards:
     ANALYTIC = {
         "position": position_operator,
         "momentum": momentum_operator,
-        "window": lambda g: window_operator(g, -1.0, 1.0),
     }
 
     def raises_small(self, fn):
@@ -242,6 +241,20 @@ class TestDenseGuards:
         assert np.allclose(vecs @ (op.eigenvalues() * op.coefficients(v)),
                            op.apply(v), atol=1e-10)
 
+    def test_window_weights_are_one_read_only_array(self):
+        w, peak = traced_peak(lambda: window_weights(self.BIG, -1.0, 1.0))
+        assert w.shape == (self.N,) and not w.flags.writeable
+        assert peak < self.N * self.N
+
+    def test_window_weights_are_the_position_spectrum(self, grid):
+        # A = sum_j w_j |x_j><x_j|: the weights are A's eigenvalues in the
+        # position eigenbasis, and multiplying by them applies A
+        w = window_weights(grid, -1.0, 1.0)
+        x = position_operator(grid)
+        v = WaveFunction.gaussian(grid, center=1.0, momentum=0.7).amplitudes
+        assert np.allclose(x.eigenvectors() @ (w * x.coefficients(v)), w * v,
+                           atol=1e-10)
+
     def test_dense_raises_before_allocating(self):
         h = build_hamiltonian(self.BIG, PotentialModel("harmonic", omega=1.0))
         self.raises_small(h.dense)
@@ -259,9 +272,10 @@ class TestDenseGuards:
 
 
 class TestWindowOperator:
+    """The window operator A multiplies by window_weights."""
+
     def test_weights_are_indicator_away_from_edges(self, grid):
-        w = window_operator(grid, -1.0, 1.0)
-        weights = w.eigenvalues()
+        weights = window_weights(grid, -1.0, 1.0)
         inside = (grid.x > -1 + grid.dx) & (grid.x < 1 - grid.dx)
         outside = (grid.x < -1 - grid.dx) | (grid.x > 1 + grid.dx)
         assert np.all(weights[inside] == 1.0)
@@ -269,10 +283,14 @@ class TestWindowOperator:
         assert np.all((weights >= 0) & (weights <= 1))
 
     def test_expectation_is_region_mass(self, grid):
-        # fractional edge cells: <window> matches the erf integral to O(dx^2)
+        # fractional edge cells: <A> matches the erf integral to O(dx^2)
         from scipy.special import erf
         sigma = 1.3
-        w = window_operator(grid, -1.0, 1.0)
+        w = window_weights(grid, -1.0, 1.0)
         psi = WaveFunction.gaussian(grid, width=sigma)
         exact = float(erf(1.0 / (np.sqrt(2) * sigma)))
-        assert expectation(w, psi) == pytest.approx(exact, abs=1e-4)
+        assert psi.density() @ w * grid.dx == pytest.approx(exact, abs=1e-4)
+
+    def test_bad_window(self, grid):
+        with pytest.raises(ConfigurationError):
+            window_weights(grid, 1.0, -1.0)

@@ -136,6 +136,27 @@ class TestDwellOperator:
         with pytest.raises(HorizonError):
             dwell_operator_state(ev, (-2.0, 2.0), 1.0, self.CFG)
 
+    def test_horizon_rule_shared_with_density(self, grid):
+        # both density-based estimators judge the same |psi|^2 region mass
+        from bohmlab.intrinsics import dwell_time_density
+        cfg = replace(self.CFG, method="split-operator")
+        ev = self.evolve(self.make_packet(grid), cfg)
+        region = (-2.0, 2.0)
+
+        def raises(fn, *args):
+            try:
+                fn(*args)
+            except HorizonError:
+                return True
+            return False
+
+        horizons = [float(t) for t in ev.times[150::5]]
+        density = [raises(dwell_time_density, ev, region, h) for h in horizons]
+        operator = [raises(dwell_operator_state, ev, region, h, cfg)
+                    for h in horizons]
+        assert density == operator
+        assert density[0] and not density[-1]
+
     def test_horizon_before_last_frame_uses_its_prefix(self, grid):
         region = (-6.0, -2.0)
         ev = self.evolve(self.make_packet(grid))
