@@ -26,8 +26,7 @@ region, horizon = (-2.0, 2.0), 5.0
 
 cfg = PropagatorConfig(0.0025, steps_per_output=8)
 ev = evolve_store(psi, pot, cfg, horizon)
-ens = integrate_trajectories(
-    ev, sample_initial_positions(psi, 2000, seed=4), substeps=2)
+ens = integrate_trajectories(ev, sample_initial_positions(psi, 2000, seed=4))
 
 taus = per_trajectory_dwell_times(ens, region)
 t_traj, stderr = dwell_time_ensemble(taus)

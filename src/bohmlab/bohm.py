@@ -262,11 +262,13 @@ class VelocityField:
 
 
 def integrate_trajectories(evolution: Evolution, starts: np.ndarray,
-                           substeps: int = 2) -> TrajectoryEnsemble:
+                           substeps: int = 1) -> TrajectoryEnsemble:
     """RK4 integration of the guidance equation for all starting points.
 
     All trajectories advance together, vectorised over the ensemble, on the
-    stored evolution.  Each substep builds the field's Hermite table once
+    stored evolution.  One substep per frame is enough: the trajectory error
+    is the field's linear blend between frames (propagator.steps_per_output
+    sets it), not RK4's.  Each substep builds the field's Hermite table once
     per stage time: k2 and k3 share the t + h/2 table, and the t + h table
     of k4 is the next substep's k1 table.
     """

@@ -65,10 +65,10 @@ _STATE_DEFAULTS = {
 _COMPONENT_DEFAULTS = {**_STATE_DEFAULTS["gaussian"], "weight": 1.0}
 _TASK_DEFAULTS = {
     "propagate": {"duration": 1.0},
-    "trajectories": {"duration": 1.0, "substeps": 2},
+    "trajectories": {"duration": 1.0},
     "weakvalue": {"operator": "momentum", "duration": 0.0},
     "work": {"duration": 1.0},
-    "dwell": {"region": [-2.0, 2.0], "horizon": 4.0, "substeps": 2},
+    "dwell": {"region": [-2.0, 2.0], "horizon": 4.0},
     "psd": {"duration": 1.0, "tau_max": 0.5, "window": None,
             "device_length": None},
     "measure": {"s_operator": "momentum", "g_operator": "position",
@@ -174,8 +174,8 @@ _NUMBERS = {
     "state": {"center": _ANY, "momentum": _ANY, "width": _POSITIVE, "index": _INDEX},
     "propagator": {"dt": _ANY, "steps_per_output": _COUNT},
     "ensemble": {"n": _COUNT, "seed": _INDEX},
-    "task": {"duration": (lambda v: v >= 0, "must be >= 0"), "substeps": _COUNT,
-             "horizon": _POSITIVE, "tau_max": _POSITIVE, "coupling": _POSITIVE,
+    "task": {"duration": (lambda v: v >= 0, "must be >= 0"), "horizon": _POSITIVE,
+             "tau_max": _POSITIVE, "coupling": _POSITIVE,
              "width": _POSITIVE, "n_experiments": _COUNT,
              "device_length": (*_POSITIVE, None), "g_index": (*_INDEX, "auto")},
 }
@@ -370,24 +370,23 @@ def _task_propagate(config, tmp):
         "n_frames": len(ev.times), "final_norm": float(ev.psi(len(ev.times) - 1).norm())}
 
 
-def _trajectory_ensemble(config, ev, psi, substeps=2):
+def _trajectory_ensemble(config, ev, psi):
     starts = sample_initial_positions(psi, int(config.ensemble["n"]),
                                       seed=config.subsystem_seeds()["sampling"])
-    return integrate_trajectories(ev, starts, substeps=substeps)
+    ens = integrate_trajectories(ev, starts)
+    return ens, {"truncated": int(ens.truncated.sum())}
 
 
 def _task_trajectories(config, tmp):
     _, _, psi, ev = _evolve(config, float(config.task["duration"]))
-    ens = _trajectory_ensemble(config, ev, psi,
-                               substeps=int(config.task["substeps"]))
+    ens, health = _trajectory_ensemble(config, ev, psi)
     header = ["t"] + [f"x_{i}" for i in range(ens.count)]
     _write_csv(os.path.join(tmp, "trajectories.csv"), header,
                np.column_stack([ens.times, ens.positions]))
     last = len(ev.times) - 1
     return ["trajectories.csv"], {
         "n_trajectories": ens.count,
-        "equivariance_l1_final": equivariance_l1(ev, ens, last),
-        "truncated": int(ens.truncated.sum())}
+        "equivariance_l1_final": equivariance_l1(ev, ens, last), **health}
 
 
 def _operator(name, grid, mass, hbar, potential):
@@ -423,7 +422,7 @@ def _task_weakvalue(config, tmp):
 
 def _task_work(config, tmp):
     grid, pot, psi, ev = _evolve(config, float(config.task["duration"]))
-    ens = _trajectory_ensemble(config, ev, psi)
+    ens, health = _trajectory_ensemble(config, ev, psi)
     t2 = float(ev.times[-1])
     records = work_records(ev, pot, ens, 0.0, t2)
     e1, e2 = records.T
@@ -444,8 +443,7 @@ def _task_work(config, tmp):
         "flagged_count": dist.flagged_count})
     return ["work_records.csv", "work_distribution.json"], {
         "mean_work": dist.mean, "std_work": dist.std,
-        "delta_h": float(delta_h), "flagged": dist.flagged_count,
-        "truncated": int(ens.truncated.sum())}
+        "delta_h": float(delta_h), "flagged": dist.flagged_count, **health}
 
 
 def _task_dwell(config, tmp):
@@ -454,8 +452,7 @@ def _task_dwell(config, tmp):
     grid, pot, psi, ev = _evolve(config, horizon)
     # raises HorizonError before any trajectory is integrated
     t_density = dwell_time_density(ev, region, horizon)
-    ens = _trajectory_ensemble(config, ev, psi,
-                               substeps=int(config.task["substeps"]))
+    ens, health = _trajectory_ensemble(config, ev, psi)
     taus = per_trajectory_dwell_times(ens, region)
     t_traj, stderr = dwell_time_ensemble(taus)
     _write_csv(os.path.join(tmp, "dwell_times.csv"),
@@ -466,7 +463,7 @@ def _task_dwell(config, tmp):
                "trajectory_stderr": float(stderr),
                "density": t_density,
                "stuck": int(np.count_nonzero((final > region[0])
-                                             & (final < region[1])))}
+                                             & (final < region[1]))), **health}
     if not pot.time_dependent:
         field_vals = dwell_operator_field(ev, region, horizon,
                                           config.build_propagator())
@@ -479,7 +476,7 @@ def _task_dwell(config, tmp):
 
 def _task_psd(config, tmp):
     grid, _, psi, ev = _evolve(config, float(config.task["duration"]))
-    ens = _trajectory_ensemble(config, ev, psi)
+    ens, health = _trajectory_ensemble(config, ev, psi)
     length = config.task["device_length"]
     length = float(length) if length is not None else grid.x_max - grid.x_min
     currents = ensemble_currents(ev, ens, CurrentConfig(
@@ -493,8 +490,7 @@ def _task_psd(config, tmp):
     mid = len(result.omega) // 2
     return ["autocorrelation.csv", "psd.csv"], {
         "psd_zero": float(result.values[mid]),
-        "n_lags": len(result.lags), "device_length": length,
-        "truncated": int(ens.truncated.sum())}
+        "n_lags": len(result.lags), "device_length": length, **health}
 
 
 def _task_measure(config, tmp):

@@ -344,9 +344,9 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
     and uniforms in that order, then runs the chain over blocks of about
     MC_BLOCK_ROWS rows.  The ancilla profile of a block is real, so the G
     probabilities come from two real products with W = c[:, None] * C^T,
-    built once per call (see _g_probabilities); weight is the norm of the
-    collapsed state profile * c.  log_callback(first_index, y_k, outcome,
-    hit, weight) is called per block.
+    built once per call (see _g_probabilities), and the weight, the norm of
+    the collapsed state profile * c, from sqrt(profile^2 @ |c|^2).
+    log_callback(first_index, y_k, outcome, hit, weight) is called per block.
     """
     if mode == "exact":
         joint = two_time_joint(system, ancilla)
@@ -366,8 +366,8 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
     rng = np.random.default_rng(seed)
     lam, sig = ancilla.coupling, ancilla.width
     s, c = system.s_values, system.coeffs
-    probs = np.abs(c) ** 2
-    probs = probs / probs.sum()
+    abs_c2 = np.abs(c) ** 2
+    probs = abs_c2 / abs_c2.sum()
     w = c[:, None] * system.transform.T                   # (n_s, n_g)
     w_re, w_im = np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
     lam_s = lam * s[None, :]
@@ -390,7 +390,7 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
             pg = _g_probabilities(prof, w_re, w_im)            # (rows, n_g)
             outcome[lo:hi] = (np.cumsum(pg, axis=1) < u[lo:hi, None]).sum(axis=1)
             if log_callback is not None:
-                weight[lo:hi] = np.linalg.norm(prof * c[None, :], axis=1)
+                weight[lo:hi] = np.sqrt((prof * prof) @ abs_c2)
         hit = outcome == g_index
         # Logged after the products: BLAS worker threads spin-wait between
         # calls, so a log write between two products would keep them busy.

@@ -241,7 +241,7 @@ def check_work_properties():
     t2 = 1.5
     ev = evolve_store(psi, pot, cfg, t2)
     starts = sample_initial_positions(psi, 10_000, seed=55)
-    ens = integrate_trajectories(ev, starts)
+    ens = integrate_trajectories(ev, starts, substeps=2)
     dist = work_distribution(work_records(ev, pot, ens, 0.0, t2))
     delta = expectation(build_hamiltonian(grid, pot, t=t2),
                         ev.psi(len(ev.times) - 1)) \
@@ -254,7 +254,8 @@ def check_work_properties():
     eig = WaveFunction(grid, h.eigenvectors()[:, 0])
     ev2 = evolve_store(eig, hpot, PropagatorConfig(
         0.01, method="exact", steps_per_output=10), 1.0)
-    ens2 = integrate_trajectories(ev2, sample_initial_positions(eig, 500, seed=56))
+    ens2 = integrate_trajectories(ev2, sample_initial_positions(eig, 500, seed=56),
+                                  substeps=2)
     dist2 = work_distribution(work_records(ev2, hpot, ens2, 0.0, 1.0))
     point_mass = dist2.std < 1e-6 and abs(dist2.mean) < 1e-6
     nonneg = bool(np.all(dist.probabilities >= 0)

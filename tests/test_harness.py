@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -260,6 +261,30 @@ class TestRun:
             "task": {"name": task, "duration": 4.0}}))
         assert run(cfg, out_dir=str(tmp_path)).summary["truncated"] == 1000
 
+    @pytest.mark.parametrize("task", ["trajectories", "work", "dwell", "psd"])
+    def test_one_rk4_step_per_frame(self, tmp_path, monkeypatch, task):
+        # every Bohmian task integrates once, through the one ensemble
+        # helper, at one RK4 substep, and reports the ensemble's health
+        integrate = harness.integrate_trajectories
+        substeps = []
+
+        def spy(*args, **kwargs):
+            call = inspect.signature(integrate).bind(*args, **kwargs)
+            call.apply_defaults()
+            substeps.append(call.arguments["substeps"])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "integrate_trajectories", spy)
+        cfg = parse_config(json.dumps({**FAST, "state": {
+            "kind": "gaussian", "center": -8.0, "momentum": 5.0},
+            "task": {"name": task}}))
+        manifest = run(cfg, out_dir=str(tmp_path))
+        assert substeps == [1]
+        assert manifest.summary["truncated"] == 0
+        if task == "dwell":
+            dwell = json.loads((tmp_path / "dwell.json").read_text())
+            assert dwell["truncated"] == 0
+
     def test_csv_full_precision(self, tmp_path):
         cfg = parse_config(json.dumps(FAST))
         run(cfg, out_dir=str(tmp_path))
@@ -339,9 +364,10 @@ class TestCli:
         ("propagate", {"grid": {"x_max": "abc"}}, "grid.x_max: not a number"),
         ("dwell", {"task": {"region": [1]}}, "task.region: must be a pair"),
         ("measure", {"task": {"coupling": "x"}}, "task.coupling: not a number"),
-        ("dwell", {"task": {"substeps": 0}}, "task.substeps: must be an integer"),
-        ("trajectories", {"task": {"substeps": 0}},
-         "task.substeps: must be an integer"),
+        ("dwell", {"task": {"substeps": 1}},
+         "task(dwell): unknown key 'substeps'"),
+        ("trajectories", {"task": {"substeps": 1}},
+         "task(trajectories): unknown key 'substeps'"),
         ("propagate", {"potential": {"kind": "barrier"}},
          "potential: barrier needs right > left"),
         ("propagate", {"potential": {"kind": "harmonic", "omega": 0.0}},
@@ -499,3 +525,50 @@ def test_trace_mode_finds_every_layer(tmp_path, workload):
          str(tmp_path / "out"), str(tmp_path / "spans.jsonl")],
         cwd=root, env=env, capture_output=True, text=True, check=True)
     assert json.loads(done.stdout.splitlines()[-1])["problems"] == []
+
+
+CLI = "import sys; from bohmlab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_cli(args, env_update=(), drop=()):
+    """The bohmlab CLI in a fresh interpreter that imports bohmlab first."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {key: value for key, value in os.environ.items() if key not in drop}
+    env.update(env_update, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", CLI, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_substeps_key_exit_two(tmp_path):
+    # one RK4 step per frame is the only path; the former key is unknown
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**FAST, "task": {"name": "trajectories",
+                                                 "substeps": 2}}))
+    out = tmp_path / "out"
+    done = run_cli(["trajectories", "--config", str(path), "--out", str(out)])
+    assert done.returncode == 2
+    assert "task(trajectories): unknown key 'substeps'" in done.stderr
+    assert not out.exists()
+
+
+def test_measure_bits_independent_of_blas_threads(tmp_path):
+    # multi-threaded eigh gives other eigenvector bits, so importing bohmlab
+    # pins one BLAS thread unless the variable is set; unset and set to 1
+    # must then write the same bytes (the measure-mc scenario at seed 7)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "grid": {"x_min": -40.0, "x_max": 40.0, "n": 128},
+        "state": {"kind": "gaussian", "center": 0.0, "width": 2.0,
+                  "momentum": 1.0},
+        "ensemble": {"seed": 7},
+        "task": {"name": "measure", "mode": "monte_carlo", "coupling": 0.05,
+                 "n_experiments": 5000}}))
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    for name, env_update in (("unset", {}), ("one", {blas[0]: "1"})):
+        done = run_cli(["measure", "--config", str(path),
+                        "--out", str(tmp_path / name)], env_update, drop=blas)
+        assert done.returncode == 0, done.stderr
+    for name in ("joint_distribution.csv", "measure_summary.json",
+                 "experiments.jsonl"):
+        assert ((tmp_path / "unset" / name).read_bytes()
+                == (tmp_path / "one" / name).read_bytes())

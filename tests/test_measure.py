@@ -337,6 +337,20 @@ class TestPerturbationDecomposition:
         assert m["unperturbed"] > m["weak_sg"]
 
 
+def assert_same_experiments(got, want):
+    """y_k, outcome and hit bit-equal; the weight within 1e-14 relative.
+
+    The chain takes the weight from the real product sqrt(P^2 @ |c|^2), the
+    oracle as the norm of the complex P * c, so the two differ in rounding.
+    """
+    *mine, weight = got.columns()
+    *theirs, want_weight = want.columns()
+    for a, b in zip(mine, theirs):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert weight.dtype == want_weight.dtype
+    assert np.all(np.abs(weight - want_weight) <= 1e-14 * want_weight)
+
+
 class TestOperationalEstimator:
     def test_monte_carlo_matches_exact(self):
         system = random_system(seed=9)
@@ -377,9 +391,25 @@ class TestOperationalEstimator:
         assert len(got.parts) >= n_experiments // MC_BLOCK_ROWS
         # a one-row block would go through gemv instead of gemm
         assert min(len(part[0]) for part in got.parts) > 1
-        for mine, theirs in zip(got.columns(), want.columns()):
-            assert mine.dtype == theirs.dtype
-            assert np.array_equal(mine, theirs)
+        assert_same_experiments(got, want)
+
+    @pytest.mark.parametrize("kind", ["grid", "discrete"])
+    def test_weight_is_norm_of_collapsed_state(self, kind):
+        # the logged weight, from the real product, against the norm of the
+        # complex collapsed state profile * c
+        if kind == "grid":
+            system, anc, g_index = grid_system(64)
+        else:
+            system, g_index = random_system(seed=9), 0
+            anc = AncillaModel.gaussian(0.5, 2.0, np.abs(system.s_values).max())
+        got = ExperimentRecorder()
+        operational_weak_value(system, anc, g_index, "monte_carlo",
+                               n_experiments=5000, seed=23, log_callback=got)
+        y_k, _, _, weight = got.columns()
+        collapsed = anc.profile(y_k[:, None] - anc.coupling
+                                * system.s_values[None, :]) * system.coeffs
+        want = np.linalg.norm(collapsed, axis=1)
+        assert np.all(np.abs(weight - want) <= 1e-14 * want)
 
     def test_monte_carlo_memory_bounded_by_block(self):
         # one (2e5, 128) complex array alone would take 410 MB
@@ -425,9 +455,7 @@ class TestOperationalEstimator:
                                      n_experiments=50_000, seed=seed,
                                      log_callback=got)
         assert (est.value, est.stderr, est.n_selected) == oracle
-        for mine, theirs in zip(got.columns(), want.columns()):
-            assert mine.dtype == theirs.dtype
-            assert np.array_equal(mine, theirs)
+        assert_same_experiments(got, want)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(n_s=st.integers(2, 64), n_g=st.integers(2, 128),
