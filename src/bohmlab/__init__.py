@@ -3,14 +3,6 @@ values, plus a simulated von Neumann measurement chain that estimates the
 same quantities operationally through post-selection.
 """
 
-import os as _os
-
-# One BLAS thread, set before numpy loads: a multi-threaded eigh returns
-# eigenvectors whose bits depend on the thread count.  An explicit setting
-# wins, and a process that loaded numpy first keeps its thread count.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    _os.environ.setdefault(_var, "1")
-
 from . import bohm, errors, intrinsics, measure, qgrid, weakval
 from .qgrid import (Evolution, Grid1D, PotentialModel, PropagatorConfig,
                     WaveFunction, build_hamiltonian, evolve_store, expectation,

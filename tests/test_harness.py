@@ -530,11 +530,10 @@ def test_trace_mode_finds_every_layer(tmp_path, workload):
 CLI = "import sys; from bohmlab.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run_cli(args, env_update=(), drop=()):
-    """The bohmlab CLI in a fresh interpreter that imports bohmlab first."""
+def run_cli(args):
+    """The bohmlab CLI in a fresh interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {key: value for key, value in os.environ.items() if key not in drop}
-    env.update(env_update, PYTHONPATH=str(src))
+    env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run([sys.executable, "-c", CLI, *args], env=env,
                           capture_output=True, text=True)
 
@@ -550,25 +549,3 @@ def test_cli_substeps_key_exit_two(tmp_path):
     assert "task(trajectories): unknown key 'substeps'" in done.stderr
     assert not out.exists()
 
-
-def test_measure_bits_independent_of_blas_threads(tmp_path):
-    # multi-threaded eigh gives other eigenvector bits, so importing bohmlab
-    # pins one BLAS thread unless the variable is set; unset and set to 1
-    # must then write the same bytes (the measure-mc scenario at seed 7)
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({
-        "grid": {"x_min": -40.0, "x_max": 40.0, "n": 128},
-        "state": {"kind": "gaussian", "center": 0.0, "width": 2.0,
-                  "momentum": 1.0},
-        "ensemble": {"seed": 7},
-        "task": {"name": "measure", "mode": "monte_carlo", "coupling": 0.05,
-                 "n_experiments": 5000}}))
-    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    for name, env_update in (("unset", {}), ("one", {blas[0]: "1"})):
-        done = run_cli(["measure", "--config", str(path),
-                        "--out", str(tmp_path / name)], env_update, drop=blas)
-        assert done.returncode == 0, done.stderr
-    for name in ("joint_distribution.csv", "measure_summary.json",
-                 "experiments.jsonl"):
-        assert ((tmp_path / "unset" / name).read_bytes()
-                == (tmp_path / "one" / name).read_bytes())

@@ -102,26 +102,28 @@ def unblocked_monte_carlo(system, ancilla, g_index, n_experiments, seed,
     """Oracle: the Monte Carlo loop over whole chunks, as it was before the
     chain ran in row blocks, with one complex G product per chunk; returns
     (value, stderr, n_selected).  With chunk=4096 each chunk is one of the
-    complex 4096-row blocks the chain ran before its G products were real."""
+    complex 4096-row blocks the chain ran before its G products were real.
+    The weight is the chain's sqrt(profile^2 @ |c|^2), so every logged column
+    must match bit for bit."""
     rng = np.random.default_rng(seed)
     lam, sig = ancilla.coupling, ancilla.width
     s, c = system.s_values, system.coeffs
-    probs = np.abs(c) ** 2
-    probs = probs / probs.sum()
+    abs_c2 = np.abs(c) ** 2
+    probs = abs_c2 / abs_c2.sum()
     selected_y = []
     done = 0
     while done < n_experiments:
         m = min(chunk, n_experiments - done)
         comp = rng.choice(len(s), size=m, p=probs)
         y_k = lam * s[comp] + rng.normal(0.0, sig / np.sqrt(2.0), size=m)
-        collapsed = ancilla.profile(y_k[:, None] - lam * s[None, :]) * c[None, :]
-        evolved = collapsed @ system.transform.T
+        prof = ancilla.profile(y_k[:, None] - lam * s[None, :])
+        evolved = (prof * c[None, :]) @ system.transform.T
         pg = np.abs(evolved) ** 2
         pg /= pg.sum(axis=1, keepdims=True)
         u = rng.random(m)
         outcome = (np.cumsum(pg, axis=1) < u[:, None]).sum(axis=1)
         hit = outcome == g_index
-        log_callback(done, y_k, outcome, hit, np.linalg.norm(collapsed, axis=1))
+        log_callback(done, y_k, outcome, hit, np.sqrt((prof * prof) @ abs_c2))
         selected_y.append(y_k[hit])
         done += m
     y_sel = np.concatenate(selected_y)
@@ -337,20 +339,6 @@ class TestPerturbationDecomposition:
         assert m["unperturbed"] > m["weak_sg"]
 
 
-def assert_same_experiments(got, want):
-    """y_k, outcome and hit bit-equal; the weight within 1e-14 relative.
-
-    The chain takes the weight from the real product sqrt(P^2 @ |c|^2), the
-    oracle as the norm of the complex P * c, so the two differ in rounding.
-    """
-    *mine, weight = got.columns()
-    *theirs, want_weight = want.columns()
-    for a, b in zip(mine, theirs):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert weight.dtype == want_weight.dtype
-    assert np.all(np.abs(weight - want_weight) <= 1e-14 * want_weight)
-
-
 class TestOperationalEstimator:
     def test_monte_carlo_matches_exact(self):
         system = random_system(seed=9)
@@ -391,7 +379,9 @@ class TestOperationalEstimator:
         assert len(got.parts) >= n_experiments // MC_BLOCK_ROWS
         # a one-row block would go through gemv instead of gemm
         assert min(len(part[0]) for part in got.parts) > 1
-        assert_same_experiments(got, want)
+        for mine, theirs in zip(got.columns(), want.columns()):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
 
     @pytest.mark.parametrize("kind", ["grid", "discrete"])
     def test_weight_is_norm_of_collapsed_state(self, kind):
@@ -455,7 +445,9 @@ class TestOperationalEstimator:
                                      n_experiments=50_000, seed=seed,
                                      log_callback=got)
         assert (est.value, est.stderr, est.n_selected) == oracle
-        assert_same_experiments(got, want)
+        for mine, theirs in zip(got.columns(), want.columns()):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(n_s=st.integers(2, 64), n_g=st.integers(2, 128),
