@@ -10,7 +10,9 @@ success, so a failed run leaves nothing behind.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
 import difflib
 import hashlib
 import json
@@ -576,13 +578,65 @@ def resolve_out_dir(explicit: str | None = None) -> str:
     return explicit or os.environ.get(OUT_DIR_ENV) or "runs"
 
 
+_MAPPED_FILES = "/proc/self/maps"
+# Thread-count calls by build: numpy >= 2 wheels (64-bit interface), scipy
+# wheels, older numpy wheels, system builds.
+_OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_",
+                   "scipy_openblas_{}_num_threads",
+                   "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _openblas_libraries():
+    """(set, get) thread-count calls of every OpenBLAS mapped into this
+    process; [] without /proc/self/maps (not Linux) or with another BLAS."""
+    try:
+        with open(_MAPPED_FILES) as fh:
+            fields = (line.split(None, 5) for line in fh)
+            paths = dict.fromkeys(f[5].strip() for f in fields
+                                  if len(f) == 6 and "openblas" in f[5].lower())
+    except OSError:
+        return []
+    libraries = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_CALLS:
+            if hasattr(lib, name.format("set")):
+                libraries.append((getattr(lib, name.format("set")),
+                                  getattr(lib, name.format("get"))))
+                break
+    return libraries
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set every OpenBLAS in the process to one thread for the body, then
+    give each its previous count back.  One thread makes eigh and the
+    matrix products give the same bits whatever OPENBLAS_NUM_THREADS says,
+    and leaves no worker thread spin-waiting between products."""
+    libraries = _openblas_libraries()
+    previous = [get() for _, get in libraries]
+    for set_threads, _ in libraries:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(libraries, previous):
+            set_threads(count)
+
+
 def run(config: ScenarioConfig, out_dir: str | None = None,
         threads: int = 1) -> RunManifest:
     """Execute the configured task; outputs appear atomically in out_dir.
 
-    Trajectories are integrated serially.  threads accepts only 1: it is
-    kept for perfbench, which passes threads=1, and goes at the next
-    benchmark revision (ROADMAP item 1, step (a)).
+    The task runs on one BLAS thread (every OpenBLAS in the process is set
+    to one thread and restored afterwards), so the same config and seed give
+    the same bits whatever the caller's BLAS thread setting.  Trajectories
+    are integrated serially.  threads accepts only 1: it is kept for
+    perfbench, which passes threads=1, and goes at the next benchmark
+    revision (ROADMAP item 1, step (a)).
     """
     if threads != 1:
         raise ConfigurationError(f"threads must be 1, got {threads!r}")
@@ -591,7 +645,8 @@ def run(config: ScenarioConfig, out_dir: str | None = None,
     tmp = tempfile.mkdtemp(dir=out_dir, prefix=".partial-")
     start = time.perf_counter()
     try:
-        files, summary = TASKS[config.task["name"]](config, tmp)
+        with _one_blas_thread():
+            files, summary = TASKS[config.task["name"]](config, tmp)
         manifest = RunManifest(config.config_hash, config.seed, __version__,
                                files + ["manifest.json"],
                                time.perf_counter() - start, summary)

@@ -392,8 +392,10 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
             if log_callback is not None:
                 weight[lo:hi] = np.sqrt((prof * prof) @ abs_c2)
         hit = outcome == g_index
-        # Logged after the products: BLAS worker threads spin-wait between
-        # calls, so a log write between two products would keep them busy.
+        # Logged after the products.  harness.run gives the task one BLAS
+        # thread, so there it makes no difference; a library caller's BLAS
+        # workers spin-wait between products, and a log write between two
+        # of them would keep the workers busy.
         if log_callback is not None:
             for lo, hi in blocks:
                 log_callback(done + lo, y_k[lo:hi], outcome[lo:hi],

@@ -549,3 +549,91 @@ def test_cli_substeps_key_exit_two(tmp_path):
     assert "task(trajectories): unknown key 'substeps'" in done.stderr
     assert not out.exists()
 
+
+def _thread_counts(libraries):
+    return [get() for _, get in libraries]
+
+
+@pytest.fixture
+def openblas_at_two():
+    """Every OpenBLAS in this process, set to two threads for the test."""
+    libraries = harness._openblas_libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS library is loaded in this process")
+    before = _thread_counts(libraries)
+    for set_threads, _ in libraries:
+        set_threads(2)
+    yield libraries
+    for (set_threads, _), count in zip(libraries, before):
+        set_threads(count)
+
+
+class TestOneBlasThread:
+    def test_task_on_one_thread_then_restored(self, tmp_path, monkeypatch,
+                                              openblas_at_two):
+        inside = []
+        task = harness.TASKS["propagate"]
+
+        def spy(config, tmp):
+            inside.append(_thread_counts(openblas_at_two))
+            return task(config, tmp)
+
+        monkeypatch.setitem(harness.TASKS, "propagate", spy)
+        run(parse_config(json.dumps(FAST)), out_dir=str(tmp_path))
+        assert inside == [[1] * len(openblas_at_two)]
+        assert _thread_counts(openblas_at_two) == [2] * len(openblas_at_two)
+
+    def test_restored_after_failed_task(self, tmp_path, openblas_at_two):
+        cfg = parse_config(json.dumps({**FAST, "task": {
+            "name": "dwell", "region": [-5.0, 5.0], "horizon": 0.5}}))
+        with pytest.raises(HorizonError):
+            run(cfg, out_dir=str(tmp_path))
+        assert _thread_counts(openblas_at_two) == [2] * len(openblas_at_two)
+
+    @pytest.mark.parametrize("patch", [
+        ("_MAPPED_FILES", "/nonexistent/maps"),   # no /proc
+        ("_OPENBLAS_CALLS", ()),                  # another BLAS
+    ], ids=["no-proc", "other-blas"])
+    def test_no_openblas_found_still_runs(self, tmp_path, monkeypatch, patch):
+        monkeypatch.setattr(harness, *patch)
+        assert harness._openblas_libraries() == []
+        manifest = run(parse_config(json.dumps(FAST)), out_dir=str(tmp_path))
+        for name in manifest.outputs:
+            assert (tmp_path / name).exists()
+
+
+DETERMINISM_MC = {
+    "grid": {"x_min": -40.0, "x_max": 40.0, "n": 128},
+    "potential": {"kind": "free"},
+    "state": {"kind": "gaussian", "center": 0.0, "width": 2.0, "momentum": 1.0},
+    "ensemble": {"seed": 7},
+    "task": {"name": "measure", "mode": "monte_carlo", "coupling": 0.05,
+             "n_experiments": 20_000},
+}
+
+
+@pytest.mark.skipif(not harness._openblas_libraries(),
+                    reason="numpy is not linked against OpenBLAS, whose "
+                           "bits are the same per BLAS thread count only")
+def test_measure_bits_independent_of_blas_threads(tmp_path):
+    # the Monte Carlo measure-mc scenario at 2x10^4 experiments: eigh's
+    # eigenvectors and the block products take the same one-thread bits
+    # whatever OPENBLAS_NUM_THREADS says
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(DETERMINISM_MC))
+    src = Path(__file__).resolve().parent.parent / "src"
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(src)
+    outputs = []
+    for threads in (None, "1", "2"):
+        env = base if threads is None else {**base,
+                                            "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-c", CLI, "measure", "--config",
+                        str(path), "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        outputs.append({name: (out / name).read_bytes() for name in (
+            "joint_distribution.csv", "measure_summary.json",
+            "experiments.jsonl")})
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
