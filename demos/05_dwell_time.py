@@ -13,11 +13,11 @@ import numpy as np
 
 from bohmlab import Grid1D, PotentialModel, PropagatorConfig, WaveFunction, \
     evolve_store
-from bohmlab.bohm import _periodic_spline, integrate_trajectories, \
+from bohmlab.bohm import integrate_trajectories, read_at, \
     sample_initial_positions
 from bohmlab.intrinsics import (dwell_time_density, dwell_time_ensemble,
                                 per_trajectory_dwell_times)
-from bohmlab.weakval import dwell_operator_field
+from bohmlab.weakval import dwell_operator_field, weak_average
 
 grid = Grid1D(-40.0, 40.0, 512)
 pot = PotentialModel("barrier", height=1.0, left=2.0, right=3.0)
@@ -33,15 +33,14 @@ t_traj, stderr = dwell_time_ensemble(taus)
 t_density = dwell_time_density(ev, region, horizon)
 
 field = dwell_operator_field(ev, region, horizon, cfg)
-ok = np.isfinite(field)
-t_wv = float(np.sum(psi.density()[ok] * field[ok]) * grid.dx)
+t_wv = weak_average(psi, field)
 
 print(f"window {region}, barrier height 1.0 on [2, 3], packet speed 5")
 print(f"  trajectory ensemble : {t_traj:.5f} +- {stderr:.5f}")
 print(f"  density quadrature  : {t_density:.5f}")
 print(f"  weak-value average  : {t_wv:.5f}")
 
-wv_at_start = _periodic_spline(grid, np.nan_to_num(field))(ens.positions[0])
+wv_at_start = read_at(psi, np.nan_to_num(field), ens.positions[0])
 disc = np.abs(taus - wv_at_start)
 print("\nper-trajectory |tau_i - wv_D(x_i(0))|:")
 print(f"  mean {disc.mean():.4f}, median {np.median(disc):.4f}, "

@@ -11,7 +11,7 @@ import numpy as np
 from bohmlab import Grid1D, PotentialModel, PropagatorConfig, WaveFunction, \
     evolve_store
 from bohmlab.bohm import integrate_trajectories, sample_initial_positions
-from bohmlab.intrinsics import CurrentConfig, ensemble_currents, psd
+from bohmlab.intrinsics import ensemble_currents, psd
 
 omega = 1.0
 grid = Grid1D(-30.0, 30.0, 512)
@@ -21,7 +21,7 @@ psi = WaveFunction.gaussian(grid, center=3.0)
 ev = evolve_store(psi, pot, PropagatorConfig(0.005, steps_per_output=10),
                   8 * np.pi)  # four periods
 ens = integrate_trajectories(ev, sample_initial_positions(psi, 400, seed=6))
-currents = ensemble_currents(ev, ens, CurrentConfig(length=60.0))
+currents = ensemble_currents(ev, ens, length=60.0)
 
 result = psd(currents, float(ev.frame_dt), tau_max=4 * np.pi, window="hann")
 mid = len(result.omega) // 2

@@ -1,5 +1,6 @@
-"""Bohmian velocity field, quantum potential, equilibrium sampling and
-trajectory integration.
+"""Bohmian velocity field, quantum potential, read_at (the one reader of
+grid values at particle positions), equilibrium sampling and trajectory
+integration.
 
 Trajectories are integrated in a two-pass scheme: the wavefunction history
 is stored first (qgrid.evolve_store), then the guidance equation
@@ -147,41 +148,33 @@ def grid_velocity(psi: WaveFunction, mass: float = 1.0,
     return _grid_velocities(psi.grid, psi.amplitudes, mass, hbar)
 
 
-def velocity_field(psi: WaveFunction, x, mass: float = 1.0, hbar: float = 1.0):
-    """Velocity at arbitrary positions (cubic interpolation between grid points).
+def read_at(psi: WaveFunction, values: np.ndarray, x):
+    """Grid values (real or complex) read at positions x through the
+    periodic spline: the one reader of a local value at a particle position.
 
-    Raises NodeError when |psi(x)|^2 is below the node threshold at any x.
+    Raises ConfigurationError when any x is outside the grid domain and
+    NodeError when |psi(x)|^2 is below the node threshold at any x.  A
+    scalar x gives a numpy scalar.
     """
     xq = np.asarray(x, dtype=float)
     if not np.all(psi.grid.contains(xq)):
         raise ConfigurationError("query position outside the grid domain")
     if np.any(nodes_at(psi, xq)):
-        raise NodeError("velocity requested at a wavefunction node")
-    v = _periodic_spline(psi.grid, grid_velocity(psi, mass, hbar))(xq)
-    return v if np.ndim(x) else float(v)
+        raise NodeError("local value requested at a wavefunction node")
+    return _periodic_spline(psi.grid, values)(xq)[()]
 
 
-def quantum_potential(psi: WaveFunction, x=None, mass: float = 1.0,
-                      hbar: float = 1.0):
-    """Q = -(hbar^2/2m) R''/R with spectral second derivative of R = |psi|.
-
-    Q on the grid when x is None; at positions x it raises NodeError when
-    |psi(x)|^2 is below the node threshold at any of them.
-    """
+def quantum_potential(psi: WaveFunction, mass: float = 1.0,
+                      hbar: float = 1.0) -> np.ndarray:
+    """Q = -(hbar^2/2m) R''/R on the grid, with spectral second derivative
+    of R = |psi| and node points clamped to the nearest non-node value."""
     r = np.abs(psi.amplitudes)
     mask = node_mask(psi.amplitudes)
     d2r = np.fft.ifft(-psi.grid.k ** 2 * np.fft.fft(r)).real
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -hbar ** 2 / (2.0 * mass) * d2r / r
     q[mask] = 0.0
-    q = _clamp_nodes(q, mask)
-    if x is None:
-        return q
-    xq = np.asarray(x, dtype=float)
-    if np.any(nodes_at(psi, xq)):
-        raise NodeError("quantum potential requested at a wavefunction node")
-    qv = _periodic_spline(psi.grid, q)(xq)
-    return qv if np.ndim(x) else float(qv)
+    return _clamp_nodes(q, mask)
 
 
 def sample_initial_positions(psi: WaveFunction, n: int, seed: int) -> np.ndarray:

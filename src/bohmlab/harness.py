@@ -32,9 +32,8 @@ from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     expectation, momentum_operator, position_operator,
                     propagate)
 from .bohm import equivariance_l1, integrate_trajectories, sample_initial_positions
-from .weakval import (dwell_operator_field, grid_weak_value,
-                      weak_average_quadrature)
-from .intrinsics import (CurrentConfig, dwell_time_density, dwell_time_ensemble,
+from .weakval import dwell_operator_field, grid_weak_value, weak_average
+from .intrinsics import (dwell_time_density, dwell_time_ensemble,
                          ensemble_currents, per_trajectory_dwell_times, psd,
                          work_distribution, work_records)
 from .measure import (AncillaModel, TwoTimeSystem, operational_weak_value,
@@ -416,7 +415,7 @@ def _task_weakvalue(config, tmp):
                np.column_stack([grid.x, wv.real, wv.imag, dens]))
     return ["weakvalue.csv"], {
         "operator": config.task["operator"],
-        "quadrature_average": weak_average_quadrature(op, psi)}
+        "quadrature_average": weak_average(psi, wv)}
 
 
 def _task_work(config, tmp):
@@ -448,7 +447,7 @@ def _task_work(config, tmp):
 def _task_dwell(config, tmp):
     region = tuple(float(v) for v in config.task["region"])
     horizon = float(config.task["horizon"])
-    grid, pot, psi, ev = _evolve(config, horizon)
+    _, pot, psi, ev = _evolve(config, horizon)
     # raises HorizonError before any trajectory is integrated
     t_density = dwell_time_density(ev, region, horizon)
     ens, health = _trajectory_ensemble(config, ev, psi)
@@ -464,11 +463,8 @@ def _task_dwell(config, tmp):
                "stuck": int(np.count_nonzero((final > region[0])
                                              & (final < region[1]))), **health}
     if not pot.time_dependent:
-        field_vals = dwell_operator_field(ev, region, horizon,
-                                          config.build_propagator())
-        ok = np.isfinite(field_vals)
-        summary["weak_value"] = float(
-            np.sum(psi.density()[ok] * field_vals[ok]) * grid.dx)
+        summary["weak_value"] = weak_average(psi, dwell_operator_field(
+            ev, region, horizon, config.build_propagator()))
     _write_json(os.path.join(tmp, "dwell.json"), summary)
     return ["dwell_times.csv", "dwell.json"], summary
 
@@ -478,8 +474,7 @@ def _task_psd(config, tmp):
     ens, health = _trajectory_ensemble(config, ev, psi)
     length = config.task["device_length"]
     length = float(length) if length is not None else grid.x_max - grid.x_min
-    currents = ensemble_currents(ev, ens, CurrentConfig(
-        length=length, charge=float(config.units["charge"])))
+    currents = ensemble_currents(ev, ens, length, float(config.units["charge"]))
     result = psd(currents, float(ev.frame_dt), float(config.task["tau_max"]),
                  window=config.task["window"])
     _write_csv(os.path.join(tmp, "autocorrelation.csv"), ["tau", "c"],

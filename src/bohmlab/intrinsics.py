@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EmptyEnsembleError, LagError
 from .qgrid import Evolution, PotentialModel, check_horizon, window_weights
-from .bohm import TrajectoryEnsemble, nodes_at, quantum_potential
+from .bohm import TrajectoryEnsemble, nodes_at, quantum_potential, read_at
 from .weakval import local_energy
 
 
@@ -81,7 +81,7 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
     TrajectoryEnsemble.positions.  E = m v^2/2 + Q is the unperturbed energy
     it carries; all time derivatives are centered finite differences at the
     frame spacing, so the residual decays at 2nd order in the output step.
-    An endpoint on a node raises NodeError, from quantum_potential.
+    An endpoint on a node raises NodeError, from bohm.read_at.
     """
     i = evolution.index_of(t)
     if i == 0 or i == len(evolution.times) - 1:
@@ -90,15 +90,17 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
     dt = evolution.frame_dt
     vel = evolution.velocity
 
+    def q_at(j, x):
+        psi = evolution.psi(j)
+        return read_at(psi, quantum_potential(psi, m, hbar), x)
+
     def energy(j, x):
         v = vel(x, float(evolution.times[j]))
-        q = quantum_potential(evolution.psi(j), x, m, hbar)
-        return 0.5 * m * v ** 2 + q
+        return 0.5 * m * v ** 2 + q_at(j, x)
 
     x_m, x_0, x_p = (float(positions[j]) for j in (i - 1, i, i + 1))
     de_dt = (energy(i + 1, x_p) - energy(i - 1, x_m)) / (2.0 * dt)
-    dq_dt = (quantum_potential(evolution.psi(i + 1), x_0, m, hbar)
-             - quantum_potential(evolution.psi(i - 1), x_0, m, hbar)) / (2.0 * dt)
+    dq_dt = (q_at(i + 1, x_0) - q_at(i - 1, x_0)) / (2.0 * dt)
     v0 = vel(x_0, t)
     drive = potential.charge * v0 * float(potential.field(x_0, t))
     return float(de_dt - drive - dq_dt)
@@ -108,28 +110,21 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
 # Ramo-Shockley current and its power spectral density
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurrentConfig:
-    length: float  # device length L
-    charge: float = 1.0
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ConfigurationError(f"device length must be > 0, got {self.length}")
-
-
 def ensemble_currents(evolution: Evolution, ensemble: TrajectoryEnsemble,
-                      cfg: CurrentConfig) -> np.ndarray:
-    """Current record I^i(t) for every experiment; shape (nt, N).
+                      length: float, charge: float = 1.0) -> np.ndarray:
+    """Current record I^i(t) = (charge/length) v for every experiment;
+    shape (nt, N), with length the device length L.
 
     Consumes ensemble.positions: row j is overwritten by frame j's currents
     once the field has been evaluated at it, and the record returned is that
     same array.
     """
+    if length <= 0:
+        raise ConfigurationError(f"device length must be > 0, got {length}")
     out = ensemble.positions
     for j, t in enumerate(evolution.times):
         out[j] = evolution.velocity(out[j], float(t))
-    out *= cfg.charge / cfg.length
+    out *= charge / length
     return out
 
 

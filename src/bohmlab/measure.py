@@ -26,6 +26,9 @@ from .errors import (BasisCoverageError, ConfigurationError, GridRangeError,
                      InsufficientStatisticsError)
 from .qgrid import SpectralOperator, WaveFunction
 
+# TwoTimeSystem.from_wavefunction keeps the dominant S-basis coefficients
+# holding all but this fraction of the state weight.
+S_BASIS_TRUNCATION = 1e-12
 
 # ---------------------------------------------------------------------------
 # Ancilla
@@ -169,14 +172,15 @@ class TwoTimeSystem:
 
     @classmethod
     def from_wavefunction(cls, psi: WaveFunction, s_op: SpectralOperator,
-                          g_op: SpectralOperator, u_matrix: np.ndarray,
-                          truncation: float = 1e-12) -> "TwoTimeSystem":
+                          g_op: SpectralOperator,
+                          u_matrix: np.ndarray) -> "TwoTimeSystem":
         """Grid system; the S basis is truncated to the dominant coefficients."""
         c_full = s_op.coefficients(psi)
         weight = np.abs(c_full) ** 2
         order = np.argsort(weight)[::-1]
         cum = np.cumsum(weight[order])
-        keep_n = int(np.searchsorted(cum, cum[-1] * (1.0 - truncation))) + 1
+        keep = cum[-1] * (1.0 - S_BASIS_TRUNCATION)
+        keep_n = int(np.searchsorted(cum, keep)) + 1
         kept = np.sort(order[:keep_n])
         retained = float(weight[kept].sum())
         if retained < 1.0 - 1e-8:

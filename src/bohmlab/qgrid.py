@@ -413,7 +413,8 @@ class _ExactStepper:
         return self._u @ amp
 
 
-def _make_stepper(grid, potential, dt, method, mass, hbar):
+def make_stepper(grid, potential, dt, method, mass, hbar):
+    """The stepper of `method` that advances amplitudes by dt (may be < 0)."""
     cls = _SplitOperatorStepper if method == "split-operator" else _ExactStepper
     return cls(grid, potential, dt, mass, hbar)
 
@@ -429,7 +430,7 @@ def propagate(psi: WaveFunction, potential: PotentialModel, cfg: PropagatorConfi
     if duration == 0.0:
         return psi
     steps, dt = _step_count(duration, cfg.dt)
-    stepper = _make_stepper(psi.grid, potential, dt, cfg.method, mass, hbar)
+    stepper = make_stepper(psi.grid, potential, dt, cfg.method, mass, hbar)
     amp = psi.amplitudes
     t = psi.time
     for _ in range(steps):
@@ -455,6 +456,7 @@ class Evolution:
     times: np.ndarray          # (nt,)
     frames: np.ndarray         # (nt, n) complex
     potential: PotentialModel
+    dt: float                  # the propagator step evolve_store took
     mass: float = 1.0
     hbar: float = 1.0
 
@@ -491,7 +493,7 @@ def evolve_store(psi: WaveFunction, potential: PotentialModel,
     spo = cfg.steps_per_output
     n_frames = int(np.ceil(total_steps / spo))
     dt = duration / (n_frames * spo)  # exact multiple of steps_per_output
-    stepper = _make_stepper(psi.grid, potential, dt, cfg.method, mass, hbar)
+    stepper = make_stepper(psi.grid, potential, dt, cfg.method, mass, hbar)
     frames = np.empty((n_frames + 1, psi.grid.n), dtype=complex)
     times = psi.time + dt * spo * np.arange(n_frames + 1)
     frames[0] = psi.amplitudes
@@ -503,4 +505,4 @@ def evolve_store(psi: WaveFunction, potential: PotentialModel,
             t += dt
         _check_norm_drift(amp, psi.grid, cfg)
         frames[frame] = amp
-    return Evolution(psi.grid, times, frames, potential, mass, hbar)
+    return Evolution(psi.grid, times, frames, potential, dt, mass, hbar)

@@ -13,8 +13,9 @@ from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     build_hamiltonian, evolution_operator, evolve_store,
                     expectation, momentum_operator, position_operator)
 from .bohm import (equivariance_l1, grid_velocity, integrate_trajectories,
-                   quantum_potential, sample_initial_positions)
-from .weakval import (aav_weak_value, dwell_operator_field, local_energy)
+                   quantum_potential, read_at, sample_initial_positions)
+from .weakval import (aav_weak_value, dwell_operator_field, local_energy,
+                      weak_average)
 from .intrinsics import (dwell_time_density, dwell_time_ensemble,
                          per_trajectory_dwell_times, power_balance_residual,
                          psd, work_distribution, work_records)
@@ -290,15 +291,13 @@ def check_dwell_triple_agreement():
     t_traj, stderr = dwell_time_ensemble(taus)
 
     field = dwell_operator_field(ev, region, horizon, cfg)
-    ok = np.isfinite(field)
-    t_wv = float(np.sum(psi.density()[ok] * field[ok]) * grid.dx)
+    t_wv = weak_average(psi, field)
 
     vals = np.array([t_traj, t_density, t_wv])
     pair_rel = max(abs(a - b) / max(abs(a), abs(b))
                    for i, a in enumerate(vals) for b in vals[i + 1:])
 
-    from .bohm import _periodic_spline
-    wv_at_start = _periodic_spline(grid, np.nan_to_num(field))(ens.positions[0])
+    wv_at_start = read_at(psi, np.nan_to_num(field), ens.positions[0])
     disc = np.abs(taus - wv_at_start)
     passed = pair_rel <= 0.02
     return {"measured": float(pair_rel), "target": 0.0, "tolerance": 0.02,

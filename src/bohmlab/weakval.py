@@ -11,23 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, NodeError
+from .errors import ConfigurationError
 from .qgrid import (Evolution, PotentialModel, PropagatorConfig,
-                    SpectralOperator, WaveFunction, _make_stepper,
-                    build_hamiltonian, check_horizon, node_mask,
-                    window_weights)
-from .bohm import _periodic_spline, nodes_at
-
-
-def _ratio_at(psi: WaveFunction, numerator: np.ndarray, x):
-    """Interpolated (num/psi)(x) with node detection on the denominator."""
-    xq = np.asarray(x, dtype=float)
-    if np.any(nodes_at(psi, xq)):
-        raise NodeError("post-selection at a wavefunction node is impossible")
-    num_q = _periodic_spline(psi.grid, numerator)(xq)
-    den_q = _periodic_spline(psi.grid, psi.amplitudes)(xq)
-    val = num_q / den_q
-    return val if np.ndim(x) else complex(val)
+                    SpectralOperator, WaveFunction, build_hamiltonian,
+                    check_horizon, make_stepper, node_mask, window_weights)
+from .bohm import read_at
 
 
 def grid_weak_value(numerator: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -39,26 +27,24 @@ def grid_weak_value(numerator: np.ndarray, amplitudes: np.ndarray) -> np.ndarray
 
 
 def aav_weak_value(op: SpectralOperator, psi: WaveFunction, x):
-    """Complex weak value (S psi)(x) / psi(x); x may be a scalar or array."""
-    return _ratio_at(psi, op.apply(psi.amplitudes), x)
+    """Complex weak value (S psi)(x) / psi(x), numerator and psi each read
+    at x (a scalar or array) by bohm.read_at."""
+    return read_at(psi, op.apply(psi.amplitudes), x) \
+        / read_at(psi, psi.amplitudes, x)
 
 
 def local_energy(psi: WaveFunction, potential: PotentialModel, x,
                  mass: float = 1.0, hbar: float = 1.0):
     """Re[(H psi)(x)/psi(x)] = Q + m v^2/2 + V at non-node points."""
     h = build_hamiltonian(psi.grid, potential, psi.time, mass, hbar)
-    val = _ratio_at(psi, h.apply(psi.amplitudes), x)
-    return np.real(val) if np.ndim(x) else float(np.real(val))
+    return np.real(aav_weak_value(h, psi, x))
 
 
-def weak_average_quadrature(op: SpectralOperator, psi: WaveFunction) -> float:
-    """Exact-quadrature ensemble average: integral of |psi|^2 Re[wv] dx.
-
-    Since |psi|^2 * Re[(S psi)/psi] = Re[conj(psi) (S psi)], the integrand
-    is finite at nodes and the quadrature reduces to Re<psi|S|psi>.
-    """
-    integrand = np.real(np.conj(psi.amplitudes) * op.apply(psi.amplitudes))
-    return float(np.sum(integrand) * psi.grid.dx)
+def weak_average(psi: WaveFunction, wv: np.ndarray) -> float:
+    """Equilibrium average of a grid weak value: sum |psi|^2 Re[wv] dx over
+    the points where wv is finite (grid_weak_value leaves NaN at nodes)."""
+    ok = np.isfinite(wv)
+    return float(np.sum(psi.density()[ok] * np.real(wv[ok])) * psi.grid.dx)
 
 
 def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
@@ -69,10 +55,10 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
     window_weights of `region`.  The forward frames are the evolution's own
     up to times[0] + horizon, and the time quadrature is trapezoid at their
     spacing.  cfg must be the propagator the evolution was built with: the
-    backward sweep runs its stepper with -dt, the exact inverse of the
-    forward step for both methods (Strang splitting: S(-dt) = S(dt)^-1), so
-    D is Hermitian and <psi0|D|psi0> equals the density quadrature on the
-    same frames.
+    backward sweep runs its method with -evolution.dt, the step evolve_store
+    took, the exact inverse of the forward step for both methods (Strang
+    splitting: S(-dt) = S(dt)^-1), so D is Hermitian and <psi0|D|psi0>
+    equals the density quadrature on the same frames.
     """
     potential, grid = evolution.potential, evolution.grid
     if potential.time_dependent:
@@ -82,11 +68,10 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
     i_t = evolution.index_of(evolution.times[0] + horizon)
     if i_t == 0:
         raise ConfigurationError(f"dwell operator needs horizon > 0, got {horizon}")
-    frames, spo = evolution.frames, cfg.steps_per_output
-    dt = horizon / (i_t * spo)  # bit-equal to evolve_store's step
+    frames, spo, dt = evolution.frames, cfg.steps_per_output, evolution.dt
     dt_out = dt * spo
-    back = _make_stepper(grid, potential, -dt, cfg.method, evolution.mass,
-                         evolution.hbar)
+    back = make_stepper(grid, potential, -dt, cfg.method, evolution.mass,
+                        evolution.hbar)
 
     check_horizon(np.abs(frames[i_t]) ** 2 @ w * grid.dx, region, horizon)
 

@@ -11,6 +11,10 @@ named as an attribute, `.name`, outside its own definition in the same
 places.  The match is by name, not by type, so a member that shares its
 name with a used attribute of another object passes.  Keywords and
 dataclass fields are out of scope.
+
+Across modules, no src module or demo imports an `_`-private name from a
+bohmlab module other than itself: a private helper another module needs
+is public API and carries a public name.
 """
 
 import ast
@@ -57,9 +61,30 @@ def _unreferenced():
     return dead
 
 
+def _private_imports():
+    """`file: from X import _name` for each private name that a src module
+    or demo imports from a bohmlab module (dunders such as __version__
+    are public)."""
+    found = []
+    for path in [*(ROOT / "src" / "bohmlab").glob("*.py"), *DEMOS]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.level or node.module.split(".")[0] == "bohmlab")):
+                continue
+            found += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                      f"import {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")
+                      and not alias.name.endswith("__")]
+    return found
+
+
 def test_modules_found():
     assert MODULES and DEMOS  # an empty glob would pass vacuously
 
 
 def test_every_public_name_is_used():
     assert _unreferenced() == []
+
+
+def test_no_private_name_crosses_modules():
+    assert _private_imports() == []

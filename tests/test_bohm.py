@@ -8,21 +8,30 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
-                     bohm, evolve_store)
+                     bohm, evolve_store, momentum_operator)
 from bohmlab.bohm import (_clamp_nodes, _hermite_coefficients, _hermite_eval,
                           _periodic_spline, _spectral_derivative,
                           _spline_slopes, equivariance_l1,
                           grid_velocity, integrate_trajectories,
-                          quantum_potential, sample_initial_positions,
-                          velocity_field)
+                          quantum_potential, read_at, sample_initial_positions)
 from bohmlab.errors import ConfigurationError, NodeError
 from bohmlab.harness import parse_config, run
 from bohmlab.qgrid import Evolution, node_mask
+from bohmlab.weakval import aav_weak_value, local_energy
 
 
 @pytest.fixture
 def grid():
     return Grid1D(-25.0, 25.0, 512)
+
+
+def _local_readers():
+    """The four local values read at positions: velocity, Q, the momentum
+    weak value and the local energy."""
+    return [lambda psi, x: read_at(psi, grid_velocity(psi), x),
+            lambda psi, x: read_at(psi, quantum_potential(psi), x),
+            lambda psi, x: aav_weak_value(momentum_operator(psi.grid), psi, x),
+            lambda psi, x: local_energy(psi, PotentialModel("free"), x)]
 
 
 def spread(sigma0, t):
@@ -52,7 +61,8 @@ class TestVelocity:
         st = spread(sigma0, t)
         rate = t / (4 * sigma0 ** 4) / (1 + (t / (2 * sigma0 ** 2)) ** 2)
         xs = np.array([-2.0, -0.5, 0.7, 1.8])
-        assert np.allclose(velocity_field(psi, xs), xs * rate, atol=1e-5)
+        assert np.allclose(read_at(psi, grid_velocity(psi), xs), xs * rate,
+                           atol=1e-5)
         assert st == pytest.approx(spread(sigma0, t))  # sanity on the oracle
 
     def test_mass_scaling(self, grid):
@@ -64,14 +74,20 @@ class TestVelocity:
         a = WaveFunction.gaussian(grid, center=-3.0).amplitudes
         b = WaveFunction.gaussian(grid, center=3.0).amplitudes
         psi = WaveFunction(grid, a - b).normalize()
-        with pytest.raises(NodeError):
-            velocity_field(psi, 0.0)
+        for read in _local_readers():
+            with pytest.raises(NodeError):
+                read(psi, 0.0)
+            with pytest.raises(NodeError):  # one node among array positions
+                read(psi, np.array([-3.0, 0.0, 3.0]))
         assert np.all(np.isfinite(grid_velocity(psi)))
 
     def test_outside_domain(self, grid):
         psi = WaveFunction.gaussian(grid)
-        with pytest.raises(ConfigurationError):
-            velocity_field(psi, 100.0)
+        for read in _local_readers():
+            with pytest.raises(ConfigurationError, match="outside the grid"):
+                read(psi, 100.0)
+            with pytest.raises(ConfigurationError, match="outside the grid"):
+                read(psi, np.array([0.0, -100.0]))
 
     def test_decaying_tail_is_silent(self):
         # the tails underflow to exact zeros; the masked division must not warn
@@ -195,7 +211,7 @@ class TestQuantumPotential:
         # Q(0) = hbar^2/(4 m sigma^2) for psi ~ exp(-x^2/(4 sigma^2))
         sigma = 1.4
         psi = WaveFunction.gaussian(grid, width=sigma)
-        assert quantum_potential(psi, 0.0) == pytest.approx(
+        assert read_at(psi, quantum_potential(psi), 0.0) == pytest.approx(
             1 / (4 * sigma ** 2), abs=1e-9)
 
     def test_gaussian_profile(self, grid):
@@ -203,7 +219,8 @@ class TestQuantumPotential:
         psi = WaveFunction.gaussian(grid, width=sigma)
         xs = np.linspace(-3, 3, 11)
         expected = 1 / (4 * sigma ** 2) - xs ** 2 / (8 * sigma ** 4)
-        assert np.allclose(quantum_potential(psi, xs), expected, atol=1e-7)
+        assert np.allclose(read_at(psi, quantum_potential(psi), xs), expected,
+                           atol=1e-7)
 
     def test_plane_wave_zero(self, grid):
         k = grid.k[3]
@@ -271,7 +288,7 @@ class TestVelocityFieldBuild:
         grid = Grid1D(-20.0, 20.0, n)
         frames = _two_gaussian_frames(grid, nt, c1, c2, w1, w2, k, boost, node)
         ev = Evolution(grid, 0.1 * np.arange(nt), frames,
-                       PotentialModel("free"), mass=mass)
+                       PotentialModel("free"), 0.1, mass=mass)
         field = bohm.VelocityField(ev)
         masks = node_mask(frames)
         for j in range(nt):

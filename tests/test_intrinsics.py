@@ -10,7 +10,7 @@ from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
 from bohmlab.bohm import (TrajectoryEnsemble, integrate_trajectories,
                           sample_initial_positions)
 from bohmlab.errors import ConfigurationError, LagError, NodeError
-from bohmlab.intrinsics import (CurrentConfig, autocorrelation,
+from bohmlab.intrinsics import (autocorrelation,
                                 dwell_time_density, dwell_time_ensemble,
                                 ensemble_currents, per_trajectory_dwell_times,
                                 power_balance_residual, psd, work_distribution,
@@ -135,7 +135,7 @@ class TestCurrentAndPsd:
                           PropagatorConfig(0.01, steps_per_output=10), 0.5)
         starts = sample_initial_positions(psi, 50, seed=5)
         ens = integrate_trajectories(ev, starts)
-        cur = ensemble_currents(ev, ens, CurrentConfig(length=60.0, charge=1.0))
+        cur = ensemble_currents(ev, ens, 60.0, charge=1.0)
         assert cur.shape == ens.positions.shape
         assert np.allclose(cur, k0 / 60.0, rtol=0.05)
 
@@ -148,18 +148,29 @@ class TestCurrentAndPsd:
         vel = ev.velocity  # built lazily: outside the traced call
         raw = np.array([vel(ens.positions[j], float(t))
                         for j, t in enumerate(ev.times)])
-        cfg = CurrentConfig(length=7.3, charge=1.6)
+        length, charge = 7.3, 1.6
         tracemalloc.start()
         try:
-            cur = ensemble_currents(ev, ens, cfg)
+            cur = ensemble_currents(ev, ens, length, charge)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the record is written over the positions, so the call allocates
         # only per-frame temporaries
         assert np.shares_memory(cur, ens.positions)
-        assert np.array_equal(cur, cfg.charge / cfg.length * raw)
+        assert np.array_equal(cur, charge / length * raw)
         assert peak < 0.05 * cur.nbytes
+
+    @pytest.mark.parametrize("length", [0.0, -60.0])
+    def test_nonpositive_length_rejected(self, grid, length):
+        psi = WaveFunction.gaussian(grid, width=3.0, momentum=2.0)
+        ev = evolve_store(psi, PotentialModel("free"),
+                          PropagatorConfig(0.01, steps_per_output=10), 0.5)
+        ens = integrate_trajectories(ev, sample_initial_positions(psi, 20, seed=5))
+        before = ens.positions.copy()
+        with pytest.raises(ConfigurationError, match="device length"):
+            ensemble_currents(ev, ens, length)
+        assert np.array_equal(ens.positions, before)  # nothing consumed
 
     def test_autocorrelation_constant_signal(self):
         # biased estimator: C(m dt) = c^2 (nt - m)/nt for a constant record
@@ -275,7 +286,7 @@ class TestDensityRegionMass:
         empty frame 2 time units later, the trapezoid returns it exactly."""
         frames = np.stack([amplitudes, np.zeros_like(amplitudes)])
         ev = Evolution(self.GRID, np.array([0.0, 2.0]), frames,
-                       PotentialModel("free"))
+                       PotentialModel("free"), 2.0)
         return dwell_time_density(ev, region, 2.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

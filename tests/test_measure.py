@@ -509,11 +509,11 @@ class TestGridSystems:
         assert joint.second_outcome_probabilities().sum() == \
             pytest.approx(1.0, abs=1e-8)
 
-    def test_aggressive_truncation_rejected(self):
+    def test_aggressive_truncation_rejected(self, monkeypatch):
         grid = Grid1D(-20.0, 20.0, 128)
         psi = WaveFunction.gaussian(grid, width=2.0, momentum=1.0)
         u = evolution_operator(grid, PotentialModel("free"), 0.5)
+        monkeypatch.setattr(measure, "S_BASIS_TRUNCATION", 0.05)
         with pytest.raises(BasisCoverageError):
             TwoTimeSystem.from_wavefunction(
-                psi, momentum_operator(grid), position_operator(grid), u,
-                truncation=0.05)
+                psi, momentum_operator(grid), position_operator(grid), u)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
-                     build_hamiltonian, evolve_store, momentum_operator,
-                     position_operator)
-from bohmlab.bohm import velocity_field
+                     build_hamiltonian, evolve_store, expectation,
+                     momentum_operator, position_operator, qgrid, weakval)
+from bohmlab.bohm import grid_velocity, quantum_potential, read_at
 from bohmlab.errors import ConfigurationError, HorizonError, NodeError
+from bohmlab.qgrid import node_mask
 from bohmlab.weakval import (aav_weak_value, dwell_operator_field,
-                             dwell_operator_state, local_energy,
-                             weak_average_quadrature)
+                             dwell_operator_state, grid_weak_value,
+                             local_energy, weak_average)
 
 
 @pytest.fixture
@@ -33,7 +34,10 @@ class TestWeakValue:
         psi = WaveFunction.gaussian(grid, center=1.0)
         xop = position_operator(grid)
         for x in (-0.7, 0.4, 2.2):
-            assert aav_weak_value(xop, psi, x) == pytest.approx(x, abs=5e-6)
+            wv = aav_weak_value(xop, psi, x)
+            assert wv == pytest.approx(x, abs=5e-6)
+            # numpy's complex division, not Python's, for a scalar x too
+            assert isinstance(wv, np.complex128)
 
     def test_momentum_weak_value_matches_bohm_velocity(self, grid):
         # Re[p_w]/m is the guidance velocity, by construction of both
@@ -43,7 +47,7 @@ class TestWeakValue:
         p = momentum_operator(grid)
         xs = np.array([-0.5, 1.0, 2.5])
         assert np.allclose(np.real(aav_weak_value(p, psi, xs)),
-                           velocity_field(psi, xs), atol=1e-7)
+                           read_at(psi, grid_velocity(psi), xs), atol=1e-7)
 
     def test_node_postselection_rejected(self, grid):
         a = WaveFunction.gaussian(grid, center=-3.0).amplitudes
@@ -69,22 +73,41 @@ class TestLocalEnergy:
 
     def test_decomposition(self, grid):
         # local energy = Q + m v^2/2 + V pointwise
-        from bohmlab.bohm import quantum_potential
         pot = PotentialModel("harmonic", omega=0.5)
         psi = WaveFunction.gaussian(grid, center=2.0, momentum=1.0)
         xs = np.array([-1.0, 0.5, 2.0, 3.5])
         le = local_energy(psi, pot, xs)
-        q = quantum_potential(psi, xs)
-        v = velocity_field(psi, xs)
+        q = read_at(psi, quantum_potential(psi), xs)
+        v = read_at(psi, grid_velocity(psi), xs)
         assert np.allclose(le, q + 0.5 * v ** 2 + pot.values(xs), atol=2e-5)
 
 
 class TestEnsembleAverage:
     def test_quadrature_is_expectation(self, grid):
         k0 = 1.7
+        p = momentum_operator(grid)
         psi = WaveFunction.gaussian(grid, momentum=k0)
-        assert weak_average_quadrature(momentum_operator(grid), psi) == \
-            pytest.approx(k0, abs=1e-10)
+        wv = grid_weak_value(p.apply(psi.amplitudes), psi.amplitudes)
+        assert weak_average(psi, wv) == pytest.approx(k0, abs=1e-10)
+
+    @pytest.mark.parametrize("name", ["position", "momentum", "hamiltonian"])
+    def test_weak_average_is_expectation_across_a_node(self, grid, name):
+        # integral |psi|^2 Re[(S psi)/psi] dx = <S>, with the NaN weak value
+        # at the node left out of the sum
+        def packet(center, k):
+            return WaveFunction.gaussian(grid, center=center, momentum=k).amplitudes
+
+        amp = packet(-3.0, 1.0) - packet(3.0, 1.0) + 0.5 * packet(10.0, -1.0)
+        psi = WaveFunction(grid, amp).normalize()
+        assert node_mask(psi.amplitudes)[np.argmin(np.abs(grid.x))]  # x = 0
+        op = {"position": position_operator(grid),
+              "momentum": momentum_operator(grid),
+              "hamiltonian": build_hamiltonian(
+                  grid, PotentialModel("harmonic", omega=0.5))}[name]
+        wv = grid_weak_value(op.apply(psi.amplitudes), psi.amplitudes)
+        assert np.isnan(wv).any()
+        assert weak_average(psi, wv) == pytest.approx(expectation(op, psi),
+                                                      rel=1e-10, abs=1e-12)
 
 
 class TestDwellOperator:
@@ -164,6 +187,27 @@ class TestDwellOperator:
                              self.CFG, 3.0)
         assert np.array_equal(dwell_operator_state(ev, region, 3.0, self.CFG),
                               dwell_operator_state(short, region, 3.0, self.CFG))
+
+    def test_backward_sweep_takes_the_forward_step(self, grid, monkeypatch):
+        # a horizon shorter than the evolution: re-deriving the step as
+        # horizon / (frames * steps_per_output) gives 0.0024999999999999996,
+        # so the sweep would not invert the stored 0.0025 forward step
+        grid = Grid1D(-40.0, 40.0, 512)
+        cfg = PropagatorConfig(0.0025, steps_per_output=8)
+        steps = []
+
+        def spy(make):
+            def recording(*args):
+                steps.append(args[2])
+                return make(*args)
+            return recording
+
+        monkeypatch.setattr(qgrid, "make_stepper", spy(qgrid.make_stepper))
+        monkeypatch.setattr(weakval, "make_stepper", spy(weakval.make_stepper))
+        ev = evolve_store(self.make_packet(grid), PotentialModel("free"), cfg,
+                          5.0)
+        dwell_operator_state(ev, (-2.0, 2.0), 4.6, cfg)
+        assert steps == [0.0025, -0.0025] and ev.dt == 0.0025
 
     def test_time_dependent_potential_rejected(self, grid):
         cfg = replace(self.CFG, method="split-operator")
