@@ -628,7 +628,7 @@ def run(config: ScenarioConfig, out_dir: str | None = None,
     the same bits whatever the caller's BLAS thread setting.  Trajectories
     are integrated serially.  threads accepts only 1: it is kept for
     perfbench, which passes threads=1, and goes at the next benchmark
-    revision (ROADMAP item 1, step (a)).
+    revision (ROADMAP item 1).
     """
     if threads != 1:
         raise ConfigurationError(f"threads must be 1, got {threads!r}")

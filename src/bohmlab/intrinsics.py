@@ -15,6 +15,13 @@ from .bohm import TrajectoryEnsemble, nodes_at, quantum_potential, read_at
 from .weakval import local_energy
 
 
+# Cells per temporary in this module's blocked reductions.  A temporary that
+# grew with the record would, once freed, raise glibc's mmap threshold and
+# the task's peak RSS with it.
+_BLOCK_CELLS = 8192
+_GRAM_FRAMES = 32  # frames per Gram-matrix block in autocorrelation
+
+
 # ---------------------------------------------------------------------------
 # Quantum work
 # ---------------------------------------------------------------------------
@@ -128,9 +135,6 @@ def ensemble_currents(evolution: Evolution, ensemble: TrajectoryEnsemble,
     return out
 
 
-_ACF_CHUNK = 512  # records per FFT batch in autocorrelation
-
-
 @dataclass(frozen=True)
 class PSDResult:
     omega: np.ndarray
@@ -142,10 +146,11 @@ class PSDResult:
 def autocorrelation(currents: np.ndarray, dt: float, tau_max: float) -> tuple:
     """Ensemble- and time-averaged biased autocorrelation on lags |tau| <= tau_max.
 
-    Wiener-Khinchin: each record is zero-padded to at least 2 nt - 1 samples,
-    so the inverse transform of the summed power spectra is the linear (not
-    circular) lag sum.  Records are transformed in column chunks to bound the
-    complex temporaries.
+    C(m dt) = sum_i I[i] . I[i + m] / (nt N) for the (nt, N) record I, read
+    off a band of its Gram matrix: block g = I[a:a+B] @ I[a:a+B+m_max].T
+    holds on row r, from column r on, the products of frame a + r with the
+    m_max frames after it.  With B = _GRAM_FRAMES the one temporary is g,
+    about B (B + m_max) cells whatever nt or N.
     """
     currents = np.atleast_2d(np.asarray(currents, dtype=float).T).T  # (nt, N)
     nt, n_traj = currents.shape
@@ -153,16 +158,20 @@ def autocorrelation(currents: np.ndarray, dt: float, tau_max: float) -> tuple:
     if m_max > nt - 1:
         raise LagError(
             f"lag horizon {tau_max} exceeds record length {(nt - 1) * dt}")
-    n_fft = 1 << (2 * nt - 2).bit_length()
-    power = np.zeros(n_fft // 2 + 1)
-    for start in range(0, n_traj, _ACF_CHUNK):
-        spec = np.fft.rfft(currents[:, start:start + _ACF_CHUNK], n=n_fft, axis=0)
-        power += np.sum(spec.real ** 2 + spec.imag ** 2, axis=1)
+    width = _GRAM_FRAMES + m_max
+    cells = np.zeros(_GRAM_FRAMES * (width + 1))
+    gram = cells[:-_GRAM_FRAMES].reshape(_GRAM_FRAMES, width)
+    # the same cells in rows one longer: band[r, k] is gram[r, r + k]
+    band = cells.reshape(_GRAM_FRAMES, width + 1)[:, :m_max + 1]
+    c = np.zeros(m_max + 1)
+    for a in range(0, nt, _GRAM_FRAMES):
+        rows, cols = currents[a:a + _GRAM_FRAMES], currents[a:a + width]
+        gram[:, len(cols):] = 0.0  # lags past the record's end
+        np.matmul(rows, cols.T, out=gram[:len(rows), :len(cols)])
+        c += band.sum(axis=0)
     # biased estimator: divide by the full record length regardless of overlap
-    c = np.fft.irfft(power, n_fft)[:m_max + 1] / (nt * n_traj)
-    lags = dt * np.arange(-m_max, m_max + 1)
-    c_full = np.concatenate([c[:0:-1], c])
-    return lags, c_full
+    c /= nt * n_traj
+    return dt * np.arange(-m_max, m_max + 1), np.concatenate([c[:0:-1], c])
 
 
 def psd(currents: np.ndarray, dt: float, tau_max: float,
@@ -170,8 +179,8 @@ def psd(currents: np.ndarray, dt: float, tau_max: float,
     """Wiener-Khinchin PSD: cosine transform of the symmetric autocorrelation.
 
     Trapezoid weights in the lag quadrature make PSD(0) equal the lag
-    integral of C(tau) exactly; evenness in omega is automatic for the
-    cosine transform of a real, even correlation.
+    integral of C(tau); omega >= 0 is evaluated in blocks of _BLOCK_CELLS
+    cosines and mirrored, so the PSD is even by construction.
     """
     lags, c = autocorrelation(currents, dt, tau_max)
     if window == "hann":
@@ -179,34 +188,29 @@ def psd(currents: np.ndarray, dt: float, tau_max: float,
     elif window is not None:
         raise ConfigurationError(f"unknown window {window!r}")
     m_max = (len(lags) - 1) // 2
-    weights = np.full_like(c, dt)
-    weights[0] = weights[-1] = 0.5 * dt
+    weights = dt * c  # trapezoid weights times C
+    weights[[0, -1]] *= 0.5
     omega = np.pi / tau_max * np.arange(-m_max, m_max + 1) if m_max else np.zeros(1)
-    values = np.cos(np.outer(omega, lags)) @ (weights * c)
-    return PSDResult(omega, values, lags, c)
+    step = max(1, _BLOCK_CELLS // len(lags))
+    half = np.concatenate([np.cos(np.outer(omega[s:s + step], lags)) @ weights
+                           for s in range(m_max, len(omega), step)])
+    return PSDResult(omega, np.concatenate([half[:0:-1], half]), lags, c)
 
 
 # ---------------------------------------------------------------------------
 # Dwell times
 # ---------------------------------------------------------------------------
 
-_DWELL_CHUNK = 512  # trajectories per vectorised dwell-time batch
-# Frame cells per block of the region-mass sum.  A whole (frames, n)
-# temporary, freed just before the dwell task integrates its trajectories,
-# would raise glibc's mmap threshold and the task's peak RSS with it.
-_MASS_BLOCK_CELLS = 8192
-
-
 def per_trajectory_dwell_times(ensemble: TrajectoryEnsemble,
                                region: tuple[float, float]) -> np.ndarray:
     """Time each trajectory of the ensemble spends inside [a, b], shape (N,).
 
-    Linear sub-step crossing refinement.  Per batch of trajectories the
-    per-step contributions form an (N, nt - 1) C-contiguous array summed
-    along its last axis, so each trajectory gets the same pairwise sum as
-    a single column would.  A trajectory still inside at the final time
-    counts its time up to then; whether the horizon is long enough is
-    judged on |psi|^2 by dwell_time_density.
+    Linear sub-step crossing refinement.  Per batch of about _BLOCK_CELLS
+    record cells the per-step contributions form a (batch, nt - 1)
+    C-contiguous array summed along its last axis, so each trajectory gets
+    the same pairwise sum whatever the batch size.  A trajectory still
+    inside at the final time counts its time up to then; whether the
+    horizon is long enough is judged on |psi|^2 by dwell_time_density.
     """
     a, b = region
     if not b > a:
@@ -214,8 +218,9 @@ def per_trajectory_dwell_times(ensemble: TrajectoryEnsemble,
     positions = ensemble.positions
     dt = np.diff(ensemble.times)
     taus = np.empty(positions.shape[1])
-    for start in range(0, len(taus), _DWELL_CHUNK):
-        pos = np.ascontiguousarray(positions[:, start:start + _DWELL_CHUNK].T)
+    batch = max(1, _BLOCK_CELLS // len(ensemble.times))
+    for start in range(0, len(taus), batch):
+        pos = np.ascontiguousarray(positions[:, start:start + batch].T)
         x0, x1 = pos[:, :-1], pos[:, 1:]
         lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
         span = hi - lo
@@ -225,7 +230,7 @@ def per_trajectory_dwell_times(ensemble: TrajectoryEnsemble,
         frac = ((x0 >= a) & (x0 <= b)).astype(float)
         np.divide(overlap, span, out=frac, where=span > 0)
         frac *= dt
-        taus[start:start + _DWELL_CHUNK] = frac.sum(axis=-1)
+        taus[start:start + batch] = frac.sum(axis=-1)
     return taus
 
 
@@ -243,7 +248,7 @@ def dwell_time_density(evolution: Evolution, region: tuple[float, float],
     i_t = evolution.index_of(evolution.times[0] + horizon)
     w = window_weights(evolution.grid, *region)
     frames = evolution.frames[:i_t + 1]
-    step = max(1, _MASS_BLOCK_CELLS // evolution.grid.n)
+    step = max(1, _BLOCK_CELLS // evolution.grid.n)
     mass = evolution.grid.dx * np.concatenate(
         [np.abs(frames[s:s + step]) ** 2 @ w for s in range(0, len(frames), step)])
     check_horizon(mass[-1], region, horizon)

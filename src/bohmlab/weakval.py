@@ -54,11 +54,11 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
     psi0 is the evolution's first frame and A multiplies by the
     window_weights of `region`.  The forward frames are the evolution's own
     up to times[0] + horizon, and the time quadrature is trapezoid at their
-    spacing.  cfg must be the propagator the evolution was built with: the
-    backward sweep runs its method with -evolution.dt, the step evolve_store
-    took, the exact inverse of the forward step for both methods (Strang
-    splitting: S(-dt) = S(dt)^-1), so D is Hermitian and <psi0|D|psi0>
-    equals the density quadrature on the same frames.
+    spacing.  The backward sweep runs cfg.method, the evolution's method,
+    round(frame_dt / dt) times a frame with -evolution.dt, the step
+    evolve_store took: the exact inverse of the forward step for both
+    methods (Strang splitting: S(-dt) = S(dt)^-1), so D is Hermitian and
+    <psi0|D|psi0> equals the density quadrature on the same frames.
     """
     potential, grid = evolution.potential, evolution.grid
     if potential.time_dependent:
@@ -68,8 +68,8 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
     i_t = evolution.index_of(evolution.times[0] + horizon)
     if i_t == 0:
         raise ConfigurationError(f"dwell operator needs horizon > 0, got {horizon}")
-    frames, spo, dt = evolution.frames, cfg.steps_per_output, evolution.dt
-    dt_out = dt * spo
+    spo = round(evolution.frame_dt / evolution.dt)
+    frames, dt, dt_out = evolution.frames, evolution.dt, evolution.dt * spo
     back = make_stepper(grid, potential, -dt, cfg.method, evolution.mass,
                         evolution.hbar)
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
-                     build_hamiltonian, evolve_store, expectation)
+                     build_hamiltonian, evolve_store, expectation, intrinsics)
 from bohmlab.bohm import (TrajectoryEnsemble, integrate_trajectories,
                           sample_initial_positions)
 from bohmlab.errors import ConfigurationError, LagError, NodeError
@@ -119,11 +119,15 @@ class TestPowerBalance:
 
 
 def _direct_autocorrelation(currents, m_max):
-    """Biased lag sum, one lag at a time (reference for the FFT estimator)."""
+    """Biased lag sum, one lag at a time (reference for the banded Gram
+    estimator)."""
     nt = currents.shape[0]
     c = np.array([np.mean(np.sum(currents[:nt - m] * currents[m:], axis=0) / nt)
                   for m in range(m_max + 1)])
     return np.concatenate([c[:0:-1], c])
+
+
+_B = intrinsics._GRAM_FRAMES  # frames per Gram block of autocorrelation
 
 
 class TestCurrentAndPsd:
@@ -192,6 +196,51 @@ class TestCurrentAndPsd:
         assert np.allclose(lags, dt * np.arange(-(nt - 1), nt))
         assert np.max(np.abs(c - want)) < 1e-13 * zero_lag
 
+    @pytest.mark.parametrize("nt, m_max", [
+        (nt, m) for nt in (_B - 1, _B, _B + 1, 2 * _B + 1)
+        for m in sorted({0, 1, _B, nt - 1}) if m <= nt - 1])
+    def test_banded_sum_across_block_boundaries(self, nt, m_max):
+        rng = np.random.default_rng(nt + m_max)
+        currents = rng.normal(loc=0.2, size=(nt, 5))
+        want = _direct_autocorrelation(currents, m_max)
+        for record in (currents, np.asfortranarray(currents)):
+            lags, c = autocorrelation(record, 0.5, tau_max=0.5 * m_max)
+            assert len(lags) == 2 * m_max + 1
+            assert np.max(np.abs(c - want)) < 1e-13 * want[m_max]
+
+    def test_one_dimensional_record(self):
+        rng = np.random.default_rng(2)
+        record = rng.normal(size=2 * _B + 1)
+        _, c = autocorrelation(record, 0.1, tau_max=4.0)
+        want = _direct_autocorrelation(record[:, None], 40)
+        assert np.max(np.abs(c - want)) < 1e-13 * want[40]
+
+    @pytest.mark.parametrize("nt", [1001, 4001])
+    def test_autocorrelation_memory_independent_of_record_length(self, nt):
+        # the only temporary is one Gram block of B (B + m_max) cells; the
+        # 4001-frame record alone is 8 MB
+        currents = np.random.default_rng(4).normal(size=(nt, 256))
+        tracemalloc.start()
+        try:
+            autocorrelation(currents, 0.01, tau_max=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_psd_memory_bounded_at_long_lags(self):
+        # m_max = 1000: a whole cosine matrix would be 2001^2 cells, 32 MB
+        currents = np.random.default_rng(6).normal(size=(1201, 8))
+        tracemalloc.start()
+        try:
+            res = psd(currents, 0.01, tau_max=10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.lags) == 2001
+        assert peak < 2e6
+        assert np.array_equal(res.values, res.values[::-1])
+
     def test_lag_horizon_too_long(self):
         with pytest.raises(LagError):
             autocorrelation(np.ones((10, 2)), 0.1, tau_max=5.0)
@@ -249,6 +298,25 @@ class TestDwellTime:
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ConfigurationError):
             single_dwell_time(np.full(5, 3.0), (1.0, -1.0), t)
+
+    def test_batches_bounded_and_bit_identical_to_single_trajectories(self):
+        # a 16 MB record: each batch holds about 8192 of its cells
+        nt, n_traj = 1001, 2000
+        rng = np.random.default_rng(12)
+        times = np.linspace(0.0, 5.0, nt)
+        positions = np.cumsum(rng.normal(scale=0.1, size=(nt, n_traj)), axis=0)
+        ens = TrajectoryEnsemble(times, positions, np.zeros(n_traj, dtype=bool))
+        tracemalloc.start()
+        try:
+            taus = per_trajectory_dwell_times(ens, (-1.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < positions.nbytes / 16
+        single = [single_dwell_time(positions[:, i], (-1.0, 1.0), times)
+                  for i in range(n_traj)]
+        assert np.array_equal(taus, single)
+        assert 0.0 < taus.mean() < 5.0
 
     def test_trajectory_mean_matches_density_formula(self, grid):
         psi = WaveFunction.gaussian(grid, center=-8.0, width=1.0, momentum=5.0)

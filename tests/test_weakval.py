@@ -209,6 +209,21 @@ class TestDwellOperator:
         dwell_operator_state(ev, (-2.0, 2.0), 4.6, cfg)
         assert steps == [0.0025, -0.0025] and ev.dt == 0.0025
 
+    def test_steps_per_frame_come_from_the_evolution(self, grid):
+        # a cfg whose steps_per_output disagrees with the evolution's must
+        # not change the sweep: it takes round(frame_dt / dt) steps a frame
+        grid = Grid1D(-40.0, 40.0, 512)
+        cfg = PropagatorConfig(0.0025, steps_per_output=8)
+        psi0 = self.make_packet(grid)
+        ev = evolve_store(psi0, PotentialModel("free"), cfg, 5.0)
+        d_psi = dwell_operator_state(ev, (-2.0, 2.0), 5.0,
+                                     replace(cfg, steps_per_output=4))
+        quad = float(np.real(np.vdot(psi0.amplitudes, d_psi)) * grid.dx)
+        from bohmlab.intrinsics import dwell_time_density
+        assert quad == pytest.approx(
+            dwell_time_density(ev, (-2.0, 2.0), 5.0), rel=1e-6)
+        assert quad == pytest.approx(0.80825, abs=1e-5)
+
     def test_time_dependent_potential_rejected(self, grid):
         cfg = replace(self.CFG, method="split-operator")
         ev = self.evolve(self.make_packet(grid), cfg,
