@@ -18,10 +18,11 @@ import hashlib
 import json
 import os
 import shutil
+import struct
+import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -342,6 +343,68 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+# The experiment log writer, run as `python -I -S -c _LOG_WRITER PATH`.  It
+# reads the y_g values as one JSON line, then blocks of a 16-byte header
+# (first index, row count) and the rows' y_k, 2 * outcome + hit and weight as
+# native float64, int64 and float64, and writes each experiment as the text
+# json.dumps gives its record.  Floats print as repr, and between y_k and
+# weight only the (outcome, hit) pair varies, so middles[2 * outcome + hit]
+# is that text.
+_LOG_WRITER = """
+import array, itertools, json, struct, sys
+src = sys.stdin.buffer
+middles = [', "y_g": %r, "post_selected": %s, "weight": ' % (y_g, flag)
+           for y_g in json.loads(src.readline()) for flag in ("false", "true")]
+with open(sys.argv[1], "w") as out:
+    while header := src.read(16):
+        first, m = struct.unpack("qq", header)
+        y_k, codes, weights = (array.array(t) for t in "dqd")
+        for column in (y_k, codes, weights):
+            column.frombytes(src.read(8 * m))
+        out.write(('{"i": %d, "y_k": %r%s%r}\\n' * m) % tuple(
+            itertools.chain.from_iterable(zip(
+                range(first, first + m), y_k, [middles[k] for k in codes],
+                weights))))
+"""
+
+
+@contextlib.contextmanager
+def _experiment_log(path, y_g):
+    """Start a child process running _LOG_WRITER on PATH and yield the
+    log_callback of operational_weak_value that feeds it.
+
+    The callback only sends each block's raw bytes down a pipe, so the text
+    is made on another core while the chain runs; the pipe's back-pressure
+    bounds what is in flight.  The child imports only the stdlib and skips
+    site (-I -S) to start fast.  A writer that exits non-zero, or a broken
+    pipe, raises OSError; any exception kills and reaps the writer first.
+    """
+    import subprocess
+    writer = subprocess.Popen([sys.executable, "-I", "-S", "-c", _LOG_WRITER,
+                               path], stdin=subprocess.PIPE)
+    pipe = writer.stdin
+    try:
+        pipe.write(json.dumps(y_g.tolist()).encode() + b"\n")
+
+        def log(first, y_k, outcome, hit, weights):
+            pipe.write(b"".join((
+                struct.pack("qq", first, len(y_k)), y_k.tobytes(),
+                (2 * outcome + hit).astype(np.int64, copy=False).tobytes(),
+                weights.tobytes())))
+
+        yield log
+        pipe.close()
+    except BaseException:
+        writer.kill()
+        writer.wait()
+        with contextlib.suppress(OSError):  # bytes the writer never read
+            pipe.close()
+        raise
+    if writer.wait() != 0:
+        raise OSError(f"the experiment log writer exited with code "
+                      f"{writer.returncode}")
+
+
 # ---------------------------------------------------------------------------
 # Task pipelines: each returns (output file names, summary dict)
 # ---------------------------------------------------------------------------
@@ -507,40 +570,31 @@ def _task_measure(config, tmp):
     else:
         g_index = int(task["g_index"])
 
-    header = ["y_k"] + [f"g={g:.10g}" for g in joint.g_values]
-    _write_csv(os.path.join(tmp, "joint_distribution.csv"), header,
-               np.column_stack([joint.yk_grid, joint.density.T]))
+    monte_carlo = task["mode"] == "monte_carlo"
+    # The log writer starts first, so its start overlaps the work below.
+    with (_experiment_log(os.path.join(tmp, "experiments.jsonl"),
+                          joint.yw_values)
+          if monte_carlo else contextlib.nullcontext()) as log:
+        header = ["y_k"] + [f"g={g:.10g}" for g in joint.g_values]
+        _write_csv(os.path.join(tmp, "joint_distribution.csv"), header,
+                   np.column_stack([joint.yk_grid, joint.density.T]))
 
-    exact = operational_weak_value(system, ancilla, g_index, mode="exact")
-    summary = {"g_index": g_index,
-               "g_value": float(joint.g_values[g_index]),
-               "exact_value": exact.value,
-               "post_selection_probability": exact.post_selection_probability,
-               "retained_weight": system.retained_weight}
-    files = ["joint_distribution.csv", "measure_summary.json"]
-    if task["mode"] == "monte_carlo":
-        log_path = os.path.join(tmp, "experiments.jsonl")
-        # The text json.dumps gives each record: floats print as repr, and
-        # between y_k and weight only the (outcome, hit) pair varies, so
-        # middles[2 * outcome + hit] is that text.
-        middles = [f', "y_g": {y_g!r}, "post_selected": {flag}, "weight": '
-                   for y_g in (ancilla.coupling * joint.g_values).tolist()
-                   for flag in ("false", "true")]
-        with open(log_path, "w") as fh:
-            def log(done, y_k, outcome, hit, weights):
-                m = len(y_k)
-                mids = [middles[k] for k in (2 * outcome + hit).tolist()]
-                fh.write(('{"i": %d, "y_k": %r%s%r}\n' * m) % tuple(
-                    chain.from_iterable(zip(range(done, done + m), y_k.tolist(),
-                                            mids, weights.tolist()))))
-
+        exact = operational_weak_value(system, ancilla, g_index, mode="exact")
+        summary = {"g_index": g_index,
+                   "g_value": float(joint.g_values[g_index]),
+                   "exact_value": exact.value,
+                   "post_selection_probability": exact.post_selection_probability,
+                   "retained_weight": system.retained_weight}
+        files = ["joint_distribution.csv", "measure_summary.json"]
+        if monte_carlo:
             mc = operational_weak_value(
                 system, ancilla, g_index, mode="monte_carlo",
                 n_experiments=int(task["n_experiments"]),
                 seed=config.subsystem_seeds()["monte_carlo"], log_callback=log)
-        summary.update(monte_carlo_value=mc.value, monte_carlo_stderr=mc.stderr,
-                       n_selected=mc.n_selected)
-        files.append("experiments.jsonl")
+            summary.update(monte_carlo_value=mc.value,
+                           monte_carlo_stderr=mc.stderr,
+                           n_selected=mc.n_selected)
+            files.append("experiments.jsonl")
     _write_json(os.path.join(tmp, "measure_summary.json"), summary)
     return files, summary
 

@@ -351,7 +351,9 @@ def operational_weak_value(system: TwoTimeSystem, ancilla: AncillaModel,
     built once per call (see _g_probabilities), and the weight, the norm of
     the collapsed state profile * c, from sqrt(profile^2 @ |c|^2).
     log_callback(first_index, y_k, outcome, hit, weight) is called for each
-    block right after its products.
+    block right after its products, in experiment order; the harness's
+    callback only sends the block's raw bytes down a pipe to the process
+    that writes experiments.jsonl, so the text is made on another core.
     """
     if mode == "exact":
         joint = two_time_joint(system, ancilla)

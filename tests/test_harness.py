@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bohmlab import harness
+from bohmlab import harness, measure
 from bohmlab.cli import build_parser, main
-from bohmlab.errors import ConfigurationError, HorizonError
+from bohmlab.errors import (ConfigurationError, HorizonError,
+                            InsufficientStatisticsError)
 from bohmlab.harness import DEFAULTS, parse_config, resolve_out_dir, run
 from bohmlab.qgrid import SpectralOperator, build_hamiltonian
 
@@ -459,6 +460,37 @@ class TestCli:
         assert (tmp_path / "out" / "norms.csv").exists()
 
 
+MC_SMALL = {
+    "grid": {"n": 64, "x_min": -20.0, "x_max": 20.0},
+    "state": {"kind": "gaussian", "width": 2.0, "momentum": 1.0},
+    "ensemble": {"seed": 4},
+    "task": {"name": "measure", "coupling": 0.05, "mode": "monte_carlo",
+             "n_experiments": 9000},
+}
+
+
+@pytest.fixture
+def log_writers(monkeypatch):
+    """Every process started through subprocess.Popen during the test.
+
+    A test asserts returncode, which only a wait sets, so a writer that run
+    did not reap stays None even if it has exited; teardown reaps any such.
+    """
+    started = []
+    popen = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording)
+    yield started
+    for proc in started:
+        if proc.returncode is None:
+            proc.kill()
+            proc.wait()
+
+
 class TestMeasureTask:
     def test_jsonl_log_and_summary(self, tmp_path):
         cfg = parse_config(json.dumps({
@@ -479,30 +511,54 @@ class TestMeasureTask:
         header = (tmp_path / "joint_distribution.csv").read_text().splitlines()[0]
         assert header.startswith("y_k,g=")
 
-    def test_jsonl_lines_are_json_dumps_text(self, tmp_path):
+    def test_jsonl_lines_are_json_dumps_text(self, tmp_path, monkeypatch):
         # more experiments than one Monte Carlo block, so the log is written
-        # by several callbacks
-        cfg = parse_config(json.dumps({
-            "grid": {"n": 64, "x_min": -20.0, "x_max": 20.0},
-            "state": {"kind": "gaussian", "width": 2.0, "momentum": 1.0},
-            "ensemble": {"seed": 4},
-            "task": {"name": "measure", "coupling": 0.05,
-                     "mode": "monte_carlo", "n_experiments": 9000}}))
-        run(cfg, out_dir=str(tmp_path))
-        with open(tmp_path / "experiments.jsonl") as fh:
-            lines = fh.readlines()
-        assert len(lines) == 9000
-        for i, line in enumerate(lines):
-            rec = json.loads(line)
-            assert list(rec) == ["i", "y_k", "y_g", "post_selected", "weight"]
-            assert rec["i"] == i
-            assert json.dumps(rec) + "\n" == line
+        # from several callbacks; with chunks of 2,500 experiments it also
+        # crosses chunk boundaries
+        cfg = parse_config(json.dumps(MC_SMALL))
+        for chunk in (measure.MC_CHUNK, 2500):
+            monkeypatch.setattr(measure, "MC_CHUNK", chunk)
+            out = tmp_path / f"chunk-{chunk}"
+            run(cfg, out_dir=str(out))
+            with open(out / "experiments.jsonl") as fh:
+                lines = fh.readlines()
+            assert len(lines) == 9000
+            for i, line in enumerate(lines):
+                rec = json.loads(line)
+                assert list(rec) == ["i", "y_k", "y_g", "post_selected",
+                                     "weight"]
+                assert rec["i"] == i
+                assert json.dumps(rec) + "\n" == line
+
+    def test_failed_chain_reaps_log_writer(self, tmp_path, log_writers):
+        # the edge cell holds no density, so the chain logs its one block
+        # and then finds too few post-selected experiments
+        cfg = parse_config(json.dumps({**MC_SMALL, "task": {
+            **MC_SMALL["task"], "g_index": 0, "n_experiments": 300}}))
+        with pytest.raises(InsufficientStatisticsError):
+            run(cfg, out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+        assert len(log_writers) == 1
+        assert log_writers[0].returncode is not None
+
+    def test_failed_log_writer_raises_oserror(self, tmp_path, monkeypatch,
+                                              log_writers):
+        # 9,000 experiments are more bytes than a pipe holds, so the chain
+        # writes to a pipe the exited writer no longer reads
+        monkeypatch.setattr(harness, "_LOG_WRITER", "import sys; sys.exit(5)")
+        with pytest.raises(OSError):
+            run(parse_config(json.dumps(MC_SMALL)), out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+        assert len(log_writers) == 1
+        assert log_writers[0].returncode is not None
 
 
 COLD_START = """
 import json, sys
 import bohmlab.cli, bohmlab.validation
 from bohmlab.harness import parse_config, run
+# only a Monte Carlo run starts the log writer, so only it imports subprocess
+subprocess_at_import = "subprocess" in sys.modules
 cfg = parse_config(json.dumps({
     "grid": {"n": 64, "x_min": -20.0, "x_max": 20.0},
     "state": {"kind": "gaussian", "width": 2.0, "momentum": 1.0},
@@ -510,9 +566,9 @@ cfg = parse_config(json.dumps({
     "task": {"name": "measure", "coupling": 0.05, "mode": "monte_carlo",
              "n_experiments": 500}}))
 run(cfg, out_dir=sys.argv[1])
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "scipy"
-                        or m.startswith("concurrent.futures"))))
+print(json.dumps([subprocess_at_import,
+                  sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                         or m.startswith("concurrent.futures"))]))
 """
 
 
@@ -524,7 +580,7 @@ def test_cli_cold_start_imports_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
                           env=env, capture_output=True, text=True, check=True)
     assert (tmp_path / "experiments.jsonl").exists()
-    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, []]
 
 
 @pytest.mark.parametrize("workload", ["dwell-desk", "psd-large", "measure-mc"])

@@ -18,8 +18,9 @@ from bohmlab.measure import (MC_BLOCK_ROWS, AncillaModel, TwoTimeSystem,
                              operational_weak_value,
                              perturbation_decomposition, two_time_joint,
                              two_time_correlation)
-from bohmlab.qgrid import evolution_operator
+from bohmlab.qgrid import build_hamiltonian, evolution_operator
 from bohmlab.validation import _discrete_system
+from bohmlab.weakval import local_energy
 
 
 def random_system(seed=0, dim=3):
@@ -493,6 +494,66 @@ class TestOperationalEstimator:
         anc = AncillaModel.gaussian(0.5, 2.0, np.abs(system.s_values).max())
         with pytest.raises(ConfigurationError):
             operational_weak_value(system, anc, 0, mode="bayesian")
+
+
+POTENTIALS = {
+    "free": PotentialModel("free"),
+    "harmonic": PotentialModel("harmonic", omega=0.3),
+    "barrier": PotentialModel("barrier", height=1.0, left=1.0, right=6.0),
+}
+
+
+class TestChainReachesWeakValues:
+    """The post-selected chain reads the two-time weak value of x, p and H
+    at a position outcome, the paper's local values through the apparatus.
+
+    With A_i = C[g, i] c_i, the exact estimator is sum A_i* A_j
+    (s_i + s_j)/2 f_ij / sum A_i* A_j f_ij with the Gaussian overlaps
+    f_ij = exp(-l^2 (s_i - s_j)^2 / (4 sigma^2)), and at f = 1 it is the
+    weak value Re(sum A s / sum A).  Since 0 <= 1 - f_ij <= q / 4 with
+    q = (l s_spread / sigma)^2, the two differ by at most
+    q R (max|s| + |weak value|) while q R <= 1, where
+    R = (sum |A_i|)^2 / |sum A_i|^2 >= 1 measures the interference at g.
+    The ancilla width is set so that q R = 1e-4; the S basis truncation
+    (1e-12 of the weight) moves the value by far less than that bound.
+    """
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(s_name=st.sampled_from(["position", "momentum", "hamiltonian"]),
+           kind=st.sampled_from(sorted(POTENTIALS)),
+           n=st.integers(64, 256), center=st.floats(-4.0, 4.0),
+           width=st.floats(1.5, 3.0), momentum=st.floats(-1.5, 1.5),
+           duration=st.floats(0.5, 2.0))
+    def test_exact_chain_reaches_two_time_weak_value(
+            self, s_name, kind, n, center, width, momentum, duration):
+        grid = Grid1D(-30.0, 30.0, n)
+        pot = POTENTIALS[kind]
+        psi = WaveFunction.gaussian(grid, center, width, momentum)
+        u = evolution_operator(grid, pot, duration)
+        s_op = {"position": position_operator(grid),
+                "momentum": momentum_operator(grid),
+                "hamiltonian": build_hamiltonian(grid, pot)}[s_name]
+        system = TwoTimeSystem.from_wavefunction(
+            psi, s_op, position_operator(grid), u)
+        psi2 = u @ psi.amplitudes
+        g_index = int(np.argmax(np.abs(psi2)))
+        weak = float(np.real((u @ s_op.apply(psi.amplitudes))[g_index]
+                             / psi2[g_index]))
+        amps = system.transform[g_index] * system.coeffs
+        r = np.abs(amps).sum() ** 2 / abs(amps.sum()) ** 2
+        q = 1e-4 / r
+        lam, s_max = 0.05, float(np.abs(system.s_values).max())
+        anc = AncillaModel.gaussian(lam, lam * system.s_spread / np.sqrt(q),
+                                    s_max)
+
+        chain = operational_weak_value(system, anc, g_index, mode="exact").value
+
+        bound = q * r * (s_max + abs(weak))
+        assert abs(chain - weak) <= bound
+        if s_name == "hamiltonian":  # H commutes with U: E_loc at t2
+            e_loc = local_energy(WaveFunction(grid, psi2, time=duration), pot,
+                                 grid.x[g_index])
+            assert abs(chain - e_loc) <= bound
 
 
 class TestGridSystems:
