@@ -152,15 +152,18 @@ def read_at(psi: WaveFunction, values: np.ndarray, x):
     """Grid values (real or complex) read at positions x through the
     periodic spline: the one reader of a local value at a particle position.
 
-    Raises ConfigurationError when any x is outside the grid domain and
-    NodeError when |psi(x)|^2 is below the node threshold at any x.  A
-    scalar x gives a numpy scalar.
+    values of shape (k, n) are k grid functions, read behind one domain and
+    node check into a list of k results.  Raises ConfigurationError when any
+    x is outside the grid domain and NodeError when |psi(x)|^2 is below the
+    node threshold at any x.  A scalar x gives numpy scalars.
     """
     xq = np.asarray(x, dtype=float)
     if not np.all(psi.grid.contains(xq)):
         raise ConfigurationError("query position outside the grid domain")
     if np.any(nodes_at(psi, xq)):
         raise NodeError("local value requested at a wavefunction node")
+    if np.ndim(values) == 2:
+        return [_periodic_spline(psi.grid, row)(xq)[()] for row in values]
     return _periodic_spline(psi.grid, values)(xq)[()]
 
 
@@ -200,8 +203,8 @@ def sample_initial_positions(psi: WaveFunction, n: int, seed: int) -> np.ndarray
 class TrajectoryEnsemble:
     """N trajectories on a shared time axis; positions has shape (nt, N).
 
-    intrinsics.ensemble_currents consumes positions, writing the currents
-    over them.
+    integrate_trajectories collects it from rk4_frames; the psd task's
+    currents stream from rk4_frames instead and never hold this record.
     """
 
     times: np.ndarray
@@ -254,43 +257,62 @@ class VelocityField:
         return _hermite_eval(self.coefficients(t), self.grid, x)
 
 
-def integrate_trajectories(evolution: Evolution, starts: np.ndarray,
-                           substeps: int = 1) -> TrajectoryEnsemble:
-    """RK4 integration of the guidance equation for all starting points.
+def rk4_frames(evolution: Evolution, starts: np.ndarray):
+    """RK4 integration of the guidance equation for all starting points,
+    yielding (x, k1, frozen) at every stored frame: the one RK4 loop.
 
     All trajectories advance together, vectorised over the ensemble, on the
     stored evolution, one RK4 step per frame: the trajectory error is the
     field's linear blend between frames (propagator.steps_per_output sets
     it), not RK4's.  Each step builds the field's Hermite table once per
-    stage time; k2 and k3 share the t + h/2 table.  substeps must be 1.
+    stage time; k2 and k3 share the t + h/2 table.
+
+    At frame j, x holds the positions, k1 = v(x, t_j) is the first stage of
+    the step that leaves the frame (None at the last frame, which no step
+    leaves), and frozen marks the trajectories that have left the domain by
+    then; they stay at their last position inside it.  The three arrays are
+    read-only, because the step after the yield still reads them.
     """
-    if substeps != 1:
-        raise ConfigurationError(f"substeps must be 1, got {substeps!r}")
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     grid = evolution.grid
     if not np.all(grid.contains(starts)):
         raise ConfigurationError("some starting positions are outside the domain")
     vel = evolution.velocity
     times = evolution.times
-    nt = len(times)
     h = evolution.frame_dt
-    pos = np.empty((nt, len(starts)))
-    pos[0] = starts
-    trunc = np.zeros(len(starts), dtype=bool)
     x = starts.copy()
-    for j in range(nt - 1):
+    frozen = np.zeros(len(starts), dtype=bool)
+    for j in range(len(times) - 1):
         t = times[j]
-        c_half = vel.coefficients(t + 0.5 * h)
         k1 = _hermite_eval(vel.coefficients(t), grid, x)
+        for a in (x, k1, frozen):
+            a.flags.writeable = False
+        yield x, k1, frozen
+        c_half = vel.coefficients(t + 0.5 * h)
         k2 = _hermite_eval(c_half, grid, x + 0.5 * h * k1)
         k3 = _hermite_eval(c_half, grid, x + 0.5 * h * k2)
         k4 = _hermite_eval(vel.coefficients(t + h), grid, x + h * k3)
         x_new = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         out = ~grid.contains(x_new)
-        trunc |= out
+        frozen = frozen | out
         x = np.where(out, x, x_new)  # freeze trajectories that leave
-        pos[j + 1] = x
-    return TrajectoryEnsemble(times, pos, trunc)
+    for a in (x, frozen):
+        a.flags.writeable = False
+    yield x, None, frozen
+
+
+def integrate_trajectories(evolution: Evolution, starts: np.ndarray,
+                           substeps: int = 1) -> TrajectoryEnsemble:
+    """The (nt, N) record of rk4_frames for all starting points.
+
+    substeps must be 1.
+    """
+    if substeps != 1:
+        raise ConfigurationError(f"substeps must be 1, got {substeps!r}")
+    pos = np.empty((len(evolution.times), np.size(starts)))
+    for j, (x, _, frozen) in enumerate(rk4_frames(evolution, starts)):
+        pos[j] = x
+    return TrajectoryEnsemble(evolution.times, pos, frozen.copy())
 
 
 def equivariance_l1(evolution: Evolution, ensemble: TrajectoryEnsemble,

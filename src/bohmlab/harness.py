@@ -34,9 +34,10 @@ from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     propagate)
 from .bohm import equivariance_l1, integrate_trajectories, sample_initial_positions
 from .weakval import dwell_operator_field, grid_weak_value, weak_average
-from .intrinsics import (dwell_time_density, dwell_time_ensemble,
-                         ensemble_currents, per_trajectory_dwell_times, psd,
-                         work_distribution, work_records)
+from .intrinsics import (check_lags, dwell_time_density,
+                         dwell_time_ensemble, ensemble_currents,
+                         per_trajectory_dwell_times, psd, work_distribution,
+                         work_records)
 from .measure import (AncillaModel, TwoTimeSystem, operational_weak_value,
                       two_time_joint)
 
@@ -435,10 +436,13 @@ def _task_propagate(config, tmp):
         "n_frames": len(ev.times), "final_norm": float(ev.psi(len(ev.times) - 1).norm())}
 
 
+def _starts(config, psi):
+    return sample_initial_positions(psi, int(config.ensemble["n"]),
+                                    seed=config.subsystem_seeds()["sampling"])
+
+
 def _trajectory_ensemble(config, ev, psi):
-    starts = sample_initial_positions(psi, int(config.ensemble["n"]),
-                                      seed=config.subsystem_seeds()["sampling"])
-    ens = integrate_trajectories(ev, starts)
+    ens = integrate_trajectories(ev, _starts(config, psi))
     return ens, {"truncated": int(ens.truncated.sum())}
 
 
@@ -534,12 +538,15 @@ def _task_dwell(config, tmp):
 
 def _task_psd(config, tmp):
     grid, _, psi, ev = _evolve(config, float(config.task["duration"]))
-    ens, health = _trajectory_ensemble(config, ev, psi)
     length = config.task["device_length"]
     length = float(length) if length is not None else grid.x_max - grid.x_min
-    currents = ensemble_currents(ev, ens, length, float(config.units["charge"]))
-    result = psd(currents, float(ev.frame_dt), float(config.task["tau_max"]),
-                 window=config.task["window"])
+    dt, tau_max = float(ev.frame_dt), float(config.task["tau_max"])
+    # raises LagError before any trajectory is integrated: a stream's length
+    # is known to autocorrelation only once it ends
+    check_lags(tau_max, dt, len(ev.times))
+    currents, truncated = ensemble_currents(ev, _starts(config, psi), length,
+                                            float(config.units["charge"]))
+    result = psd(currents, dt, tau_max, window=config.task["window"])
     _write_csv(os.path.join(tmp, "autocorrelation.csv"), ["tau", "c"],
                np.column_stack([result.lags, result.autocorrelation]))
     _write_csv(os.path.join(tmp, "psd.csv"), ["omega", "psd"],
@@ -547,7 +554,8 @@ def _task_psd(config, tmp):
     mid = len(result.omega) // 2
     return ["autocorrelation.csv", "psd.csv"], {
         "psd_zero": float(result.values[mid]),
-        "n_lags": len(result.lags), "device_length": length, **health}
+        "n_lags": len(result.lags), "device_length": length,
+        "truncated": int(truncated.sum())}
 
 
 def _task_measure(config, tmp):

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyEnsembleError, LagError
+from .errors import ConfigurationError, EmptyEnsembleError, LagError, NodeError
 from .qgrid import Evolution, PotentialModel, check_horizon, window_weights
-from .bohm import TrajectoryEnsemble, nodes_at, quantum_potential, read_at
+from .bohm import (TrajectoryEnsemble, nodes_at, quantum_potential, read_at,
+                   rk4_frames)
 from .weakval import local_energy
 
 
@@ -42,19 +43,24 @@ def work_records(evolution: Evolution, potential: PotentialModel,
 
     Row i holds experiment i's (e_initial, e_final); its work is their
     difference.  A row is NaN, and the record flagged, where an endpoint
-    sits on a node; flagged records are excluded from distributions.
+    sits on a node; flagged records are excluded from distributions.  Each
+    endpoint is read with the one node check of its read_at; only when that
+    finds a node are the endpoints' node masks made.
     """
-    i1, i2 = evolution.index_of(t1), evolution.index_of(t2)
-    psi1, psi2 = evolution.psi(i1), evolution.psi(i2)
-    x1 = ensemble.positions[i1]
-    x2 = ensemble.positions[i2]
-    bad = nodes_at(psi1, x1) | nodes_at(psi2, x2)
-    energies = np.full((ensemble.count, 2), np.nan)
-    if (~bad).any():
-        energies[~bad, 0] = local_energy(psi1, potential, x1[~bad],
-                                         evolution.mass, evolution.hbar)
-        energies[~bad, 1] = local_energy(psi2, potential, x2[~bad],
-                                         evolution.mass, evolution.hbar)
+    ends = [(evolution.psi(i), ensemble.positions[i])
+            for i in (evolution.index_of(t1), evolution.index_of(t2))]
+    m, hbar = evolution.mass, evolution.hbar
+    energies = np.empty((ensemble.count, 2))
+    try:
+        for col, (psi, x) in enumerate(ends):
+            energies[:, col] = local_energy(psi, potential, x, m, hbar)
+    except NodeError:
+        bad = nodes_at(*ends[0]) | nodes_at(*ends[1])
+        energies[:] = np.nan
+        if (~bad).any():
+            for col, (psi, x) in enumerate(ends):
+                energies[~bad, col] = local_energy(psi, potential, x[~bad], m,
+                                                   hbar)
     return energies
 
 
@@ -117,22 +123,30 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
 # Ramo-Shockley current and its power spectral density
 # ---------------------------------------------------------------------------
 
-def ensemble_currents(evolution: Evolution, ensemble: TrajectoryEnsemble,
-                      length: float, charge: float = 1.0) -> np.ndarray:
-    """Current record I^i(t) = (charge/length) v for every experiment;
-    shape (nt, N), with length the device length L.
+def ensemble_currents(evolution: Evolution, starts: np.ndarray,
+                      length: float, charge: float = 1.0) -> tuple:
+    """Current rows I^i(t_j) = (charge/length) v(x_j, t_j) of the trajectories
+    from starts, with length the device length L, streamed from RK4.
 
-    Consumes ensemble.positions: row j is overwritten by frame j's currents
-    once the field has been evaluated at it, and the record returned is that
-    same array.
+    Returns (rows, truncated).  rows yields one (N,) array per stored frame,
+    each RK4's own k1 of that frame scaled (the last frame, which no step
+    leaves, is evaluated here), so the (nt, N) record is never held.
+    truncated, the (N,) mask of trajectories frozen at the edge, is final
+    once rows is exhausted.
     """
     if length <= 0:
         raise ConfigurationError(f"device length must be > 0, got {length}")
-    out = ensemble.positions
-    for j, t in enumerate(evolution.times):
-        out[j] = evolution.velocity(out[j], float(t))
-    out *= charge / length
-    return out
+    scale = charge / length
+    truncated = np.zeros(np.size(starts), dtype=bool)
+
+    def rows():
+        for x, k1, frozen in rk4_frames(evolution, starts):
+            if k1 is None:
+                k1 = evolution.velocity(x, float(evolution.times[-1]))
+                truncated[:] = frozen
+            yield np.multiply(k1, scale)
+
+    return rows(), truncated
 
 
 @dataclass(frozen=True)
@@ -143,7 +157,43 @@ class PSDResult:
     autocorrelation: np.ndarray
 
 
-def autocorrelation(currents: np.ndarray, dt: float, tau_max: float) -> tuple:
+def _shift_out_block(buf: np.ndarray, filled: int) -> int:
+    """Drop buf's first B rows, moving rows B..filled-1 to the front in
+    B-row chunks that do not overlap (so numpy copies no source first);
+    returns the rows left."""
+    left = max(filled - _GRAM_FRAMES, 0)
+    for s in range(0, left, _GRAM_FRAMES):
+        n = min(_GRAM_FRAMES, left - s)
+        buf[s:s + n] = buf[s + _GRAM_FRAMES:s + _GRAM_FRAMES + n]
+    return left
+
+
+def _stream_windows(rows, width: int):
+    """Windows I[a:a + width], a = 0, B, 2B, ..., of the record whose rows
+    the iterable rows yields, each filled into one (width, N) buffer."""
+    buf, filled = None, 0
+    for row in rows:
+        if buf is None:
+            buf = np.empty((width, np.size(row)))
+        if filled == width:
+            yield buf
+            filled = _shift_out_block(buf, filled)
+        buf[filled] = row
+        filled += 1
+    while filled:
+        yield buf[:filled]
+        filled = _shift_out_block(buf, filled)
+
+
+def check_lags(tau_max: float, dt: float, nt: int) -> None:
+    """Raise LagError unless lags up to tau_max fit a record of nt frames at
+    spacing dt."""
+    if int(round(tau_max / dt)) > nt - 1:
+        raise LagError(
+            f"lag horizon {tau_max} exceeds record length {(nt - 1) * dt}")
+
+
+def autocorrelation(currents, dt: float, tau_max: float) -> tuple:
     """Ensemble- and time-averaged biased autocorrelation on lags |tau| <= tau_max.
 
     C(m dt) = sum_i I[i] . I[i + m] / (nt N) for the (nt, N) record I, read
@@ -151,32 +201,44 @@ def autocorrelation(currents: np.ndarray, dt: float, tau_max: float) -> tuple:
     holds on row r, from column r on, the products of frame a + r with the
     m_max frames after it.  With B = _GRAM_FRAMES the one temporary is g,
     about B (B + m_max) cells whatever nt or N.
+
+    currents is the record as an array (1-D for N = 1), read through views,
+    or any other iterable of its rows, such as ensemble_currents' stream,
+    read through one (B + m_max, N) buffer.  Both give the same windows
+    I[a:a+B+m_max] in the same order, so the same bits.  A stream is checked
+    against the lag horizon once it ends.
     """
-    currents = np.atleast_2d(np.asarray(currents, dtype=float).T).T  # (nt, N)
-    nt, n_traj = currents.shape
     m_max = int(round(tau_max / dt))
-    if m_max > nt - 1:
-        raise LagError(
-            f"lag horizon {tau_max} exceeds record length {(nt - 1) * dt}")
     width = _GRAM_FRAMES + m_max
+    if isinstance(currents, np.ndarray):
+        record = np.atleast_2d(np.asarray(currents, dtype=float).T).T  # (nt, N)
+        check_lags(tau_max, dt, len(record))
+        windows = (record[a:a + width]
+                   for a in range(0, len(record), _GRAM_FRAMES))
+    else:
+        windows = _stream_windows(currents, width)
     cells = np.zeros(_GRAM_FRAMES * (width + 1))
     gram = cells[:-_GRAM_FRAMES].reshape(_GRAM_FRAMES, width)
     # the same cells in rows one longer: band[r, k] is gram[r, r + k]
     band = cells.reshape(_GRAM_FRAMES, width + 1)[:, :m_max + 1]
     c = np.zeros(m_max + 1)
-    for a in range(0, nt, _GRAM_FRAMES):
-        rows, cols = currents[a:a + _GRAM_FRAMES], currents[a:a + width]
+    nt = n_traj = 0
+    for i, cols in enumerate(windows):  # cols starts at frame a = i B
+        rows = cols[:_GRAM_FRAMES]
         gram[:, len(cols):] = 0.0  # lags past the record's end
         np.matmul(rows, cols.T, out=gram[:len(rows), :len(cols)])
         c += band.sum(axis=0)
+        nt, n_traj = i * _GRAM_FRAMES + len(cols), cols.shape[1]
+    check_lags(tau_max, dt, nt)
     # biased estimator: divide by the full record length regardless of overlap
     c /= nt * n_traj
     return dt * np.arange(-m_max, m_max + 1), np.concatenate([c[:0:-1], c])
 
 
-def psd(currents: np.ndarray, dt: float, tau_max: float,
+def psd(currents, dt: float, tau_max: float,
         window: str | None = None) -> PSDResult:
-    """Wiener-Khinchin PSD: cosine transform of the symmetric autocorrelation.
+    """Wiener-Khinchin PSD: cosine transform of the symmetric autocorrelation
+    of currents, a record or a stream of its rows (see autocorrelation).
 
     Trapezoid weights in the lag quadrature make PSD(0) equal the lag
     integral of C(tau); omega >= 0 is evaluated in blocks of _BLOCK_CELLS

@@ -27,10 +27,11 @@ def grid_weak_value(numerator: np.ndarray, amplitudes: np.ndarray) -> np.ndarray
 
 
 def aav_weak_value(op: SpectralOperator, psi: WaveFunction, x):
-    """Complex weak value (S psi)(x) / psi(x), numerator and psi each read
-    at x (a scalar or array) by bohm.read_at."""
-    return read_at(psi, op.apply(psi.amplitudes), x) \
-        / read_at(psi, psi.amplitudes, x)
+    """Complex weak value (S psi)(x) / psi(x), numerator and psi read at x
+    (a scalar or array) by one bohm.read_at."""
+    num, amp = read_at(psi, np.stack([op.apply(psi.amplitudes), psi.amplitudes]),
+                       x)
+    return num / amp
 
 
 def local_energy(psi: WaveFunction, potential: PotentialModel, x,

@@ -403,6 +403,25 @@ class TestRk4Stages:
         nt = len(ev.times)
         assert len(builds) <= (nt - 1) * 3
 
+    def test_yielded_k1_read_only(self, leaving_evolution):
+        # scaling a yielded field row in place, as a current consumer might,
+        # raises instead of changing the trajectories the next step reads
+        ev = leaving_evolution
+        starts = sample_initial_positions(ev.psi(0), 300, seed=5)
+        pos, refused = [], 0
+        for x, k1, frozen in bohm.rk4_frames(ev, starts):
+            pos.append(x)
+            if k1 is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    k1 *= 2.0
+                refused += 1
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0.0
+        ens = integrate_trajectories(ev, starts)
+        assert refused == len(ev.times) - 1
+        assert np.array_equal(np.array(pos), ens.positions)
+        assert np.array_equal(frozen, ens.truncated)
+
     @pytest.mark.parametrize("substeps", [0, 2])
     def test_substeps_other_than_one_rejected(self, leaving_evolution,
                                                substeps):

@@ -1,4 +1,3 @@
-import inspect
 import json
 import os
 import subprocess
@@ -9,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bohmlab import harness, measure
+from bohmlab import bohm, harness, intrinsics, measure
 from bohmlab.cli import build_parser, main
 from bohmlab.errors import (ConfigurationError, HorizonError,
-                            InsufficientStatisticsError)
+                            InsufficientStatisticsError, LagError)
 from bohmlab.harness import DEFAULTS, parse_config, resolve_out_dir, run
 from bohmlab.qgrid import SpectralOperator, build_hamiltonian
 
@@ -155,6 +154,20 @@ class TestRun:
             run(cfg, out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
+    def test_lag_horizon_raises_before_trajectories(self, tmp_path,
+                                                    monkeypatch):
+        # the psd task streams its currents, so the record length is judged
+        # from the evolution before RK4 starts, not when the stream ends
+        def refuse(*args, **kwargs):
+            raise AssertionError("trajectories integrated")
+
+        monkeypatch.setattr(intrinsics, "rk4_frames", refuse)
+        cfg = parse_config(json.dumps({**FAST, "task": {
+            "name": "psd", "duration": 0.5, "tau_max": 0.6}}))
+        with pytest.raises(LagError, match="lag horizon"):
+            run(cfg, out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_stuck_trajectory_reported(self, tmp_path, monkeypatch):
         # a trajectory held inside the region past the horizon is counted
         # and keeps its time up to the horizon in the mean
@@ -264,23 +277,26 @@ class TestRun:
 
     @pytest.mark.parametrize("task", ["trajectories", "work", "dwell", "psd"])
     def test_one_rk4_step_per_frame(self, tmp_path, monkeypatch, task):
-        # every Bohmian task integrates once, through the one ensemble
-        # helper, at one RK4 substep, and reports the ensemble's health
-        integrate = harness.integrate_trajectories
-        substeps = []
+        # every Bohmian task integrates once, through the one RK4 generator,
+        # one step per stored frame, and reports the ensemble's health; the
+        # psd task streams it without integrate_trajectories
+        rk4 = bohm.rk4_frames
+        runs = []
 
-        def spy(*args, **kwargs):
-            call = inspect.signature(integrate).bind(*args, **kwargs)
-            call.apply_defaults()
-            substeps.append(call.arguments["substeps"])
-            return integrate(*args, **kwargs)
+        def spy(evolution, starts):
+            runs.append([len(evolution.times), 0])
+            for frame in rk4(evolution, starts):
+                runs[-1][1] += 1
+                yield frame
 
-        monkeypatch.setattr(harness, "integrate_trajectories", spy)
+        monkeypatch.setattr(bohm, "rk4_frames", spy)
+        monkeypatch.setattr(intrinsics, "rk4_frames", spy)
         cfg = parse_config(json.dumps({**FAST, "state": {
             "kind": "gaussian", "center": -8.0, "momentum": 5.0},
             "task": {"name": task}}))
         manifest = run(cfg, out_dir=str(tmp_path))
-        assert substeps == [1]
+        assert len(runs) == 1
+        assert runs[0][0] > 1 and runs[0][1] == runs[0][0]
         assert manifest.summary["truncated"] == 0
         if task == "dwell":
             dwell = json.loads((tmp_path / "dwell.json").read_text())

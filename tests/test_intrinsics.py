@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
-                     build_hamiltonian, evolve_store, expectation, intrinsics)
+                     bohm, build_hamiltonian, evolve_store, expectation,
+                     intrinsics)
 from bohmlab.bohm import (TrajectoryEnsemble, integrate_trajectories,
                           sample_initial_positions)
 from bohmlab.errors import ConfigurationError, LagError, NodeError
@@ -69,6 +70,29 @@ class TestWork:
         dist = work_distribution(records)
         assert (dist.count, dist.flagged_count) == (2, 1)
         assert dist.mean == pytest.approx(0.0, abs=1e-10)
+
+    def test_one_density_spline_per_endpoint(self, grid, monkeypatch):
+        # read_at's node check is the only one when no endpoint sits on a
+        # node: two density splines per call, where there were six
+        pot = PotentialModel("drive", amplitude=0.4)
+        psi = WaveFunction.gaussian(grid, width=1.5)
+        ev = evolve_store(psi, pot, PropagatorConfig(0.005, steps_per_output=20),
+                          1.0)
+        ens = integrate_trajectories(ev, sample_initial_positions(psi, 300, seed=4))
+        want = work_records(ev, pot, ens, 0.0, 1.0)
+        calls = []
+        nodes_at = bohm.nodes_at
+
+        def spy(psi, x):
+            calls.append(len(x))
+            return nodes_at(psi, x)
+
+        monkeypatch.setattr(bohm, "nodes_at", spy)
+        monkeypatch.setattr(intrinsics, "nodes_at", spy)
+        got = work_records(ev, pot, ens, 0.0, 1.0)
+        assert calls == [300, 300]
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, want)
 
     def test_distribution_normalized(self, grid):
         pot = PotentialModel("free")
@@ -138,43 +162,53 @@ class TestCurrentAndPsd:
         ev = evolve_store(psi, PotentialModel("free"),
                           PropagatorConfig(0.01, steps_per_output=10), 0.5)
         starts = sample_initial_positions(psi, 50, seed=5)
-        ens = integrate_trajectories(ev, starts)
-        cur = ensemble_currents(ev, ens, 60.0, charge=1.0)
-        assert cur.shape == ens.positions.shape
+        rows, _ = ensemble_currents(ev, starts, 60.0, charge=1.0)
+        cur = np.array(list(rows))
+        assert cur.shape == (len(ev.times), len(starts))
         assert np.allclose(cur, k0 / 60.0, rtol=0.05)
 
-    def test_currents_scaled_in_place(self, grid):
+    def test_currents_stream_scaled_k1(self, grid):
         psi = WaveFunction.gaussian(grid, width=3.0, momentum=2.0)
-        # 401 frames, so the record outweighs the per-frame temporaries
+        # 801 frames, so the record outweighs one RK4 step's temporaries
+        # (three Hermite tables and four stages, about 0.1 MB here)
         ev = evolve_store(psi, PotentialModel("free"),
-                          PropagatorConfig(0.01, steps_per_output=1), 4.0)
-        ens = integrate_trajectories(ev, sample_initial_positions(psi, 500, seed=5))
-        vel = ev.velocity  # built lazily: outside the traced call
+                          PropagatorConfig(0.01, steps_per_output=1), 8.0)
+        starts = sample_initial_positions(psi, 500, seed=5)
+        ens = integrate_trajectories(ev, starts)
+        vel = ev.velocity
         raw = np.array([vel(ens.positions[j], float(t))
                         for j, t in enumerate(ev.times)])
         length, charge = 7.3, 1.6
+        want = charge / length * raw
+        same = []
         tracemalloc.start()
         try:
-            cur = ensemble_currents(ev, ens, length, charge)
+            rows, truncated = ensemble_currents(ev, starts, length, charge)
+            for j, row in enumerate(rows):
+                same.append(np.array_equal(row, want[j]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the record is written over the positions, so the call allocates
-        # only per-frame temporaries
-        assert np.shares_memory(cur, ens.positions)
-        assert np.array_equal(cur, charge / length * raw)
-        assert peak < 0.05 * cur.nbytes
+        # each frame's current is RK4's own k1 at the collected record's
+        # positions, streamed: the call never holds the record
+        assert same == [True] * len(ev.times)
+        assert np.array_equal(truncated, ens.truncated)
+        assert peak < 0.05 * want.nbytes
 
     @pytest.mark.parametrize("length", [0.0, -60.0])
-    def test_nonpositive_length_rejected(self, grid, length):
+    def test_nonpositive_length_rejected(self, grid, length, monkeypatch):
         psi = WaveFunction.gaussian(grid, width=3.0, momentum=2.0)
         ev = evolve_store(psi, PotentialModel("free"),
                           PropagatorConfig(0.01, steps_per_output=10), 0.5)
-        ens = integrate_trajectories(ev, sample_initial_positions(psi, 20, seed=5))
-        before = ens.positions.copy()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("RK4 started")
+
+        monkeypatch.setattr(intrinsics, "rk4_frames", refuse)
+        # raised by the call itself, before the stream takes any RK4 step
         with pytest.raises(ConfigurationError, match="device length"):
-            ensemble_currents(ev, ens, length)
-        assert np.array_equal(ens.positions, before)  # nothing consumed
+            ensemble_currents(ev, sample_initial_positions(psi, 20, seed=5),
+                              length)
 
     def test_autocorrelation_constant_signal(self):
         # biased estimator: C(m dt) = c^2 (nt - m)/nt for a constant record
@@ -228,6 +262,42 @@ class TestCurrentAndPsd:
             tracemalloc.stop()
         assert peak < 1e6
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(nt=st.integers(1, 3 * _B + 2), n_traj=st.integers(1, 40),
+           lag_frac=st.floats(0.0, 1.0), one_d=st.booleans())
+    @example(nt=_B - 1, n_traj=3, lag_frac=0.0, one_d=False)
+    @example(nt=_B, n_traj=3, lag_frac=1.0, one_d=False)
+    @example(nt=_B + 1, n_traj=5, lag_frac=0.0, one_d=False)
+    @example(nt=_B + 1, n_traj=5, lag_frac=1.0, one_d=False)
+    @example(nt=2 * _B + 1, n_traj=7, lag_frac=0.0, one_d=False)
+    @example(nt=2 * _B + 1, n_traj=7, lag_frac=1.0, one_d=False)
+    @example(nt=2 * _B + 1, n_traj=1, lag_frac=0.5, one_d=True)
+    @example(nt=_B - 1, n_traj=1, lag_frac=1.0, one_d=True)
+    def test_stream_matches_array_bit_for_bit(self, nt, n_traj, lag_frac,
+                                              one_d):
+        m_max = int(round(lag_frac * (nt - 1)))
+        rng = np.random.default_rng([nt, n_traj, m_max])
+        record = rng.normal(loc=0.2, size=nt if one_d else (nt, n_traj))
+        lags, c = autocorrelation(record, 0.5, tau_max=0.5 * m_max)
+        s_lags, s_c = autocorrelation(iter(record), 0.5, tau_max=0.5 * m_max)
+        assert np.array_equal(s_lags, lags)
+        assert np.array_equal(s_c, c)
+
+    @pytest.mark.parametrize("nt", [1001, 4001])
+    def test_psd_of_a_stream_holds_one_window(self, nt):
+        # a stream goes through one (B + m_max, N) buffer: 0.5 MB here,
+        # where the 4001-frame record is 8 MB
+        n_traj, m_max = 256, 200
+        record = np.random.default_rng(4).normal(size=(nt, n_traj))
+        tracemalloc.start()
+        try:
+            res = psd((row for row in record), 0.01, tau_max=0.01 * m_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.lags) == 2 * m_max + 1
+        assert peak < (_B + m_max) * n_traj * 8 + 1e6
+
     def test_psd_memory_bounded_at_long_lags(self):
         # m_max = 1000: a whole cosine matrix would be 2001^2 cells, 32 MB
         currents = np.random.default_rng(6).normal(size=(1201, 8))
@@ -242,8 +312,12 @@ class TestCurrentAndPsd:
         assert np.array_equal(res.values, res.values[::-1])
 
     def test_lag_horizon_too_long(self):
+        # a stream of rows is judged once it ends, an empty one too
+        for record in (np.ones((10, 2)), iter(np.ones((10, 2)))):
+            with pytest.raises(LagError):
+                autocorrelation(record, 0.1, tau_max=5.0)
         with pytest.raises(LagError):
-            autocorrelation(np.ones((10, 2)), 0.1, tau_max=5.0)
+            autocorrelation(iter([]), 0.1, tau_max=0.0)
 
     def test_psd_even_and_zero_frequency_identity(self):
         rng = np.random.default_rng(8)
