@@ -1,9 +1,9 @@
 """Ramo-Shockley current of an oscillating charge and its spectrum.
 
 A displaced packet in a harmonic trap sloshes at the trap frequency; the
-induced current I = (q/L) v per experiment is autocorrelated over the
-ensemble and cosine-transformed into a power spectral density, which
-peaks at +-omega.  The currents stream from the RK4 integration straight
+induced current I = (q/L) v per experiment, q the charge of the evolution's
+potential, is autocorrelated over the ensemble and cosine-transformed into
+a power spectral density, which peaks at +-omega.  The currents stream from the RK4 integration straight
 into the autocorrelation, one frame at a time, so no (frames x
 trajectories) record is held.
 """

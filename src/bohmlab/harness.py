@@ -183,6 +183,10 @@ _NUMBERS = {
              "width": _POSITIVE, "n_experiments": _COUNT,
              "device_length": (*_POSITIVE, None), "g_index": (*_INDEX, "auto")},
 }
+_OPERATORS = ("momentum", "position", "hamiltonian")
+# Each name-valued task key's allowed values, checked where present.
+_NAMES = {"window": (None, "hann"), "mode": ("exact", "monte_carlo"),
+          **dict.fromkeys(("operator", "s_operator", "g_operator"), _OPERATORS)}
 
 
 def _validate(cfg: dict) -> list[str]:
@@ -255,9 +259,9 @@ def _validate(cfg: dict) -> list[str]:
         elif all([num(f"task.region[{i}]", v) for i, v in enumerate(region)]) \
                 and not float(region[1]) > float(region[0]):
             errors.append(f"task.region: needs b > a, got {region}")
-    if kinds.get("task") == "measure" and task["mode"] not in ("exact",
-                                                               "monte_carlo"):
-        errors.append(f"task.mode: unknown mode {task['mode']!r}")
+    errors += [f"task.{key}: must be one of {allowed}, got {task[key]!r}"
+               for key, allowed in _NAMES.items()
+               if key in task and task[key] not in allowed]
     return errors
 
 
@@ -415,21 +419,19 @@ def _mass_hbar(config):
 
 
 def _evolve(config, duration):
-    grid = config.build_grid()
-    pot = config.build_potential()
-    psi = config.build_state(grid)
+    """(psi0, its Evolution); tasks read grid, potential, mass, hbar from ev."""
+    psi = config.build_state(config.build_grid())
     mass, hbar = _mass_hbar(config)
-    ev = evolve_store(psi, pot, config.build_propagator(), duration,
-                      mass=mass, hbar=hbar)
-    return grid, pot, psi, ev
+    return psi, evolve_store(psi, config.build_potential(),
+                             config.build_propagator(), duration, mass, hbar)
 
 
 def _task_propagate(config, tmp):
-    grid, _, _, ev = _evolve(config, float(config.task["duration"]))
+    _, ev = _evolve(config, float(config.task["duration"]))
     header = ["x"] + [f"t={t:.6g}" for t in ev.times]
     dens = np.array([ev.psi(i).density() for i in range(len(ev.times))])
     _write_csv(os.path.join(tmp, "density.csv"), header,
-               np.column_stack([grid.x, dens.T]))
+               np.column_stack([ev.grid.x, dens.T]))
     norms = [(t, ev.psi(i).norm()) for i, t in enumerate(ev.times)]
     _write_csv(os.path.join(tmp, "norms.csv"), ["t", "norm"], norms)
     return ["density.csv", "norms.csv"], {
@@ -447,7 +449,7 @@ def _trajectory_ensemble(config, ev, psi):
 
 
 def _task_trajectories(config, tmp):
-    _, _, psi, ev = _evolve(config, float(config.task["duration"]))
+    psi, ev = _evolve(config, float(config.task["duration"]))
     ens, health = _trajectory_ensemble(config, ev, psi)
     header = ["t"] + [f"x_{i}" for i in range(ens.count)]
     _write_csv(os.path.join(tmp, "trajectories.csv"), header,
@@ -486,10 +488,10 @@ def _task_weakvalue(config, tmp):
 
 
 def _task_work(config, tmp):
-    grid, pot, psi, ev = _evolve(config, float(config.task["duration"]))
+    psi, ev = _evolve(config, float(config.task["duration"]))
     ens, health = _trajectory_ensemble(config, ev, psi)
     t2 = float(ev.times[-1])
-    records = work_records(ev, pot, ens, 0.0, t2)
+    records = work_records(ev, ens, 0.0, t2)
     e1, e2 = records.T
     flagged = np.isnan(records).any(axis=1)
     _write_csv(os.path.join(tmp, "work_records.csv"),
@@ -497,11 +499,9 @@ def _task_work(config, tmp):
                list(zip(range(ens.count), e1.tolist(), e2.tolist(),
                         (e2 - e1).tolist(), flagged.tolist())))
     dist = work_distribution(records)
-    mass, hbar = _mass_hbar(config)
-    delta_h = expectation(build_hamiltonian(grid, pot, t=t2, mass=mass, hbar=hbar),
-                          ev.psi(len(ev.times) - 1)) \
-        - expectation(build_hamiltonian(grid, pot, t=0.0, mass=mass, hbar=hbar),
-                      psi)
+    h1, h2 = (build_hamiltonian(ev.grid, ev.potential, t, ev.mass, ev.hbar)
+              for t in (0.0, t2))
+    delta_h = expectation(h2, ev.psi(len(ev.times) - 1)) - expectation(h1, psi)
     _write_json(os.path.join(tmp, "work_distribution.json"), {
         "bin_edges": list(dist.bin_edges), "probabilities": list(dist.probabilities),
         "count": dist.count, "mean": dist.mean, "std": dist.std,
@@ -514,7 +514,7 @@ def _task_work(config, tmp):
 def _task_dwell(config, tmp):
     region = tuple(float(v) for v in config.task["region"])
     horizon = float(config.task["horizon"])
-    _, pot, psi, ev = _evolve(config, horizon)
+    psi, ev = _evolve(config, horizon)
     # raises HorizonError before any trajectory is integrated
     t_density = dwell_time_density(ev, region, horizon)
     ens, health = _trajectory_ensemble(config, ev, psi)
@@ -529,7 +529,7 @@ def _task_dwell(config, tmp):
                "density": t_density,
                "stuck": int(np.count_nonzero((final > region[0])
                                              & (final < region[1]))), **health}
-    if not pot.time_dependent:
+    if not ev.potential.time_dependent:
         summary["weak_value"] = weak_average(psi, dwell_operator_field(
             ev, region, horizon, config.build_propagator()))
     _write_json(os.path.join(tmp, "dwell.json"), summary)
@@ -537,15 +537,14 @@ def _task_dwell(config, tmp):
 
 
 def _task_psd(config, tmp):
-    grid, _, psi, ev = _evolve(config, float(config.task["duration"]))
+    psi, ev = _evolve(config, float(config.task["duration"]))
     length = config.task["device_length"]
-    length = float(length) if length is not None else grid.x_max - grid.x_min
+    length = float(length) if length is not None else ev.grid.length
     dt, tau_max = float(ev.frame_dt), float(config.task["tau_max"])
     # raises LagError before any trajectory is integrated: a stream's length
     # is known to autocorrelation only once it ends
     check_lags(tau_max, dt, len(ev.times))
-    currents, truncated = ensemble_currents(ev, _starts(config, psi), length,
-                                            float(config.units["charge"]))
+    currents, truncated = ensemble_currents(ev, _starts(config, psi), length)
     result = psd(currents, dt, tau_max, window=config.task["window"])
     _write_csv(os.path.join(tmp, "autocorrelation.csv"), ["tau", "c"],
                np.column_stack([result.lags, result.autocorrelation]))

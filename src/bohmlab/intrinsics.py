@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EmptyEnsembleError, LagError, NodeError
-from .qgrid import Evolution, PotentialModel, check_horizon, window_weights
+from .qgrid import Evolution, check_horizon, window_weights
 from .bohm import (TrajectoryEnsemble, nodes_at, quantum_potential, read_at,
                    rk4_frames)
 from .weakval import local_energy
@@ -37,9 +37,10 @@ class WorkDistribution:
     flagged_count: int
 
 
-def work_records(evolution: Evolution, potential: PotentialModel,
-                 ensemble: TrajectoryEnsemble, t1: float, t2: float) -> np.ndarray:
-    """Local-energy weak values at the two endpoints, shape (N, 2).
+def work_records(evolution: Evolution, ensemble: TrajectoryEnsemble,
+                 t1: float, t2: float) -> np.ndarray:
+    """Local-energy weak values under the evolution's potential at the two
+    endpoints, shape (N, 2).
 
     Row i holds experiment i's (e_initial, e_final); its work is their
     difference.  A row is NaN, and the record flagged, where an endpoint
@@ -49,7 +50,7 @@ def work_records(evolution: Evolution, potential: PotentialModel,
     """
     ends = [(evolution.psi(i), ensemble.positions[i])
             for i in (evolution.index_of(t1), evolution.index_of(t2))]
-    m, hbar = evolution.mass, evolution.hbar
+    potential, m, hbar = evolution.potential, evolution.mass, evolution.hbar
     energies = np.empty((ensemble.count, 2))
     try:
         for col, (psi, x) in enumerate(ends):
@@ -86,9 +87,10 @@ def work_distribution(records: np.ndarray) -> WorkDistribution:
                             float(np.mean(works)), std, n_flagged)
 
 
-def power_balance_residual(evolution: Evolution, potential: PotentialModel,
-                           positions: np.ndarray, t: float) -> float:
-    """Residual of dE/dt = q v E_field + dQ/dt along one trajectory.
+def power_balance_residual(evolution: Evolution, positions: np.ndarray,
+                           t: float) -> float:
+    """Residual of dE/dt = q v E_field + dQ/dt along one trajectory, with q
+    and E_field those of the evolution's potential.
 
     positions holds the trajectory at every stored frame, one column of
     TrajectoryEnsemble.positions.  E = m v^2/2 + Q is the unperturbed energy
@@ -99,7 +101,7 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
     i = evolution.index_of(t)
     if i == 0 or i == len(evolution.times) - 1:
         raise ConfigurationError("residual needs one stored frame on each side")
-    m, hbar = evolution.mass, evolution.hbar
+    potential, m, hbar = evolution.potential, evolution.mass, evolution.hbar
     dt = evolution.frame_dt
     vel = evolution.velocity
 
@@ -124,9 +126,10 @@ def power_balance_residual(evolution: Evolution, potential: PotentialModel,
 # ---------------------------------------------------------------------------
 
 def ensemble_currents(evolution: Evolution, starts: np.ndarray,
-                      length: float, charge: float = 1.0) -> tuple:
-    """Current rows I^i(t_j) = (charge/length) v(x_j, t_j) of the trajectories
-    from starts, with length the device length L, streamed from RK4.
+                      length: float) -> tuple:
+    """Current rows I^i(t_j) = (q/length) v(x_j, t_j) of the trajectories
+    from starts, with q the charge of the evolution's potential and length
+    the device length L, streamed from RK4.
 
     Returns (rows, truncated).  rows yields one (N,) array per stored frame,
     each RK4's own k1 of that frame scaled (the last frame, which no step
@@ -136,7 +139,7 @@ def ensemble_currents(evolution: Evolution, starts: np.ndarray,
     """
     if length <= 0:
         raise ConfigurationError(f"device length must be > 0, got {length}")
-    scale = charge / length
+    scale = evolution.potential.charge / length
     truncated = np.zeros(np.size(starts), dtype=bool)
 
     def rows():
@@ -202,21 +205,17 @@ def autocorrelation(currents, dt: float, tau_max: float) -> tuple:
     m_max frames after it.  With B = _GRAM_FRAMES the one temporary is g,
     about B (B + m_max) cells whatever nt or N.
 
-    currents is the record as an array (1-D for N = 1), read through views,
-    or any other iterable of its rows, such as ensemble_currents' stream,
-    read through one (B + m_max, N) buffer.  Both give the same windows
-    I[a:a+B+m_max] in the same order, so the same bits.  A stream is checked
-    against the lag horizon once it ends.
+    currents is any iterable of the record's rows: the record itself (1-D
+    for N = 1), a list, or ensemble_currents' stream.  Its windows
+    I[a:a+B+m_max] are filled, in order, into one (B + m_max, N) buffer.
+    An input with a length is checked against the lag horizon first, a bare
+    iterator once it ends.
     """
     m_max = int(round(tau_max / dt))
     width = _GRAM_FRAMES + m_max
-    if isinstance(currents, np.ndarray):
-        record = np.atleast_2d(np.asarray(currents, dtype=float).T).T  # (nt, N)
-        check_lags(tau_max, dt, len(record))
-        windows = (record[a:a + width]
-                   for a in range(0, len(record), _GRAM_FRAMES))
-    else:
-        windows = _stream_windows(currents, width)
+    if hasattr(currents, "__len__"):
+        check_lags(tau_max, dt, len(currents))
+    windows = _stream_windows(currents, width)
     cells = np.zeros(_GRAM_FRAMES * (width + 1))
     gram = cells[:-_GRAM_FRAMES].reshape(_GRAM_FRAMES, width)
     # the same cells in rows one longer: band[r, k] is gram[r, r + k]

@@ -457,6 +457,7 @@ class Evolution:
     frames: np.ndarray         # (nt, n) complex
     potential: PotentialModel
     dt: float                  # the propagator step evolve_store took
+    method: str                # and its PropagatorConfig.method
     mass: float = 1.0
     hbar: float = 1.0
 
@@ -505,4 +506,5 @@ def evolve_store(psi: WaveFunction, potential: PotentialModel,
             t += dt
         _check_norm_drift(amp, psi.grid, cfg)
         frames[frame] = amp
-    return Evolution(psi.grid, times, frames, potential, dt, mass, hbar)
+    return Evolution(psi.grid, times, frames, potential, dt, cfg.method, mass,
+                     hbar)

@@ -214,7 +214,7 @@ def check_energy_decomposition():
                           1.0)
         ens = integrate_trajectories(ev, np.array([1.0]))
         t_mid = float(ev.times[len(ev.times) // 2])
-        return power_balance_residual(ev, pot, ens.positions[:, 0], t_mid)
+        return power_balance_residual(ev, ens.positions[:, 0], t_mid)
 
     ev = evolve_store(psi0, pot, PropagatorConfig(0.002, steps_per_output=25), 1.0)
     psi = ev.psi(len(ev.times) // 2)
@@ -243,7 +243,7 @@ def check_work_properties():
     ev = evolve_store(psi, pot, cfg, t2)
     starts = sample_initial_positions(psi, 10_000, seed=55)
     ens = integrate_trajectories(ev, starts)
-    dist = work_distribution(work_records(ev, pot, ens, 0.0, t2))
+    dist = work_distribution(work_records(ev, ens, 0.0, t2))
     delta = expectation(build_hamiltonian(grid, pot, t=t2),
                         ev.psi(len(ev.times) - 1)) \
         - expectation(build_hamiltonian(grid, pot, t=0.0), psi)
@@ -256,7 +256,7 @@ def check_work_properties():
     ev2 = evolve_store(eig, hpot, PropagatorConfig(
         0.01, method="exact", steps_per_output=10), 1.0)
     ens2 = integrate_trajectories(ev2, sample_initial_positions(eig, 500, seed=56))
-    dist2 = work_distribution(work_records(ev2, hpot, ens2, 0.0, 1.0))
+    dist2 = work_distribution(work_records(ev2, ens2, 0.0, 1.0))
     point_mass = dist2.std < 1e-6 and abs(dist2.mean) < 1e-6
     nonneg = bool(np.all(dist.probabilities >= 0)
                   and np.all(dist2.probabilities >= 0))

@@ -49,17 +49,17 @@ def weak_average(psi: WaveFunction, wv: np.ndarray) -> float:
 
 
 def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
-                         horizon: float, cfg: PropagatorConfig) -> np.ndarray:
+                         horizon: float) -> np.ndarray:
     """Apply the dwell operator D = integral_0^T U^dag(t) A U(t) dt to psi0.
 
     psi0 is the evolution's first frame and A multiplies by the
     window_weights of `region`.  The forward frames are the evolution's own
     up to times[0] + horizon, and the time quadrature is trapezoid at their
-    spacing.  The backward sweep runs cfg.method, the evolution's method,
-    round(frame_dt / dt) times a frame with -evolution.dt, the step
-    evolve_store took: the exact inverse of the forward step for both
-    methods (Strang splitting: S(-dt) = S(dt)^-1), so D is Hermitian and
-    <psi0|D|psi0> equals the density quadrature on the same frames.
+    spacing.  The backward sweep runs evolution.method round(frame_dt / dt)
+    times a frame with -evolution.dt, the step evolve_store took: the exact
+    inverse of the forward step for both methods (Strang splitting:
+    S(-dt) = S(dt)^-1), so D is Hermitian and <psi0|D|psi0> equals the
+    density quadrature on the same frames.
     """
     potential, grid = evolution.potential, evolution.grid
     if potential.time_dependent:
@@ -71,7 +71,7 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
         raise ConfigurationError(f"dwell operator needs horizon > 0, got {horizon}")
     spo = round(evolution.frame_dt / evolution.dt)
     frames, dt, dt_out = evolution.frames, evolution.dt, evolution.dt * spo
-    back = make_stepper(grid, potential, -dt, cfg.method, evolution.mass,
+    back = make_stepper(grid, potential, -dt, evolution.method, evolution.mass,
                         evolution.hbar)
 
     check_horizon(np.abs(frames[i_t]) ** 2 @ w * grid.dx, region, horizon)
@@ -88,6 +88,10 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
 
 def dwell_operator_field(evolution: Evolution, region: tuple[float, float],
                          horizon: float, cfg: PropagatorConfig) -> np.ndarray:
-    """Dwell-operator weak value at every non-node grid point (NaN at nodes)."""
-    d_psi = dwell_operator_state(evolution, region, horizon, cfg)
+    """Dwell-operator weak value at every non-node grid point (NaN at nodes).
+
+    cfg is not read; it stays only because perfbench/tracer.py binds it
+    (ROADMAP item 1).
+    """
+    d_psi = dwell_operator_state(evolution, region, horizon)
     return np.real(grid_weak_value(d_psi, evolution.frames[0]))

@@ -15,6 +15,11 @@ dataclass fields are out of scope.
 Across modules, no src module or demo imports an `_`-private name from a
 bohmlab module other than itself: a private helper another module needs
 is public API and carries a public name.
+
+An Evolution holds the grid, potential (with its charge), mass, hbar, step
+and method that made it.  So a public function of bohm, intrinsics or
+weakval that takes an Evolution takes none of these again, where a value
+that disagreed with the evolution would give a wrong answer silently.
 """
 
 import ast
@@ -78,6 +83,30 @@ def _private_imports():
     return found
 
 
+# Parameters that repeat what an Evolution holds, by annotation or by name.
+_REPEATED_TYPES = re.compile(r"\b(PotentialModel|PropagatorConfig)\b")
+_REPEATED_NAMES = {"charge", "mass", "hbar"}
+# The one exception: perfbench/tracer.py binds this cfg, which the function
+# does not read; it goes with the benchmark revision (ROADMAP item 1).
+REPEATS_ALLOWED = ["weakval.dwell_operator_field(cfg)"]
+
+
+def _repeated_inputs():
+    """`module.function(parameter)` for each parameter of a public function
+    of bohm, intrinsics or weakval that repeats its Evolution parameter."""
+    found = []
+    for name in ("bohm", "intrinsics", "weakval"):
+        tree = ast.parse((ROOT / "src" / "bohmlab" / f"{name}.py").read_text())
+        for fn in _public(tree.body, ast.FunctionDef):
+            params = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+            notes = {p.arg: ast.unparse(p.annotation) if p.annotation else ""
+                     for p in params}
+            if any(re.search(r"\bEvolution\b", note) for note in notes.values()):
+                found += [f"{name}.{fn.name}({arg})" for arg, note in notes.items()
+                          if arg in _REPEATED_NAMES or _REPEATED_TYPES.search(note)]
+    return found
+
+
 def test_modules_found():
     assert MODULES and DEMOS  # an empty glob would pass vacuously
 
@@ -88,3 +117,7 @@ def test_every_public_name_is_used():
 
 def test_no_private_name_crosses_modules():
     assert _private_imports() == []
+
+
+def test_evolution_consumers_take_nothing_it_holds():
+    assert _repeated_inputs() == REPEATS_ALLOWED

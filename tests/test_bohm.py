@@ -288,7 +288,7 @@ class TestVelocityFieldBuild:
         grid = Grid1D(-20.0, 20.0, n)
         frames = _two_gaussian_frames(grid, nt, c1, c2, w1, w2, k, boost, node)
         ev = Evolution(grid, 0.1 * np.arange(nt), frames,
-                       PotentialModel("free"), 0.1, mass=mass)
+                       PotentialModel("free"), 0.1, "split-operator", mass=mass)
         field = bohm.VelocityField(ev)
         masks = node_mask(frames)
         for j in range(nt):

@@ -391,14 +391,41 @@ class TestCli:
          "potential: harmonic potential needs omega > 0"),
         ("propagate", {"state": {"kind": "eigenstate", "index": 1.5}},
          "state.index: must be an integer"),
+        ("psd", {"task": {"window": "hanning"}},
+         "task.window: must be one of (None, 'hann'), got 'hanning'"),
+        ("weakvalue", {"task": {"operator": "spin"}},
+         "task.operator: must be one of"),
+        ("measure", {"task": {"s_operator": "Momentum"}},
+         "task.s_operator: must be one of"),
+        ("measure", {"task": {"g_operator": None}},
+         "task.g_operator: must be one of"),
+        ("measure", {"task": {"mode": "mc"}}, "task.mode: must be one of"),
     ], ids=["x_max", "region", "coupling", "dwell-substeps",
-            "trajectories-substeps", "barrier", "omega", "index"])
+            "trajectories-substeps", "barrier", "omega", "index", "window",
+            "operator", "s_operator", "g_operator", "mode"])
     def test_malformed_value_exit_two(self, tmp_path, capsys, task, extra,
                                       violation):
         path = self.write_config(tmp_path, extra)
         assert main([task, "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
         assert f"\n  {violation}" in capsys.readouterr().err
+
+    def test_bad_name_refused_before_propagation(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # reported with the other violations at parse time, so the psd
+        # task never propagates
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve_store called")
+
+        monkeypatch.setattr(harness, "evolve_store", refuse)
+        path = self.write_config(tmp_path, {"task": {"window": "hanning",
+                                                     "tau_max": -1.0}})
+        out = tmp_path / "out"
+        assert main(["psd", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "\n  task.window: must be one of" in err
+        assert "\n  task.tau_max: must be > 0" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("raw", [
         {"task": "dwell"}, {"task": 5}, {"ensemble": [1]},

@@ -34,7 +34,7 @@ class TestWork:
             0.01, method="exact", steps_per_output=10), 1.0)
         starts = sample_initial_positions(psi, 200, seed=3)
         ens = integrate_trajectories(ev, starts)
-        recs = work_records(ev, pot, ens, 0.0, 1.0)
+        recs = work_records(ev, ens, 0.0, 1.0)
         dist = work_distribution(recs)
         assert dist.flagged_count == 0
         assert abs(dist.mean) < 1e-6
@@ -49,7 +49,7 @@ class TestWork:
         ev = evolve_store(psi, pot, cfg, 1.5)
         starts = sample_initial_positions(psi, 3000, seed=9)
         ens = integrate_trajectories(ev, starts)
-        recs = work_records(ev, pot, ens, 0.0, 1.5)
+        recs = work_records(ev, ens, 0.0, 1.5)
         dist = work_distribution(recs)
         h1 = build_hamiltonian(grid, pot, t=0.0)
         h2 = build_hamiltonian(grid, pot, t=1.5)
@@ -64,7 +64,7 @@ class TestWork:
         ev = evolve_store(psi, pot, PropagatorConfig(
             0.01, method="exact", steps_per_output=10), 0.5)
         ens = integrate_trajectories(ev, np.array([-1.0, 0.0, 1.3]))
-        records = work_records(ev, pot, ens, 0.0, 0.5)
+        records = work_records(ev, ens, 0.0, 0.5)
         assert records.shape == (3, 2)
         assert np.isnan(records[1]).all() and np.isfinite(records[[0, 2]]).all()
         dist = work_distribution(records)
@@ -79,7 +79,7 @@ class TestWork:
         ev = evolve_store(psi, pot, PropagatorConfig(0.005, steps_per_output=20),
                           1.0)
         ens = integrate_trajectories(ev, sample_initial_positions(psi, 300, seed=4))
-        want = work_records(ev, pot, ens, 0.0, 1.0)
+        want = work_records(ev, ens, 0.0, 1.0)
         calls = []
         nodes_at = bohm.nodes_at
 
@@ -89,7 +89,7 @@ class TestWork:
 
         monkeypatch.setattr(bohm, "nodes_at", spy)
         monkeypatch.setattr(intrinsics, "nodes_at", spy)
-        got = work_records(ev, pot, ens, 0.0, 1.0)
+        got = work_records(ev, ens, 0.0, 1.0)
         assert calls == [300, 300]
         assert np.isfinite(got).all()
         assert np.array_equal(got, want)
@@ -100,7 +100,7 @@ class TestWork:
         ev = evolve_store(psi, pot, PropagatorConfig(0.005, steps_per_output=20), 1.0)
         starts = sample_initial_positions(psi, 500, seed=4)
         ens = integrate_trajectories(ev, starts)
-        dist = work_distribution(work_records(ev, pot, ens, 0.0, 1.0))
+        dist = work_distribution(work_records(ev, ens, 0.0, 1.0))
         assert dist.probabilities.sum() == pytest.approx(1.0)
         assert len(dist.bin_edges) == len(dist.probabilities) + 1
 
@@ -114,7 +114,7 @@ class TestPowerBalance:
         starts = np.array([1.0])
         ens = integrate_trajectories(ev, starts)
         t_mid = ev.times[len(ev.times) // 2]
-        return power_balance_residual(ev, pot, ens.positions[:, 0], float(t_mid))
+        return power_balance_residual(ev, ens.positions[:, 0], float(t_mid))
 
     def test_second_order_decay(self, grid):
         r_coarse = self.residual_at_spacing(grid, 50)   # frame dt = 0.1
@@ -127,7 +127,7 @@ class TestPowerBalance:
         ev = evolve_store(psi, pot, PropagatorConfig(0.01, steps_per_output=10), 0.5)
         ens = integrate_trajectories(ev, np.array([0.5]))
         with pytest.raises(ConfigurationError):
-            power_balance_residual(ev, pot, ens.positions[:, 0], 0.0)
+            power_balance_residual(ev, ens.positions[:, 0], 0.0)
 
     def test_trajectory_on_node_raises(self):
         # x = 0 is a grid point and the node of the first excited state,
@@ -139,7 +139,7 @@ class TestPowerBalance:
             0.01, method="exact", steps_per_output=10), 0.5)
         t_mid = float(ev.times[len(ev.times) // 2])
         with pytest.raises(NodeError):
-            power_balance_residual(ev, pot, np.zeros(len(ev.times)), t_mid)
+            power_balance_residual(ev, np.zeros(len(ev.times)), t_mid)
 
 
 def _direct_autocorrelation(currents, m_max):
@@ -162,7 +162,7 @@ class TestCurrentAndPsd:
         ev = evolve_store(psi, PotentialModel("free"),
                           PropagatorConfig(0.01, steps_per_output=10), 0.5)
         starts = sample_initial_positions(psi, 50, seed=5)
-        rows, _ = ensemble_currents(ev, starts, 60.0, charge=1.0)
+        rows, _ = ensemble_currents(ev, starts, 60.0)
         cur = np.array(list(rows))
         assert cur.shape == (len(ev.times), len(starts))
         assert np.allclose(cur, k0 / 60.0, rtol=0.05)
@@ -171,7 +171,7 @@ class TestCurrentAndPsd:
         psi = WaveFunction.gaussian(grid, width=3.0, momentum=2.0)
         # 801 frames, so the record outweighs one RK4 step's temporaries
         # (three Hermite tables and four stages, about 0.1 MB here)
-        ev = evolve_store(psi, PotentialModel("free"),
+        ev = evolve_store(psi, PotentialModel("free", charge=1.6),
                           PropagatorConfig(0.01, steps_per_output=1), 8.0)
         starts = sample_initial_positions(psi, 500, seed=5)
         ens = integrate_trajectories(ev, starts)
@@ -183,7 +183,7 @@ class TestCurrentAndPsd:
         same = []
         tracemalloc.start()
         try:
-            rows, truncated = ensemble_currents(ev, starts, length, charge)
+            rows, truncated = ensemble_currents(ev, starts, length)
             for j, row in enumerate(rows):
                 same.append(np.array_equal(row, want[j]))
             peak = tracemalloc.get_traced_memory()[1]
@@ -428,7 +428,7 @@ class TestDensityRegionMass:
         empty frame 2 time units later, the trapezoid returns it exactly."""
         frames = np.stack([amplitudes, np.zeros_like(amplitudes)])
         ev = Evolution(self.GRID, np.array([0.0, 2.0]), frames,
-                       PotentialModel("free"), 2.0)
+                       PotentialModel("free"), 2.0, "split-operator")
         return dwell_time_density(ev, region, 2.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

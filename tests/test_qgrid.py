@@ -138,6 +138,16 @@ class TestPropagation:
         for i in range(len(ev.times)):
             assert abs(ev.psi(i).norm() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("method", PropagatorConfig.METHODS)
+    def test_evolution_records_its_method(self, method):
+        # the history says how it was made, so later consumers need no cfg
+        grid = Grid1D(-10.0, 10.0, 64)
+        ev = evolve_store(WaveFunction.gaussian(grid),
+                          PotentialModel("harmonic", omega=1.0),
+                          PropagatorConfig(0.01, method=method,
+                                           steps_per_output=5), 0.5)
+        assert (ev.method, ev.dt) == (method, 0.01)
+
     @pytest.mark.parametrize("method", ["split-operator", "exact"])
     def test_energy_conservation(self, grid, method):
         # the exact step commutes with a static H, conserving <H> exactly;
@@ -266,7 +276,7 @@ class TestDenseGuards:
         cfg = PropagatorConfig(0.005, steps_per_output=20)
         d_psi, peak = traced_peak(lambda: dwell_operator_state(
             evolve_store(psi0, PotentialModel("free"), cfg, 4.0),
-            (-2.0, 2.0), 4.0, cfg))
+            (-2.0, 2.0), 4.0))
         assert np.all(np.isfinite(d_psi))
         assert peak < self.N * self.N
 

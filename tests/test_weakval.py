@@ -127,7 +127,7 @@ class TestDwellOperator:
         psi0 = self.make_packet(grid)
         region, horizon = (-2.0, 2.0), 4.0
         ev = self.evolve(psi0, cfg)
-        d_psi = dwell_operator_state(ev, region, horizon, cfg)
+        d_psi = dwell_operator_state(ev, region, horizon)
         quad = float(np.real(np.vdot(psi0.amplitudes, d_psi)) * grid.dx)
 
         density_formula = dwell_time_density(ev, region, horizon)
@@ -141,8 +141,8 @@ class TestDwellOperator:
         psi0 = self.make_packet(grid)
         phi = WaveFunction.gaussian(grid, center=-6.0, width=1.3, momentum=5.0)
         region, horizon = (-2.0, 2.0), 4.0
-        d_psi = dwell_operator_state(self.evolve(psi0, cfg), region, horizon, cfg)
-        d_phi = dwell_operator_state(self.evolve(phi, cfg), region, horizon, cfg)
+        d_psi = dwell_operator_state(self.evolve(psi0, cfg), region, horizon)
+        d_phi = dwell_operator_state(self.evolve(phi, cfg), region, horizon)
         lhs = np.vdot(phi.amplitudes, d_psi) * grid.dx
         rhs = np.conj(np.vdot(psi0.amplitudes, d_phi)) * grid.dx
         assert abs(lhs - rhs) < 1e-10
@@ -157,7 +157,7 @@ class TestDwellOperator:
         # the packet is still inside the window at the stored frame t = 1
         ev = self.evolve(self.make_packet(grid))
         with pytest.raises(HorizonError):
-            dwell_operator_state(ev, (-2.0, 2.0), 1.0, self.CFG)
+            dwell_operator_state(ev, (-2.0, 2.0), 1.0)
 
     def test_horizon_rule_shared_with_density(self, grid):
         # both density-based estimators judge the same |psi|^2 region mass
@@ -175,7 +175,7 @@ class TestDwellOperator:
 
         horizons = [float(t) for t in ev.times[150::5]]
         density = [raises(dwell_time_density, ev, region, h) for h in horizons]
-        operator = [raises(dwell_operator_state, ev, region, h, cfg)
+        operator = [raises(dwell_operator_state, ev, region, h)
                     for h in horizons]
         assert density == operator
         assert density[0] and not density[-1]
@@ -185,8 +185,8 @@ class TestDwellOperator:
         ev = self.evolve(self.make_packet(grid))
         short = evolve_store(self.make_packet(grid), PotentialModel("free"),
                              self.CFG, 3.0)
-        assert np.array_equal(dwell_operator_state(ev, region, 3.0, self.CFG),
-                              dwell_operator_state(short, region, 3.0, self.CFG))
+        assert np.array_equal(dwell_operator_state(ev, region, 3.0),
+                              dwell_operator_state(short, region, 3.0))
 
     def test_backward_sweep_takes_the_forward_step(self, grid, monkeypatch):
         # a horizon shorter than the evolution: re-deriving the step as
@@ -206,18 +206,39 @@ class TestDwellOperator:
         monkeypatch.setattr(weakval, "make_stepper", spy(weakval.make_stepper))
         ev = evolve_store(self.make_packet(grid), PotentialModel("free"), cfg,
                           5.0)
-        dwell_operator_state(ev, (-2.0, 2.0), 4.6, cfg)
+        dwell_operator_state(ev, (-2.0, 2.0), 4.6)
         assert steps == [0.0025, -0.0025] and ev.dt == 0.0025
 
+    def test_backward_sweep_takes_the_evolutions_method(self, grid,
+                                                        monkeypatch):
+        # an exact evolution is swept back by the exact step at -ev.dt
+        ev = self.evolve(self.make_packet(grid))
+        make, steppers = weakval.make_stepper, []
+
+        def recording(*args):
+            steppers.append(args[2:4])
+            return make(*args)
+
+        monkeypatch.setattr(weakval, "make_stepper", recording)
+        dwell_operator_state(ev, (-2.0, 2.0), 4.0)
+        assert ev.method == "exact" and steppers == [(-ev.dt, "exact")]
+
+    def test_field_does_not_read_cfg(self, grid):
+        cfg = PropagatorConfig(0.005, steps_per_output=8)
+        ev = self.evolve(self.make_packet(grid), cfg)
+        other = replace(cfg, method="exact", steps_per_output=4)
+        assert np.array_equal(dwell_operator_field(ev, (-2.0, 2.0), 4.0, cfg),
+                              dwell_operator_field(ev, (-2.0, 2.0), 4.0, other),
+                              equal_nan=True)
+
     def test_steps_per_frame_come_from_the_evolution(self, grid):
-        # a cfg whose steps_per_output disagrees with the evolution's must
-        # not change the sweep: it takes round(frame_dt / dt) steps a frame
+        # the sweep takes round(frame_dt / dt) steps a frame, 8 here, with
+        # no argument that could say otherwise
         grid = Grid1D(-40.0, 40.0, 512)
         cfg = PropagatorConfig(0.0025, steps_per_output=8)
         psi0 = self.make_packet(grid)
         ev = evolve_store(psi0, PotentialModel("free"), cfg, 5.0)
-        d_psi = dwell_operator_state(ev, (-2.0, 2.0), 5.0,
-                                     replace(cfg, steps_per_output=4))
+        d_psi = dwell_operator_state(ev, (-2.0, 2.0), 5.0)
         quad = float(np.real(np.vdot(psi0.amplitudes, d_psi)) * grid.dx)
         from bohmlab.intrinsics import dwell_time_density
         assert quad == pytest.approx(
@@ -229,4 +250,4 @@ class TestDwellOperator:
         ev = self.evolve(self.make_packet(grid), cfg,
                          PotentialModel("drive", amplitude=0.1))
         with pytest.raises(ConfigurationError):
-            dwell_operator_state(ev, (-2.0, 2.0), 4.0, cfg)
+            dwell_operator_state(ev, (-2.0, 2.0), 4.0)
