@@ -3,15 +3,16 @@
 A displaced packet in a harmonic trap sloshes at the trap frequency; the
 induced current I = (q/L) v per experiment, q the charge of the evolution's
 potential, is autocorrelated over the ensemble and cosine-transformed into
-a power spectral density, which peaks at +-omega.  The currents stream from the RK4 integration straight
-into the autocorrelation, one frame at a time, so no (frames x
-trajectories) record is held.
+a power spectral density, which peaks at +-omega.  The frames stream from
+the propagator into the velocity field and the currents from the RK4
+integration into the autocorrelation, one frame at a time, so neither the
+wavefunction record nor a (frames x trajectories) record is held.
 """
 
 import numpy as np
 
 from bohmlab import Grid1D, PotentialModel, PropagatorConfig, WaveFunction, \
-    evolve_store
+    evolve_stream
 from bohmlab.bohm import sample_initial_positions
 from bohmlab.intrinsics import ensemble_currents, psd
 
@@ -20,8 +21,8 @@ grid = Grid1D(-30.0, 30.0, 512)
 pot = PotentialModel("harmonic", omega=omega)
 psi = WaveFunction.gaussian(grid, center=3.0)
 
-ev = evolve_store(psi, pot, PropagatorConfig(0.005, steps_per_output=10),
-                  8 * np.pi)  # four periods
+ev = evolve_stream(psi, pot, PropagatorConfig(0.005, steps_per_output=10),
+                   8 * np.pi)  # four periods
 currents, truncated = ensemble_currents(
     ev, sample_initial_positions(psi, 400, seed=6), length=60.0)
 

@@ -5,9 +5,9 @@ same quantities operationally through post-selection.
 
 from . import bohm, errors, intrinsics, measure, qgrid, weakval
 from .qgrid import (Evolution, Grid1D, PotentialModel, PropagatorConfig,
-                    WaveFunction, build_hamiltonian, evolve_store, expectation,
-                    momentum_operator, position_operator, propagate,
-                    window_weights)
+                    WaveFunction, build_hamiltonian, evolve_store,
+                    evolve_stream, expectation, momentum_operator,
+                    position_operator, propagate, window_weights)
 
 __version__ = "0.1.0"
 
@@ -15,6 +15,6 @@ __all__ = [
     "bohm", "errors", "intrinsics", "measure", "qgrid", "weakval",
     "Grid1D", "WaveFunction", "PotentialModel", "PropagatorConfig",
     "Evolution", "build_hamiltonian", "propagate", "evolve_store",
-    "expectation", "position_operator", "momentum_operator",
+    "evolve_stream", "expectation", "position_operator", "momentum_operator",
     "window_weights",
 ]

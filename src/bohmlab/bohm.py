@@ -3,18 +3,19 @@ grid values at particle positions), equilibrium sampling and trajectory
 integration.
 
 Trajectories are integrated in a two-pass scheme: the wavefunction history
-is stored first (qgrid.evolve_store), then the guidance equation
-dx/dt = v(x, t) is integrated with RK4.  Every consumer of one stored
-history reads the same VelocityField (Evolution.velocity), built once, a
-block of frames at a time: each frame's grid velocity with node points
-clamped to the nearest non-node value, and the knot slopes of its periodic
-cubic spline from an FFT solve.  Between grid points the velocity is that
-spline, evaluated by index arithmetic in the cubic Hermite basis; between
-frames it is linear in t.  VelocityField.coefficients(t) gives the Hermite
-table of one time, so RK4 builds it once per distinct stage time and
-evaluates every stage at that time from it.  Clamping keeps the integrator
-off the singular field at nodes; equilibrium-sampled trajectories visit
-nodes with probability ~0.
+comes first (qgrid.evolve_store stores it, qgrid.evolve_stream hands it
+over frame by frame), then the guidance equation dx/dt = v(x, t) is
+integrated with RK4.  Every consumer of one history reads the same
+VelocityField (Evolution.velocity).  It builds a block of frames at a time,
+on first use: each frame's grid velocity with node points clamped to the
+nearest non-node value, and the knot slopes of its periodic cubic spline
+from an FFT solve.  It keeps two blocks, so its memory does not grow with
+the run.  Between grid points the velocity is that spline, evaluated by
+index arithmetic in the cubic Hermite basis; between frames it is linear
+in t.  VelocityField.coefficients(t) gives the Hermite table of one time,
+so RK4 builds it once per distinct stage time and evaluates every stage at
+that time from it.  Clamping keeps the integrator off the singular field
+at nodes; equilibrium-sampled trajectories visit nodes with probability ~0.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from .qgrid import (NODE_THRESHOLD_REL, Evolution, Grid1D, WaveFunction,
 
 # Frames per VelocityField build block: enough to amortise the per-call
 # cost of the FFTs, few enough that the build's complex temporaries stay
-# at 256 KB at n = 2048.  32-frame blocks saved about 5 ms of a 2048-point,
-# 251-frame build but raised the run's peak RSS by 1.6 MB.
+# at 256 KB at n = 2048.  The field keeps two blocks, 0.5 MB at n = 2048,
+# and a streamed evolution pulls one block of frames at a time.  32-frame
+# blocks saved about 5 ms of a 2048-point, 251-frame build but raised the
+# run's peak RSS by 1.6 MB.
 BUILD_BLOCK_FRAMES = 8
 
 
@@ -217,40 +220,55 @@ class TrajectoryEnsemble:
 
 
 class VelocityField:
-    """Guidance velocity over a stored evolution: periodic cubic in x, linear in t.
+    """Guidance velocity over an evolution: periodic cubic in x, linear in t.
 
-    Holds the clamped grid velocity of every frame and the knot slopes of
-    its periodic spline, as two (nt, n) arrays, each row equal bit for bit
-    to grid_velocity of that frame and its _spline_slopes.  They are filled
-    BUILD_BLOCK_FRAMES frames at a time.  Nothing changes after
-    construction.  Build it through Evolution.velocity, which keeps one
-    per evolution.
+    frame(j) gives frame j's clamped grid velocity and the knot slopes of
+    its periodic spline, each equal bit for bit to grid_velocity of that
+    frame and its _spline_slopes.  They are built BUILD_BLOCK_FRAMES frames
+    at a time, on first use, from evolution.frame_block, and the field
+    keeps only the block last built and the one before it: RK4 reads frames
+    j and j + 1 with j increasing, so its memory does not grow with the
+    frame count.  A read further back builds its block again, from the
+    record of a stored evolution; a streamed evolution raises
+    FrameAccessError instead.  Build it through Evolution.velocity, which
+    keeps one per evolution.
     """
 
     def __init__(self, evolution: Evolution):
         self.grid = evolution.grid
         self.times = evolution.times
         self.frame_dt = evolution.frame_dt
-        nt, n = evolution.frames.shape
-        self.values = np.empty((nt, n))
-        self.slopes = np.empty((nt, n))
-        for lo in range(0, nt, BUILD_BLOCK_FRAMES):
-            rows = slice(lo, lo + BUILD_BLOCK_FRAMES)
-            self.values[rows] = _grid_velocities(self.grid, evolution.frames[rows],
-                                                 evolution.mass, evolution.hbar)
-            self.slopes[rows] = _spline_slopes(self.grid, self.values[rows])
+        self._evolution = evolution
+        self._blocks = {}  # block index -> (values, slopes), at most two
+
+    def frame(self, j: int) -> tuple:
+        """(values, slopes) of frame j: two read-only (n,) arrays."""
+        b, row = divmod(j, BUILD_BLOCK_FRAMES)
+        if b not in self._blocks:
+            ev = self._evolution
+            lo = b * BUILD_BLOCK_FRAMES
+            values = _grid_velocities(
+                self.grid, ev.frame_block(lo, lo + BUILD_BLOCK_FRAMES),
+                ev.mass, ev.hbar)
+            slopes = _spline_slopes(self.grid, values)
+            values.flags.writeable = slopes.flags.writeable = False
+            self._blocks = {k: v for k, v in self._blocks.items() if k == b - 1}
+            self._blocks[b] = values, slopes
+        values, slopes = self._blocks[b]
+        return values[row], slopes[row]
 
     def coefficients(self, t: float) -> np.ndarray:
         """(n, 4) Hermite table of the field at time t, for _hermite_eval."""
         pos = (t - self.times[0]) / self.frame_dt
         lo = min(max(math.floor(pos), 0), len(self.times) - 2)
         w = min(max(float(pos - lo), 0.0), 1.0)
-        values, slopes = self.values[lo], self.slopes[lo]
+        values, slopes = self.frame(lo)
         if w != 0.0:
             # the spline is linear in its knot values, so blending the two
             # frames' knots equals blending their interpolants
-            values = (1.0 - w) * values + w * self.values[lo + 1]
-            slopes = (1.0 - w) * slopes + w * self.slopes[lo + 1]
+            values_1, slopes_1 = self.frame(lo + 1)
+            values = (1.0 - w) * values + w * values_1
+            slopes = (1.0 - w) * slopes + w * slopes_1
         return _hermite_coefficients(values, slopes, self.grid.dx)
 
     def __call__(self, x, t: float):
@@ -259,13 +277,14 @@ class VelocityField:
 
 def rk4_frames(evolution: Evolution, starts: np.ndarray):
     """RK4 integration of the guidance equation for all starting points,
-    yielding (x, k1, frozen) at every stored frame: the one RK4 loop.
+    yielding (x, k1, frozen) at every output frame: the one RK4 loop.
 
-    All trajectories advance together, vectorised over the ensemble, on the
-    stored evolution, one RK4 step per frame: the trajectory error is the
-    field's linear blend between frames (propagator.steps_per_output sets
-    it), not RK4's.  Each step builds the field's Hermite table once per
-    stage time; k2 and k3 share the t + h/2 table.
+    All trajectories advance together, vectorised over the ensemble, over
+    the evolution's frames in order, one RK4 step per frame: the trajectory
+    error is the field's linear blend between frames
+    (propagator.steps_per_output sets it), not RK4's.  Each step builds the
+    field's Hermite table once per stage time; k2 and k3 share the t + h/2
+    table.
 
     At frame j, x holds the positions, k1 = v(x, t_j) is the first stage of
     the step that leaves the frame (None at the last frame, which no step

@@ -25,6 +25,11 @@ class HorizonError(BohmlabError):
     """The time horizon does not cover the transit of the probability mass."""
 
 
+class FrameAccessError(BohmlabError):
+    """A streamed evolution was asked for its record, a single frame, or a
+    frame out of order."""
+
+
 class LagError(BohmlabError):
     """A correlation lag horizon exceeds the available record length."""
 

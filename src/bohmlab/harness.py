@@ -30,8 +30,8 @@ from . import __version__
 from .errors import ConfigurationError
 from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     build_hamiltonian, evolution_operator, evolve_store,
-                    expectation, momentum_operator, position_operator,
-                    propagate)
+                    evolve_stream, expectation, momentum_operator,
+                    position_operator, propagate)
 from .bohm import equivariance_l1, integrate_trajectories, sample_initial_positions
 from .weakval import dwell_operator_field, grid_weak_value, weak_average
 from .intrinsics import (check_lags, dwell_time_density,
@@ -418,16 +418,17 @@ def _mass_hbar(config):
     return float(config.units["mass"]), float(config.units["hbar"])
 
 
-def _evolve(config, duration):
-    """(psi0, its Evolution); tasks read grid, potential, mass, hbar from ev."""
+def _evolve(config, duration, evolve):
+    """(psi0, its Evolution from evolve, evolve_store or evolve_stream);
+    tasks read grid, potential, mass, hbar from ev."""
     psi = config.build_state(config.build_grid())
     mass, hbar = _mass_hbar(config)
-    return psi, evolve_store(psi, config.build_potential(),
-                             config.build_propagator(), duration, mass, hbar)
+    return psi, evolve(psi, config.build_potential(),
+                       config.build_propagator(), duration, mass, hbar)
 
 
 def _task_propagate(config, tmp):
-    _, ev = _evolve(config, float(config.task["duration"]))
+    _, ev = _evolve(config, float(config.task["duration"]), evolve_store)
     header = ["x"] + [f"t={t:.6g}" for t in ev.times]
     dens = np.array([ev.psi(i).density() for i in range(len(ev.times))])
     _write_csv(os.path.join(tmp, "density.csv"), header,
@@ -449,7 +450,7 @@ def _trajectory_ensemble(config, ev, psi):
 
 
 def _task_trajectories(config, tmp):
-    psi, ev = _evolve(config, float(config.task["duration"]))
+    psi, ev = _evolve(config, float(config.task["duration"]), evolve_store)
     ens, health = _trajectory_ensemble(config, ev, psi)
     header = ["t"] + [f"x_{i}" for i in range(ens.count)]
     _write_csv(os.path.join(tmp, "trajectories.csv"), header,
@@ -488,7 +489,7 @@ def _task_weakvalue(config, tmp):
 
 
 def _task_work(config, tmp):
-    psi, ev = _evolve(config, float(config.task["duration"]))
+    psi, ev = _evolve(config, float(config.task["duration"]), evolve_store)
     ens, health = _trajectory_ensemble(config, ev, psi)
     t2 = float(ev.times[-1])
     records = work_records(ev, ens, 0.0, t2)
@@ -514,7 +515,7 @@ def _task_work(config, tmp):
 def _task_dwell(config, tmp):
     region = tuple(float(v) for v in config.task["region"])
     horizon = float(config.task["horizon"])
-    psi, ev = _evolve(config, horizon)
+    psi, ev = _evolve(config, horizon, evolve_store)
     # raises HorizonError before any trajectory is integrated
     t_density = dwell_time_density(ev, region, horizon)
     ens, health = _trajectory_ensemble(config, ev, psi)
@@ -537,12 +538,14 @@ def _task_dwell(config, tmp):
 
 
 def _task_psd(config, tmp):
-    psi, ev = _evolve(config, float(config.task["duration"]))
+    # the field pulls each frame from the propagator as RK4 reaches it, so
+    # the run holds O(n + N) memory whatever the duration
+    psi, ev = _evolve(config, float(config.task["duration"]), evolve_stream)
     length = config.task["device_length"]
     length = float(length) if length is not None else ev.grid.length
     dt, tau_max = float(ev.frame_dt), float(config.task["tau_max"])
-    # raises LagError before any trajectory is integrated: a stream's length
-    # is known to autocorrelation only once it ends
+    # raises LagError before any frame is propagated: autocorrelation can
+    # judge a stream only once it has given its first window
     check_lags(tau_max, dt, len(ev.times))
     currents, truncated = ensemble_currents(ev, _starts(config, psi), length)
     result = psd(currents, dt, tau_max, window=config.task["window"])

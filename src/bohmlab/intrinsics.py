@@ -5,6 +5,7 @@ power spectral density, and dwell times.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +132,7 @@ def ensemble_currents(evolution: Evolution, starts: np.ndarray,
     from starts, with q the charge of the evolution's potential and length
     the device length L, streamed from RK4.
 
-    Returns (rows, truncated).  rows yields one (N,) array per stored frame,
+    Returns (rows, truncated).  rows yields one (N,) array per output frame,
     each RK4's own k1 of that frame scaled (the last frame, which no step
     leaves, is evaluated here), so the (nt, N) record is never held.
     truncated, the (N,) mask of trajectories frozen at the edge, is final
@@ -173,11 +174,18 @@ def _shift_out_block(buf: np.ndarray, filled: int) -> int:
 
 def _stream_windows(rows, width: int):
     """Windows I[a:a + width], a = 0, B, 2B, ..., of the record whose rows
-    the iterable rows yields, each filled into one (width, N) buffer."""
+    the iterable rows yields, each filled into one (width, N) buffer.
+
+    Until the first window is full the buffer grows with the rows it has
+    been given, doubling in place from B rows, so a width the record
+    cannot fill is never allocated."""
     buf, filled = None, 0
     for row in rows:
         if buf is None:
-            buf = np.empty((width, np.size(row)))
+            buf = np.empty((min(width, _GRAM_FRAMES), np.size(row)))
+        if filled == len(buf) < width:
+            # no view of buf exists before the first window is yielded
+            buf.resize((min(2 * filled, width), buf.shape[1]), refcheck=False)
         if filled == width:
             yield buf
             filled = _shift_out_block(buf, filled)
@@ -208,27 +216,28 @@ def autocorrelation(currents, dt: float, tau_max: float) -> tuple:
     currents is any iterable of the record's rows: the record itself (1-D
     for N = 1), a list, or ensemble_currents' stream.  Its windows
     I[a:a+B+m_max] are filled, in order, into one (B + m_max, N) buffer.
-    An input with a length is checked against the lag horizon first, a bare
-    iterator once it ends.
+    The first window comes once the input has given B + m_max rows or
+    ended; only then is the record checked against the lag horizon and
+    are the Gram cells made, so a horizon longer than the record raises
+    LagError, however large, before any buffer of its size exists.
     """
     m_max = int(round(tau_max / dt))
     width = _GRAM_FRAMES + m_max
-    if hasattr(currents, "__len__"):
-        check_lags(tau_max, dt, len(currents))
     windows = _stream_windows(currents, width)
+    first = next(windows, ())
+    # a first window short of width is the whole record
+    check_lags(tau_max, dt, len(first))
     cells = np.zeros(_GRAM_FRAMES * (width + 1))
     gram = cells[:-_GRAM_FRAMES].reshape(_GRAM_FRAMES, width)
     # the same cells in rows one longer: band[r, k] is gram[r, r + k]
     band = cells.reshape(_GRAM_FRAMES, width + 1)[:, :m_max + 1]
     c = np.zeros(m_max + 1)
-    nt = n_traj = 0
-    for i, cols in enumerate(windows):  # cols starts at frame a = i B
-        rows = cols[:_GRAM_FRAMES]
+    for i, cols in enumerate(itertools.chain([first], windows)):
+        rows = cols[:_GRAM_FRAMES]  # cols starts at frame a = i B
         gram[:, len(cols):] = 0.0  # lags past the record's end
         np.matmul(rows, cols.T, out=gram[:len(rows), :len(cols)])
         c += band.sum(axis=0)
         nt, n_traj = i * _GRAM_FRAMES + len(cols), cols.shape[1]
-    check_lags(tau_max, dt, nt)
     # biased estimator: divide by the full record length regardless of overlap
     c /= nt * n_traj
     return dt * np.arange(-m_max, m_max + 1), np.concatenate([c[:0:-1], c])

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConfigurationError, DimensionError, HorizonError,
-                     StepSizeError)
+from .errors import (ConfigurationError, DimensionError, FrameAccessError,
+                     HorizonError, StepSizeError)
 
 NODE_THRESHOLD_REL = 1e-12  # |psi|^2 below this fraction of its max is a node
 DENSE_EIG_LIMIT = 2048
@@ -448,18 +448,39 @@ def _check_norm_drift(amp, grid, cfg):
                             f"dt={cfg.dt} is too large")
 
 
-@dataclass
 class Evolution:
-    """A stored wavefunction history on uniformly spaced output frames."""
+    """A wavefunction history on uniformly spaced output frames, stored or
+    streamed.
 
-    grid: Grid1D
-    times: np.ndarray          # (nt,)
-    frames: np.ndarray         # (nt, n) complex
-    potential: PotentialModel
-    dt: float                  # the propagator step evolve_store took
-    method: str                # and its PropagatorConfig.method
-    mass: float = 1.0
-    hbar: float = 1.0
+    frames is either the (nt, n) complex record (a stored evolution, made
+    by evolve_store) or an iterator that yields its rows in order (a
+    streamed one, made by evolve_stream).  A stored evolution gives any
+    frame in any order.  A streamed one holds no record: frame_block pulls
+    each frame from the iterator once, in order, and is read only through
+    Evolution.velocity, so asking it for frames, for psi(j) or for a block
+    out of order raises FrameAccessError.
+    """
+
+    def __init__(self, grid: Grid1D, times: np.ndarray, frames,
+                 potential: PotentialModel, dt: float, method: str,
+                 mass: float = 1.0, hbar: float = 1.0):
+        self.grid = grid
+        self.times = times              # (nt,)
+        self.potential = potential
+        self.dt = dt                    # the propagator step taken
+        self.method = method            # and its PropagatorConfig.method
+        self.mass = mass
+        self.hbar = hbar
+        self._stored = isinstance(frames, np.ndarray)
+        self._frames = frames if self._stored else iter(frames)
+        self._next = 0  # the frame a streamed evolution gives next
+
+    @property
+    def frames(self) -> np.ndarray:
+        """The (nt, n) complex record of a stored evolution."""
+        if not self._stored:
+            raise FrameAccessError("a streamed evolution holds no frame record")
+        return self._frames
 
     @property
     def frame_dt(self) -> float:
@@ -468,11 +489,31 @@ class Evolution:
     def psi(self, index: int) -> WaveFunction:
         return WaveFunction(self.grid, self.frames[index], float(self.times[index]))
 
+    def frame_block(self, lo: int, hi: int) -> np.ndarray:
+        """Frames lo..hi-1 (hi capped at nt) as one (rows, n) complex array.
+
+        A stored evolution gives a view of its record.  A streamed one
+        pulls the rows from its iterator; lo must be the first frame not
+        yet pulled.
+        """
+        if self._stored:
+            return self._frames[lo:hi]
+        if lo != self._next:
+            raise FrameAccessError(
+                f"streamed evolution read out of order: frame {lo} asked, "
+                f"frame {self._next} is next")
+        block = np.empty((min(hi, len(self.times)) - lo, self.grid.n),
+                         dtype=complex)
+        for row in block:
+            row[:] = next(self._frames)
+        self._next += len(block)
+        return block
+
     @cached_property
     def velocity(self):
         """The Bohmian guidance field of this history (bohm.VelocityField).
 
-        Built on first use and shared by every later consumer.
+        Made on first use and shared by every later consumer.
         """
         from .bohm import VelocityField  # bohm builds on this module
         return VelocityField(self)
@@ -484,27 +525,50 @@ class Evolution:
         return idx
 
 
-def evolve_store(psi: WaveFunction, potential: PotentialModel,
-                 cfg: PropagatorConfig, duration: float,
-                 mass: float = 1.0, hbar: float = 1.0) -> Evolution:
-    """Propagate and record a frame every cfg.steps_per_output steps."""
+def _frame_loop(psi, stepper, cfg, n_frames, dt):
+    """The one propagation loop over output frames: yields psi's amplitudes,
+    then the amplitudes after each cfg.steps_per_output Strang steps of dt,
+    each checked for norm drift."""
+    amp = psi.amplitudes
+    t = psi.time
+    yield amp
+    for _ in range(n_frames):
+        for _ in range(cfg.steps_per_output):
+            amp = stepper.step(amp, t)
+            t += dt
+        _check_norm_drift(amp, psi.grid, cfg)
+        yield amp
+
+
+def evolve_stream(psi: WaveFunction, potential: PotentialModel,
+                  cfg: PropagatorConfig, duration: float,
+                  mass: float = 1.0, hbar: float = 1.0) -> Evolution:
+    """A streamed Evolution: a frame every cfg.steps_per_output steps,
+    propagated only as its VelocityField pulls them, so it holds O(n)
+    memory whatever the duration.
+
+    The step is duration over a whole number of frames times
+    steps_per_output; the stepper is made here, so its errors come first.
+    """
     if duration <= 0:
-        raise ConfigurationError("evolve_store needs duration > 0")
+        raise ConfigurationError("an evolution needs duration > 0")
     total_steps, _ = _step_count(duration, cfg.dt)
     spo = cfg.steps_per_output
     n_frames = int(np.ceil(total_steps / spo))
     dt = duration / (n_frames * spo)  # exact multiple of steps_per_output
     stepper = make_stepper(psi.grid, potential, dt, cfg.method, mass, hbar)
-    frames = np.empty((n_frames + 1, psi.grid.n), dtype=complex)
     times = psi.time + dt * spo * np.arange(n_frames + 1)
-    frames[0] = psi.amplitudes
-    amp = psi.amplitudes
-    t = psi.time
-    for frame in range(1, n_frames + 1):
-        for _ in range(spo):
-            amp = stepper.step(amp, t)
-            t += dt
-        _check_norm_drift(amp, psi.grid, cfg)
-        frames[frame] = amp
-    return Evolution(psi.grid, times, frames, potential, dt, cfg.method, mass,
-                     hbar)
+    return Evolution(psi.grid, times,
+                     _frame_loop(psi, stepper, cfg, n_frames, dt), potential,
+                     dt, cfg.method, mass, hbar)
+
+
+def evolve_store(psi: WaveFunction, potential: PotentialModel,
+                 cfg: PropagatorConfig, duration: float,
+                 mass: float = 1.0, hbar: float = 1.0) -> Evolution:
+    """The stored record of evolve_stream: every frame collected, in order,
+    into one (nt, n) complex array, for the tasks that read frames out of
+    order or more than once."""
+    ev = evolve_stream(psi, potential, cfg, duration, mass, hbar)
+    return Evolution(ev.grid, ev.times, ev.frame_block(0, len(ev.times)),
+                     potential, ev.dt, ev.method, mass, hbar)

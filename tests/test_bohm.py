@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
-                     bohm, evolve_store, momentum_operator)
+                     bohm, evolve_store, evolve_stream, momentum_operator)
 from bohmlab.bohm import (_clamp_nodes, _hermite_coefficients, _hermite_eval,
                           _periodic_spline, _spectral_derivative,
                           _spline_slopes, equivariance_l1,
                           grid_velocity, integrate_trajectories,
                           quantum_potential, read_at, sample_initial_positions)
-from bohmlab.errors import ConfigurationError, NodeError
+from bohmlab.errors import ConfigurationError, FrameAccessError, NodeError
 from bohmlab.harness import parse_config, run
 from bohmlab.qgrid import Evolution, node_mask
 from bohmlab.weakval import aav_weak_value, local_energy
@@ -293,8 +293,9 @@ class TestVelocityFieldBuild:
         masks = node_mask(frames)
         for j in range(nt):
             v = grid_velocity(ev.psi(j), mass)
-            assert np.array_equal(field.values[j], v)
-            assert np.array_equal(field.slopes[j], _spline_slopes(grid, v))
+            values, slopes = field.frame(j)
+            assert np.array_equal(values, v)
+            assert np.array_equal(slopes, _spline_slopes(grid, v))
             assert np.array_equal(masks[j], node_mask(frames[j]))
             # the unclamped velocity; node entries are overwritten by the clamp
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -311,10 +312,11 @@ def _reference_velocity(vel, x, t):
     pos = (t - vel.times[0]) / vel.frame_dt
     lo = int(np.clip(np.floor(pos), 0, len(vel.times) - 2))
     w = float(np.clip(pos - lo, 0.0, 1.0))
-    values, slopes = vel.values[lo], vel.slopes[lo]
+    values, slopes = vel.frame(lo)
     if w != 0.0:
-        values = (1.0 - w) * values + w * vel.values[lo + 1]
-        slopes = (1.0 - w) * slopes + w * vel.slopes[lo + 1]
+        values_1, slopes_1 = vel.frame(lo + 1)
+        values = (1.0 - w) * values + w * values_1
+        slopes = (1.0 - w) * slopes + w * slopes_1
     return _hermite_eval(_hermite_coefficients(values, slopes, vel.grid.dx),
                          vel.grid, x)
 
@@ -428,6 +430,44 @@ class TestRk4Stages:
         with pytest.raises(ConfigurationError, match="substeps must be 1"):
             integrate_trajectories(leaving_evolution, np.array([5.0]),
                                    substeps=substeps)
+
+
+class TestRollingField:
+    """The field keeps two blocks: a stored evolution rebuilds on a backward
+    read, a streamed one refuses it."""
+
+    # 51 frames, seven build blocks
+    ARGS = (WaveFunction.gaussian(Grid1D(-10.0, 10.0, 128), momentum=1.0),
+            PotentialModel("harmonic", omega=0.5),
+            PropagatorConfig(0.01, steps_per_output=2), 1.0)
+
+    def test_stored_backward_read_bit_identical(self):
+        # power_balance_residual reads frames around a mid time after RK4
+        # has reached the last frame: those blocks are built again
+        in_order, backward = evolve_store(*self.ARGS), evolve_store(*self.ARGS)
+        h = in_order.frame_dt
+        times = np.append((in_order.times[:-1, None] + [0.0, 0.5 * h]).ravel(),
+                          in_order.times[-1])
+        want = [in_order.velocity.coefficients(t) for t in times]
+        integrate_trajectories(backward, np.linspace(-4.0, 4.0, 9))
+        for i in reversed(range(len(times))):
+            assert np.array_equal(backward.velocity.coefficients(times[i]),
+                                  want[i])
+
+    def test_streamed_out_of_order_read_raises(self):
+        stored, streamed = evolve_store(*self.ARGS), evolve_stream(*self.ARGS)
+        vel = streamed.velocity
+        for t in stored.times[:30]:
+            assert np.array_equal(vel.coefficients(t),
+                                  stored.velocity.coefficients(t))
+        with pytest.raises(FrameAccessError, match="out of order"):
+            vel.coefficients(stored.times[0])
+        ahead = evolve_stream(*self.ARGS).velocity
+        with pytest.raises(FrameAccessError, match="out of order"):
+            ahead.coefficients(stored.times[20])
+        for refused in (lambda: streamed.frames, lambda: streamed.psi(0)):
+            with pytest.raises(FrameAccessError, match="no frame record"):
+                refused()
 
 
 class TestTrajectories:

@@ -2,17 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bohmlab import bohm, harness, intrinsics, measure
+from bohmlab import bohm, evolve_store, harness, intrinsics, measure
+from bohmlab.bohm import sample_initial_positions
 from bohmlab.cli import build_parser, main
 from bohmlab.errors import (ConfigurationError, HorizonError,
                             InsufficientStatisticsError, LagError)
 from bohmlab.harness import DEFAULTS, parse_config, resolve_out_dir, run
+from bohmlab.intrinsics import ensemble_currents, psd
 from bohmlab.qgrid import SpectralOperator, build_hamiltonian
 
 FAST = {
@@ -218,6 +221,50 @@ class TestRun:
         summary = run(cfg, out_dir=str(tmp_path)).summary
         assert summary["weak_value"] == pytest.approx(summary["density"],
                                                       rel=1e-6)
+
+    PSD = {**FAST, "grid": {"n": 256, "x_min": -20.0, "x_max": 20.0},
+           "potential": {"kind": "harmonic", "omega": 0.5},
+           "state": {"kind": "gaussian", "center": -3.0, "momentum": 1.0},
+           "ensemble": {"n": 100, "seed": 7},
+           "propagator": {"dt": 0.01, "steps_per_output": 2}}
+
+    def test_psd_task_streams_the_stored_bits(self, tmp_path):
+        # the task pulls each frame from the propagator as RK4 reaches it;
+        # the stored record of the same evolution gives the same bytes
+        cfg = parse_config(json.dumps({**self.PSD, "task": {
+            "name": "psd", "duration": 2.0, "tau_max": 0.5}}))
+        run(cfg, out_dir=str(tmp_path))
+        psi = cfg.build_state(cfg.build_grid())
+        ev = evolve_store(psi, cfg.build_potential(), cfg.build_propagator(),
+                          2.0)
+        starts = sample_initial_positions(
+            psi, 100, seed=cfg.subsystem_seeds()["sampling"])
+        currents, _ = ensemble_currents(ev, starts, ev.grid.length)
+        want = psd(currents, ev.frame_dt, 0.5)
+        for name, cols in (("psd.csv", (want.omega, want.values)),
+                           ("autocorrelation.csv",
+                            (want.lags, want.autocorrelation))):
+            got = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+            assert np.array_equal(got, np.column_stack(cols))
+
+    def test_psd_task_memory_independent_of_duration(self, tmp_path):
+        # 101 frames against 401: the stored record and field of the longer
+        # run would be 3.3 MB; the streamed task holds two field blocks
+        def config(duration):
+            return parse_config(json.dumps({**self.PSD, "task": {
+                "name": "psd", "duration": duration, "tau_max": 0.5}}))
+
+        # a first run makes the process's first-use caches, untraced
+        run(config(2.0), out_dir=str(tmp_path / "warm"))
+        peaks = []
+        for duration in (2.0, 8.0):
+            tracemalloc.start()
+            try:
+                run(config(duration), out_dir=str(tmp_path / str(duration)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 32_768
 
     def test_dwell_task_propagates_once(self, tmp_path, monkeypatch):
         # one forward sweep, shared by the trajectories, the density and the

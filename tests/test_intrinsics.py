@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
-                     bohm, build_hamiltonian, evolve_store, expectation,
-                     intrinsics)
+                     bohm, build_hamiltonian, evolve_store, evolve_stream,
+                     expectation, intrinsics, momentum_operator)
 from bohmlab.bohm import (TrajectoryEnsemble, integrate_trajectories,
                           sample_initial_positions)
 from bohmlab.errors import ConfigurationError, LagError, NodeError
@@ -167,12 +167,14 @@ class TestCurrentAndPsd:
         assert cur.shape == (len(ev.times), len(starts))
         assert np.allclose(cur, k0 / 60.0, rtol=0.05)
 
-    def test_currents_stream_scaled_k1(self, grid):
+    @staticmethod
+    def _streamed_currents(grid, duration):
+        """(each streamed current row equals (q/L) v at the collected
+        record's positions, truncated equals the record's, traced peak of
+        the stream) on a stored evolution of duration / 0.01 + 1 frames."""
         psi = WaveFunction.gaussian(grid, width=3.0, momentum=2.0)
-        # 801 frames, so the record outweighs one RK4 step's temporaries
-        # (three Hermite tables and four stages, about 0.1 MB here)
         ev = evolve_store(psi, PotentialModel("free", charge=1.6),
-                          PropagatorConfig(0.01, steps_per_output=1), 8.0)
+                          PropagatorConfig(0.01, steps_per_output=1), duration)
         starts = sample_initial_positions(psi, 500, seed=5)
         ens = integrate_trajectories(ev, starts)
         vel = ev.velocity
@@ -180,20 +182,29 @@ class TestCurrentAndPsd:
                         for j, t in enumerate(ev.times)])
         length, charge = 7.3, 1.6
         want = charge / length * raw
-        same = []
+        same = 0
         tracemalloc.start()
         try:
+            # the field has reached the last frame, so the stream's first
+            # reads rebuild its first blocks from the record
             rows, truncated = ensemble_currents(ev, starts, length)
             for j, row in enumerate(rows):
-                same.append(np.array_equal(row, want[j]))
+                same += np.array_equal(row, want[j])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return (same == len(ev.times),
+                np.array_equal(truncated, ens.truncated), peak)
+
+    def test_currents_stream_scaled_k1(self, grid):
         # each frame's current is RK4's own k1 at the collected record's
-        # positions, streamed: the call never holds the record
-        assert same == [True] * len(ev.times)
-        assert np.array_equal(truncated, ens.truncated)
-        assert peak < 0.05 * want.nbytes
+        # positions, streamed: the call never holds the record, and its
+        # peak (the field's two blocks, one RK4 step's temporaries) does not
+        # grow from 801 to 1601 frames
+        same, truncated_same, peak = self._streamed_currents(grid, 8.0)
+        assert same and truncated_same
+        *_, peak_long = self._streamed_currents(grid, 16.0)
+        assert peak_long <= peak + 4096
 
     @pytest.mark.parametrize("length", [0.0, -60.0])
     def test_nonpositive_length_rejected(self, grid, length, monkeypatch):
@@ -318,6 +329,42 @@ class TestCurrentAndPsd:
                 autocorrelation(record, 0.1, tau_max=5.0)
         with pytest.raises(LagError):
             autocorrelation(iter([]), 0.1, tau_max=0.0)
+
+    def test_oversized_lag_horizon_allocates_nothing_of_its_size(self):
+        # tau_max = 1e11 asks for a (32 + 10^12)-row window: the buffer only
+        # grows with the rows the input gives, and the Gram cells wait for
+        # the lag check, so both inputs raise LagError, not MemoryError
+        for record in (iter(np.ones((10, 2))), np.ones((10, 2))):
+            tracemalloc.start()
+            try:
+                with pytest.raises(LagError, match="lag horizon"):
+                    autocorrelation(record, 0.1, tau_max=1e11)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e5
+
+    def test_mean_current_is_charge_over_length_times_mean_velocity(self, grid):
+        # the paper's third example: averaged over the equilibrium ensemble,
+        # the Bohmian current (q/L) v(x_i, t) is (q/L) <p>/m at every frame,
+        # within its standard error.  A chirped Gaussian in a harmonic well
+        # has a velocity field linear in x with nonzero slope, so every
+        # frame's error is a sampling error and not rounding.
+        pot = PotentialModel("harmonic", omega=0.5, charge=1.6)
+        gauss = WaveFunction.gaussian(grid, center=-3.0, width=0.7, momentum=1.0)
+        psi = WaveFunction(grid, gauss.amplitudes * np.exp(0.1j * grid.x ** 2))
+        cfg = PropagatorConfig(0.005, steps_per_output=4)
+        record = evolve_store(psi, pot, cfg, 5.0)
+        p = momentum_operator(grid)
+        want = [1.6 / 7.3 * expectation(p, record.psi(j))
+                for j in range(len(record.times))]
+        rows, truncated = ensemble_currents(
+            evolve_stream(psi, pot, cfg, 5.0),
+            sample_initial_positions(psi, 2000, seed=7), 7.3)
+        z = [(row.mean() - mean) / (row.std(ddof=1) / np.sqrt(row.size))
+             for row, mean in zip(rows, want, strict=True)]
+        assert not truncated.any()
+        assert np.max(np.abs(z)) < 1.0
 
     def test_psd_even_and_zero_frequency_identity(self):
         rng = np.random.default_rng(8)

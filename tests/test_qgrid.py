@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
-                     build_hamiltonian, evolve_store, expectation,
+                     build_hamiltonian, evolve_store, evolve_stream, expectation,
+                     qgrid,
                      momentum_operator, position_operator, propagate,
                      window_weights)
 from bohmlab.errors import ConfigurationError, DimensionError
@@ -147,6 +148,31 @@ class TestPropagation:
                           PropagatorConfig(0.01, method=method,
                                            steps_per_output=5), 0.5)
         assert (ev.method, ev.dt) == (method, 0.01)
+
+    def test_stream_pulls_the_stored_frames_in_order(self, grid, monkeypatch):
+        # evolve_store collects the one frame loop; a streamed evolution
+        # propagates, and checks the norm drift, only as frames are pulled
+        psi = WaveFunction.gaussian(grid, momentum=2.0)
+        args = (psi, PotentialModel("harmonic", omega=1.0),
+                PropagatorConfig(0.005, steps_per_output=4), 1.0)
+        stored = evolve_store(*args)
+        checks = []
+        check = qgrid._check_norm_drift
+
+        def counting(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(qgrid, "_check_norm_drift", counting)
+        streamed = evolve_stream(*args)
+        assert checks == []
+        head = streamed.frame_block(0, 5)
+        assert len(checks) == 4  # frame 0 is psi itself
+        tail = streamed.frame_block(5, 1000)  # capped at the last frame
+        assert len(checks) == len(stored.times) - 1
+        assert np.array_equal(np.concatenate([head, tail]), stored.frames)
+        assert np.array_equal(streamed.times, stored.times)
+        assert (streamed.dt, streamed.method) == (stored.dt, stored.method)
 
     @pytest.mark.parametrize("method", ["split-operator", "exact"])
     def test_energy_conservation(self, grid, method):
