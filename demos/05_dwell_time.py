@@ -28,7 +28,7 @@ cfg = PropagatorConfig(0.0025, steps_per_output=8)
 ev = evolve_store(psi, pot, cfg, horizon)
 ens = integrate_trajectories(ev, sample_initial_positions(psi, 2000, seed=4))
 
-taus = per_trajectory_dwell_times(ens, region)
+taus = per_trajectory_dwell_times(ens.positions, ens.times, region)
 t_traj, stderr = dwell_time_ensemble(taus)
 t_density = dwell_time_density(ev, region, horizon)
 

@@ -207,7 +207,8 @@ class TrajectoryEnsemble:
     """N trajectories on a shared time axis; positions has shape (nt, N).
 
     integrate_trajectories collects it from rk4_frames; the psd task's
-    currents stream from rk4_frames instead and never hold this record.
+    currents and the dwell task's dwell times stream from rk4_frames
+    instead and never hold this record.
     """
 
     times: np.ndarray

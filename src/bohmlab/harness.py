@@ -26,12 +26,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bohm
 from .errors import ConfigurationError
 from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     build_hamiltonian, evolution_operator, evolve_store,
                     evolve_stream, expectation, momentum_operator,
-                    position_operator, propagate)
+                    position_operator, propagate, window_weights)
 from .bohm import equivariance_l1, integrate_trajectories, sample_initial_positions
 from .weakval import dwell_operator_field, grid_weak_value, weak_average
 from .intrinsics import (check_lags, dwell_time_density,
@@ -515,21 +515,34 @@ def _task_work(config, tmp):
 def _task_dwell(config, tmp):
     region = tuple(float(v) for v in config.task["region"])
     horizon = float(config.task["horizon"])
-    psi, ev = _evolve(config, horizon, evolve_store)
-    # raises HorizonError before any trajectory is integrated
+    # the field pulls each frame from the propagator as RK4 reaches it; the
+    # density and the dwell operator read only the window's columns, which
+    # the evolution keeps, and the dwell times add up as RK4 yields
+    psi, ev = _evolve(config, horizon, evolve_stream)
+    ev.keep_columns(np.flatnonzero(window_weights(ev.grid, *region)))
+    starts = _starts(config, psi)
+    last = []
+
+    def positions():
+        for x, _, frozen in bohm.rk4_frames(ev, starts):
+            last[:] = x, frozen
+            yield x
+
+    taus = per_trajectory_dwell_times(positions(), ev.times, region)
+    final, frozen = last
+    # raises HorizonError once every frame is propagated, before the
+    # backward sweep and before any file is written
     t_density = dwell_time_density(ev, region, horizon)
-    ens, health = _trajectory_ensemble(config, ev, psi)
-    taus = per_trajectory_dwell_times(ens, region)
     t_traj, stderr = dwell_time_ensemble(taus)
     _write_csv(os.path.join(tmp, "dwell_times.csv"),
                ["experiment_id", "x_start", "tau"],
-               np.column_stack([np.arange(ens.count), ens.positions[0], taus]))
-    final = ens.positions[-1]
+               np.column_stack([np.arange(len(starts)), starts, taus]))
     summary = {"trajectory_mean": float(t_traj),
                "trajectory_stderr": float(stderr),
                "density": t_density,
                "stuck": int(np.count_nonzero((final > region[0])
-                                             & (final < region[1]))), **health}
+                                             & (final < region[1]))),
+               "truncated": int(frozen.sum())}
     if not ev.potential.time_dependent:
         summary["weak_value"] = weak_average(psi, dwell_operator_field(
             ev, region, horizon, config.build_propagator()))

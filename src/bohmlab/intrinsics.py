@@ -271,36 +271,57 @@ def psd(currents, dt: float, tau_max: float,
 # Dwell times
 # ---------------------------------------------------------------------------
 
-def per_trajectory_dwell_times(ensemble: TrajectoryEnsemble,
-                               region: tuple[float, float]) -> np.ndarray:
-    """Time each trajectory of the ensemble spends inside [a, b], shape (N,).
+def _step_times(x0, x1, region, dt):
+    """In-region time of each step x0 -> x1 (arrays of one shape) of
+    duration dt (broadcast against them), with linear sub-step crossing
+    refinement."""
+    a, b = region
+    lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
+    span = hi - lo
+    overlap = np.minimum(hi, b, out=hi)
+    overlap -= np.maximum(lo, a, out=lo)
+    np.clip(overlap, 0.0, None, out=overlap)
+    frac = ((x0 >= a) & (x0 <= b)).astype(float)
+    np.divide(overlap, span, out=frac, where=span > 0)
+    frac *= dt
+    return frac
 
-    Linear sub-step crossing refinement.  Per batch of about _BLOCK_CELLS
-    record cells the per-step contributions form a (batch, nt - 1)
-    C-contiguous array summed along its last axis, so each trajectory gets
-    the same pairwise sum whatever the batch size.  A trajectory still
-    inside at the final time counts its time up to then; whether the
-    horizon is long enough is judged on |psi|^2 by dwell_time_density.
+
+def per_trajectory_dwell_times(positions, times: np.ndarray,
+                               region: tuple[float, float]) -> np.ndarray:
+    """Time each trajectory spends inside [a, b], shape (N,).
+
+    positions is the (nt, N) position record at times, or any iterable of
+    its rows, such as rk4_frames' x as RK4 yields it.  Each trajectory's
+    step times are summed in step order: a stream's one row at a time, as
+    it arrives; a record's in blocks of about _BLOCK_CELLS cells
+    (np.add.accumulate keeps the order), so a narrow record does not pay
+    per row.  So no temporary grows with nt, and a trajectory's sum has the
+    same bits whatever N and whether its rows came streamed or stored.  A
+    trajectory still inside at the final time counts its time up to then;
+    whether the horizon is long enough is judged on |psi|^2 by
+    dwell_time_density.
     """
     a, b = region
     if not b > a:
         raise ConfigurationError(f"region needs b > a, got [{a}, {b}]")
-    positions = ensemble.positions
-    dt = np.diff(ensemble.times)
-    taus = np.empty(positions.shape[1])
-    batch = max(1, _BLOCK_CELLS // len(ensemble.times))
-    for start in range(0, len(taus), batch):
-        pos = np.ascontiguousarray(positions[:, start:start + batch].T)
-        x0, x1 = pos[:, :-1], pos[:, 1:]
-        lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
-        span = hi - lo
-        overlap = np.minimum(hi, b, out=hi)
-        overlap -= np.maximum(lo, a, out=lo)
-        np.clip(overlap, 0.0, None, out=overlap)
-        frac = ((x0 >= a) & (x0 <= b)).astype(float)
-        np.divide(overlap, span, out=frac, where=span > 0)
-        frac *= dt
-        taus[start:start + batch] = frac.sum(axis=-1)
+    dts = np.diff(times)
+    if isinstance(positions, np.ndarray):
+        taus = np.zeros(positions.shape[1])
+        steps = max(1, _BLOCK_CELLS // positions.shape[1])
+        for j in range(0, len(positions) - 1, steps):
+            block = positions[j:j + steps + 1]
+            frac = _step_times(block[:-1], block[1:], region,
+                               dts[j:j + steps, None])
+            frac[0] += taus
+            taus = np.add.accumulate(frac, out=frac)[-1]
+        return taus
+    rows = iter(positions)
+    x0 = next(rows)
+    taus = np.zeros(np.shape(x0))
+    for x1, dt in zip(rows, dts):
+        taus += _step_times(x0, x1, region, dt)
+        x0 = x1
     return taus
 
 
@@ -314,12 +335,26 @@ def dwell_time_ensemble(taus: np.ndarray) -> tuple[float, float]:
 def dwell_time_density(evolution: Evolution, region: tuple[float, float],
                        horizon: float) -> float:
     """Dwell time from the density: time integral of the in-region mass
-    sum(w |psi|^2) dx, with w the window_weights of the region."""
+    sum(w |psi|^2) dx, with w the window_weights of the region.
+
+    Frames are read only where w is nonzero (Evolution.frame_columns), so a
+    streamed evolution that kept those columns serves once its frames are
+    pulled; blocks of _BLOCK_CELLS cells are scattered back into
+    full-length rows before they meet w, which keeps the bits of a read of
+    whole frames.
+    """
     i_t = evolution.index_of(evolution.times[0] + horizon)
-    w = window_weights(evolution.grid, *region)
-    frames = evolution.frames[:i_t + 1]
-    step = max(1, _BLOCK_CELLS // evolution.grid.n)
-    mass = evolution.grid.dx * np.concatenate(
-        [np.abs(frames[s:s + step]) ** 2 @ w for s in range(0, len(frames), step)])
+    grid = evolution.grid
+    w = window_weights(grid, *region)
+    idx = np.flatnonzero(w)
+    cols = evolution.frame_columns(idx, i_t + 1)
+    step = max(1, _BLOCK_CELLS // grid.n)
+    rows = np.zeros((step, grid.n), dtype=complex)
+    mass = np.empty(i_t + 1)
+    for s in range(0, i_t + 1, step):
+        block = rows[:len(cols[s:s + step])]
+        block[:, idx] = cols[s:s + step]
+        mass[s:s + step] = np.abs(block) ** 2 @ w
+    mass *= grid.dx
     check_horizon(mass[-1], region, horizon)
     return float(np.trapezoid(mass, evolution.times[:i_t + 1]))

@@ -458,12 +458,20 @@ class Evolution:
     frame in any order.  A streamed one holds no record: frame_block pulls
     each frame from the iterator once, in order, and is read only through
     Evolution.velocity, so asking it for frames, for psi(j) or for a block
-    out of order raises FrameAccessError.
+    out of order raises FrameAccessError.  Both keep initial, the state at
+    times[0].  A streamed evolution told keep_columns(idx) before its first
+    frame also copies those grid columns of every frame it hands over into
+    an (nt, k) record, which frame_columns gives once the frames are pulled:
+    all a window reduction over frames needs, since it reads each frame
+    only where its window weights are nonzero.
     """
+
+    _kept = None  # (idx, (nt, k) record) of the columns kept
 
     def __init__(self, grid: Grid1D, times: np.ndarray, frames,
                  potential: PotentialModel, dt: float, method: str,
-                 mass: float = 1.0, hbar: float = 1.0):
+                 mass: float = 1.0, hbar: float = 1.0,
+                 initial: WaveFunction | None = None):
         self.grid = grid
         self.times = times              # (nt,)
         self.potential = potential
@@ -474,6 +482,9 @@ class Evolution:
         self._stored = isinstance(frames, np.ndarray)
         self._frames = frames if self._stored else iter(frames)
         self._next = 0  # the frame a streamed evolution gives next
+        # psi at times[0]: a stored evolution's first frame; a streamed one
+        # is given it
+        self.initial = self.psi(0) if self._stored else initial
 
     @property
     def frames(self) -> np.ndarray:
@@ -507,7 +518,38 @@ class Evolution:
         for row in block:
             row[:] = next(self._frames)
         self._next += len(block)
+        if self._kept is not None:
+            idx, cols = self._kept
+            cols[lo:self._next] = block[:, idx]
         return block
+
+    def keep_columns(self, idx) -> None:
+        """Keep grid columns idx of every frame a streamed evolution hands
+        over, for frame_columns; a stored evolution has them all already.
+        Called after the first frame is pulled, it raises FrameAccessError."""
+        if self._stored:
+            return
+        if self._next:
+            raise FrameAccessError(
+                f"columns chosen after {self._next} frames were handed over")
+        idx = np.asarray(idx, dtype=np.intp)
+        self._kept = idx, np.empty((len(self.times), len(idx)), dtype=complex)
+
+    def frame_columns(self, idx, hi: int) -> np.ndarray:
+        """Grid columns idx of frames 0..hi-1 as one (hi, k) complex array.
+
+        A stored evolution copies them from its record.  A streamed one
+        gives the columns it kept (keep_columns with the same idx) once it
+        has handed over frame hi - 1, and raises FrameAccessError before.
+        """
+        if self._stored:
+            return self._frames[:hi, idx]
+        if self._kept is None or not np.array_equal(self._kept[0], idx):
+            raise FrameAccessError("a streamed evolution keeps no such columns")
+        if hi > self._next:
+            raise FrameAccessError(
+                f"frame {hi - 1} asked, {self._next} frames handed over")
+        return self._kept[1][:hi]
 
     @cached_property
     def velocity(self):
@@ -560,7 +602,7 @@ def evolve_stream(psi: WaveFunction, potential: PotentialModel,
     times = psi.time + dt * spo * np.arange(n_frames + 1)
     return Evolution(psi.grid, times,
                      _frame_loop(psi, stepper, cfg, n_frames, dt), potential,
-                     dt, cfg.method, mass, hbar)
+                     dt, cfg.method, mass, hbar, initial=psi)
 
 
 def evolve_store(psi: WaveFunction, potential: PotentialModel,

@@ -287,7 +287,7 @@ def check_dwell_triple_agreement():
     t_density = dwell_time_density(ev, region, horizon)
     starts = sample_initial_positions(psi, 2000, seed=91)
     ens = integrate_trajectories(ev, starts)
-    taus = per_trajectory_dwell_times(ens, region)
+    taus = per_trajectory_dwell_times(ens.positions, ens.times, region)
     t_traj, stderr = dwell_time_ensemble(taus)
 
     field = dwell_operator_field(ev, region, horizon, cfg)

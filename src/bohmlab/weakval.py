@@ -52,14 +52,17 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
                          horizon: float) -> np.ndarray:
     """Apply the dwell operator D = integral_0^T U^dag(t) A U(t) dt to psi0.
 
-    psi0 is the evolution's first frame and A multiplies by the
-    window_weights of `region`.  The forward frames are the evolution's own
-    up to times[0] + horizon, and the time quadrature is trapezoid at their
-    spacing.  The backward sweep runs evolution.method round(frame_dt / dt)
-    times a frame with -evolution.dt, the step evolve_store took: the exact
-    inverse of the forward step for both methods (Strang splitting:
-    S(-dt) = S(dt)^-1), so D is Hermitian and <psi0|D|psi0> equals the
-    density quadrature on the same frames.
+    psi0 is the evolution's initial state and A multiplies by the
+    window_weights w of `region`.  The forward frames are the evolution's
+    own up to times[0] + horizon, read only where w is nonzero
+    (Evolution.frame_columns), so a streamed evolution that kept those
+    columns serves once its frames are pulled; each is scattered back into
+    a full-length row before it meets w, which keeps the bits of a read of
+    whole frames.  The time quadrature is trapezoid at the frames' spacing.
+    The backward sweep runs evolution.method round(frame_dt / dt) times a
+    frame with -evolution.dt: the exact inverse of the forward step for
+    both methods (Strang splitting: S(-dt) = S(dt)^-1), so D is Hermitian
+    and <psi0|D|psi0> equals the density quadrature on the same frames.
     """
     potential, grid = evolution.potential, evolution.grid
     if potential.time_dependent:
@@ -70,19 +73,26 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
     if i_t == 0:
         raise ConfigurationError(f"dwell operator needs horizon > 0, got {horizon}")
     spo = round(evolution.frame_dt / evolution.dt)
-    frames, dt, dt_out = evolution.frames, evolution.dt, evolution.dt * spo
+    dt, dt_out = evolution.dt, evolution.dt * spo
     back = make_stepper(grid, potential, -dt, evolution.method, evolution.mass,
                         evolution.hbar)
+    idx = np.flatnonzero(w)
+    cols = evolution.frame_columns(idx, i_t + 1)
+    row = np.zeros(grid.n, dtype=complex)
 
-    check_horizon(np.abs(frames[i_t]) ** 2 @ w * grid.dx, region, horizon)
+    def frame(j):
+        row[idx] = cols[j]
+        return row
+
+    check_horizon(np.abs(frame(i_t)) ** 2 @ w * grid.dx, region, horizon)
 
     weights = np.full(i_t + 1, dt_out)
     weights[0] = weights[-1] = 0.5 * dt_out
-    chi = weights[-1] * (w * frames[i_t])
+    chi = weights[-1] * (w * frame(i_t))
     for j in range(i_t - 1, -1, -1):
         for _ in range(spo):
             chi = back.step(chi, 0.0)
-        chi = chi + weights[j] * (w * frames[j])
+        chi = chi + weights[j] * (w * frame(j))
     return chi
 
 
@@ -94,4 +104,4 @@ def dwell_operator_field(evolution: Evolution, region: tuple[float, float],
     (ROADMAP item 1).
     """
     d_psi = dwell_operator_state(evolution, region, horizon)
-    return np.real(grid_weak_value(d_psi, evolution.frames[0]))
+    return np.real(grid_weak_value(d_psi, evolution.initial.amplitudes))

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from bohmlab import bohm, evolve_store, harness, intrinsics, measure
-from bohmlab.bohm import sample_initial_positions
+from bohmlab.bohm import integrate_trajectories, sample_initial_positions
 from bohmlab.cli import build_parser, main
 from bohmlab.errors import (ConfigurationError, HorizonError,
                             InsufficientStatisticsError, LagError)
 from bohmlab.harness import DEFAULTS, parse_config, resolve_out_dir, run
-from bohmlab.intrinsics import ensemble_currents, psd
-from bohmlab.qgrid import SpectralOperator, build_hamiltonian
+from bohmlab.intrinsics import (dwell_time_density, ensemble_currents,
+                                per_trajectory_dwell_times, psd)
+from bohmlab.qgrid import SpectralOperator, build_hamiltonian, window_weights
+from bohmlab.weakval import dwell_operator_field, weak_average
 
 FAST = {
     "grid": {"n": 128, "x_min": -20.0, "x_max": 20.0},
@@ -144,18 +146,27 @@ class TestRun:
             run(cfg, out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
-    def test_short_horizon_raises_before_trajectories(self, tmp_path,
-                                                      monkeypatch):
-        # the horizon is judged on |psi|^2 before any RK4 work is done
-        def refuse(*args, **kwargs):
-            raise AssertionError("trajectories integrated")
+    def test_short_horizon_raises_before_the_backward_sweep(self, tmp_path,
+                                                            monkeypatch):
+        # the dwell task streams its frames through RK4, so the horizon is
+        # judged on |psi|^2 once the last frame is propagated: before the
+        # dwell operator's backward sweep and before any file is written
+        from bohmlab import qgrid
+        backward = []
+        step = qgrid._SplitOperatorStepper.step
 
-        monkeypatch.setattr(harness, "integrate_trajectories", refuse)
+        def counting_step(stepper, amp, t):
+            if stepper.dt < 0:
+                backward.append(t)
+            return step(stepper, amp, t)
+
+        monkeypatch.setattr(qgrid._SplitOperatorStepper, "step", counting_step)
         cfg = parse_config(json.dumps({**FAST, "task": {
             "name": "dwell", "region": [-5.0, 5.0], "horizon": 0.5}}))
         with pytest.raises(HorizonError, match="probability mass"):
             run(cfg, out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
+        assert backward == []
 
     def test_lag_horizon_raises_before_trajectories(self, tmp_path,
                                                     monkeypatch):
@@ -172,16 +183,18 @@ class TestRun:
         assert list(tmp_path.iterdir()) == []
 
     def test_stuck_trajectory_reported(self, tmp_path, monkeypatch):
-        # a trajectory held inside the region past the horizon is counted
-        # and keeps its time up to the horizon in the mean
-        integrate = harness.integrate_trajectories
+        # a trajectory held inside the region past the horizon, in the RK4
+        # stream the task reads, is counted and keeps its time up to the
+        # horizon in the mean
+        rk4 = bohm.rk4_frames
 
-        def hold_first(*args, **kwargs):
-            ens = integrate(*args, **kwargs)
-            ens.positions[:, 0] = 0.0
-            return ens
+        def hold_first(*args):
+            for x, k1, frozen in rk4(*args):
+                x = x.copy()
+                x[0] = 0.0
+                yield x, k1, frozen
 
-        monkeypatch.setattr(harness, "integrate_trajectories", hold_first)
+        monkeypatch.setattr(bohm, "rk4_frames", hold_first)
         cfg = parse_config(json.dumps({**FAST, "state": {
             "kind": "gaussian", "center": -8.0, "momentum": 5.0},
             "task": {"name": "dwell", "horizon": 4.0}}))
@@ -265,6 +278,63 @@ class TestRun:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 32_768
+
+    DWELL = {**FAST, "state": {"kind": "gaussian", "center": -8.0,
+                               "momentum": 5.0},
+             "task": {"name": "dwell", "horizon": 4.0}}
+
+    def test_dwell_task_streams_the_stored_bits(self, tmp_path):
+        # the task reads its frames through RK4 and the window's columns;
+        # the stored record of the same evolution gives the same bits, and
+        # the record's blocked dwell-time sum the stream's row-by-row one
+        cfg = parse_config(json.dumps(self.DWELL))
+        summary = run(cfg, out_dir=str(tmp_path)).summary
+        region, horizon = (-2.0, 2.0), 4.0
+        psi = cfg.build_state(cfg.build_grid())
+        ev = evolve_store(psi, cfg.build_potential(), cfg.build_propagator(),
+                          horizon)
+        ens = integrate_trajectories(ev, sample_initial_positions(
+            psi, 25, seed=cfg.subsystem_seeds()["sampling"]))
+        final = ens.positions[-1]
+        assert summary["density"] == dwell_time_density(ev, region, horizon)
+        assert summary["weak_value"] == weak_average(psi, dwell_operator_field(
+            ev, region, horizon, cfg.build_propagator()))
+        assert summary["stuck"] == np.count_nonzero((final > region[0])
+                                                    & (final < region[1]))
+        assert summary["truncated"] == ens.truncated.sum()
+        table = np.loadtxt(tmp_path / "dwell_times.csv", delimiter=",",
+                           skiprows=1)
+        assert np.array_equal(table[:, 1], ens.positions[0])
+        taus = per_trajectory_dwell_times(ens.positions, ens.times, region)
+        assert np.array_equal(table[:, 2], taus)
+
+    def test_dwell_task_memory_holds_no_record(self, tmp_path):
+        # 4x the frames may add the window's column record, 4x the
+        # trajectories O(N) (mostly the CSV text); neither adds the frame or
+        # the position record, which the stored task held
+        def peak(spo, n_traj):
+            cfg = parse_config(json.dumps({
+                **self.DWELL, "ensemble": {"n": n_traj, "seed": 7},
+                "propagator": {"dt": 0.01, "steps_per_output": spo}}))
+            tracemalloc.start()
+            try:
+                run(cfg, out_dir=str(tmp_path / f"{spo}-{n_traj}"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a first run makes the process's first-use caches, untraced
+        run(parse_config(json.dumps(self.DWELL)), out_dir=str(tmp_path / "warm"))
+        grid = parse_config(json.dumps(self.DWELL)).build_grid()
+        k = np.count_nonzero(window_weights(grid, -2.0, 2.0))
+        extra_frames = 200 - 50  # 400 steps at 2 and at 8 steps per frame
+        window_record = extra_frames * k * 16
+        frame_record = extra_frames * grid.n * 16
+        assert window_record + 32_768 < frame_record
+        assert peak(2, 500) - peak(8, 500) <= window_record + 32_768
+        position_record = 1500 * 201 * 8
+        assert 1500 * 512 < position_record
+        assert peak(2, 2000) - peak(2, 500) <= 1500 * 512
 
     def test_dwell_task_propagates_once(self, tmp_path, monkeypatch):
         # one forward sweep, shared by the trajectories, the density and the

@@ -390,10 +390,9 @@ class TestCurrentAndPsd:
 
 
 def single_dwell_time(x, region, times):
-    """Dwell time of one trajectory x(times), as a one-column ensemble."""
-    ens = TrajectoryEnsemble(times, np.asarray(x, dtype=float)[:, None],
-                             np.zeros(1, dtype=bool))
-    return float(per_trajectory_dwell_times(ens, region)[0])
+    """Dwell time of one trajectory x(times), as a one-column record."""
+    record = np.asarray(x, dtype=float)[:, None]
+    return float(per_trajectory_dwell_times(record, times, region)[0])
 
 
 class TestDwellTime:
@@ -421,7 +420,7 @@ class TestDwellTime:
             single_dwell_time(np.full(5, 3.0), (1.0, -1.0), t)
 
     def test_batches_bounded_and_bit_identical_to_single_trajectories(self):
-        # a 16 MB record: each batch holds about 8192 of its cells
+        # a 16 MB record: each step block holds about 8192 of its cells
         nt, n_traj = 1001, 2000
         rng = np.random.default_rng(12)
         times = np.linspace(0.0, 5.0, nt)
@@ -429,7 +428,8 @@ class TestDwellTime:
         ens = TrajectoryEnsemble(times, positions, np.zeros(n_traj, dtype=bool))
         tracemalloc.start()
         try:
-            taus = per_trajectory_dwell_times(ens, (-1.0, 1.0))
+            taus = per_trajectory_dwell_times(ens.positions, ens.times,
+                                              (-1.0, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -450,7 +450,7 @@ class TestDwellTime:
         starts = sample_initial_positions(psi, 400, seed=21)
         ens = integrate_trajectories(ev, starts)
         t_traj, stderr = dwell_time_ensemble(
-            per_trajectory_dwell_times(ens, region))
+            per_trajectory_dwell_times(ens.positions, ens.times, region))
         assert abs(t_traj - t_density) < max(3 * stderr, 0.02 * t_density)
 
 

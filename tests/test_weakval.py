@@ -2,10 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      build_hamiltonian, evolve_store, expectation,
-                     momentum_operator, position_operator, qgrid, weakval)
+                     momentum_operator, position_operator, propagate, qgrid,
+                     weakval)
 from bohmlab.bohm import grid_velocity, quantum_potential, read_at
 from bohmlab.errors import ConfigurationError, HorizonError, NodeError
 from bohmlab.qgrid import node_mask
@@ -48,6 +51,37 @@ class TestWeakValue:
         xs = np.array([-0.5, 1.0, 2.5])
         assert np.allclose(np.real(aav_weak_value(p, psi, xs)),
                            read_at(psi, grid_velocity(psi), xs), atol=1e-7)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(64, 512),
+           packets=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.6, 2.0),
+                                      st.floats(-2.5, 2.5), st.floats(0.2, 1.0)),
+                            min_size=2, max_size=3),
+           kind=st.sampled_from(PotentialModel.KINDS),
+           strength=st.floats(0.2, 1.0), duration=st.floats(0.0, 1.0),
+           mass=st.floats(0.5, 2.0), hbar=st.floats(0.5, 2.0))
+    def test_momentum_weak_value_is_mass_times_bohm_velocity(
+            self, n, packets, kind, strength, duration, mass, hbar):
+        # the paper's momentum identity Re[(p psi)/psi] = m v_Bohm on random
+        # grids and superpositions evolved under each potential; p psi comes
+        # from p's eigenbasis, not from the FFT derivative of the velocity
+        grid = Grid1D(-20.0, 20.0, n)
+        amp = sum(np.sqrt(w) * WaveFunction.gaussian(grid, c, s, k, hbar)
+                  .amplitudes for c, s, k, w in packets)
+        params = {"free": {}, "barrier": {"height": 3 * strength, "left": 1.0,
+                                          "right": 4.0},
+                  "harmonic": {"omega": strength},
+                  "drive": {"amplitude": strength}}[kind]
+        pot = PotentialModel(kind, mass=mass, **params)
+        psi = propagate(WaveFunction(grid, amp).normalize(), pot,
+                        PropagatorConfig(0.005), duration, mass, hbar)
+        p = momentum_operator(grid, hbar)
+        p_psi = p.eigenvectors() @ (p.eigenvalues() * p.coefficients(psi))
+        dens = psi.density()
+        away = dens >= 1e-6 * dens.max()  # away from nodes
+        m_v = mass * grid_velocity(psi, mass, hbar)[away]
+        wv = np.real(p_psi[away] / psi.amplitudes[away])
+        assert np.max(np.abs(wv - m_v)) <= 1e-8 * max(1.0, np.max(np.abs(m_v)))
 
     def test_node_postselection_rejected(self, grid):
         a = WaveFunction.gaussian(grid, center=-3.0).amplitudes
