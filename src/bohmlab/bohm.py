@@ -172,13 +172,17 @@ def read_at(psi: WaveFunction, values: np.ndarray, x):
 
 def quantum_potential(psi: WaveFunction, mass: float = 1.0,
                       hbar: float = 1.0) -> np.ndarray:
-    """Q = -(hbar^2/2m) R''/R on the grid, with spectral second derivative
-    of R = |psi| and node points clamped to the nearest non-node value."""
-    r = np.abs(psi.amplitudes)
-    mask = node_mask(psi.amplitudes)
-    d2r = np.fft.ifft(-psi.grid.k ** 2 * np.fft.fft(r)).real
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -hbar ** 2 / (2.0 * mass) * d2r / r
+    """Q = -(hbar^2/2m) R''/R on the grid, node points clamped to the
+    nearest non-node value.  R''/R = Re[psi''/psi] + Im[psi'/psi]^2 from
+    spectral derivatives of psi: a spectral R'' of R = |psi| would ring at
+    every node of psi, however far out in the tails."""
+    amp = psi.amplitudes
+    mask = node_mask(amp)
+    d1 = _spectral_derivative(psi.grid, amp)
+    d2 = _spectral_derivative(psi.grid, d1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = -hbar ** 2 / (2.0 * mass) * (np.real(d2 / amp)
+                                         + np.imag(d1 / amp) ** 2)
     q[mask] = 0.0
     return _clamp_nodes(q, mask)
 

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, bohm
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EmptyEnsembleError
 from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     build_hamiltonian, evolution_operator, evolve_store,
                     evolve_stream, expectation, momentum_operator,
@@ -499,7 +499,12 @@ def _task_work(config, tmp):
                ["experiment_id", "e_initial", "e_final", "work", "flagged"],
                list(zip(range(ens.count), e1.tolist(), e2.tolist(),
                         (e2 - e1).tolist(), flagged.tolist())))
-    dist = work_distribution(records)
+    # a trajectory frozen at the domain edge carries no work to average
+    try:
+        dist = work_distribution(records[~ens.truncated])
+    except EmptyEnsembleError as exc:
+        raise EmptyEnsembleError(f"{exc}; {health['truncated']} trajectories "
+                                 "truncated at the domain edge") from None
     h1, h2 = (build_hamiltonian(ev.grid, ev.potential, t, ev.mass, ev.hbar)
               for t in (0.0, t2))
     delta_h = expectation(h2, ev.psi(len(ev.times) - 1)) - expectation(h1, psi)

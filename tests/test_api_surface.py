@@ -121,3 +121,28 @@ def test_no_private_name_crosses_modules():
 
 def test_evolution_consumers_take_nothing_it_holds():
     assert _repeated_inputs() == REPEATS_ALLOWED
+
+
+def _is_numpy_import(node):
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "numpy" for alias in node.names)
+
+
+def test_openblas_pin_runs_first():
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so the
+    # pin in __init__.py comes before any code: only the docstring and the
+    # os/sys imports it reads precede it, and every `from . import` (whose
+    # modules import numpy) follows it
+    body = ast.parse((ROOT / "src" / "bohmlab" / "__init__.py").read_text()).body
+    pins = [i for i, node in enumerate(body) if isinstance(node, ast.If)
+            and "OPENBLAS_NUM_THREADS" in ast.unparse(node.test)
+            and any(_is_numpy_import(n) for n in ast.walk(node))]
+    assert len(pins) == 1
+    before, after = body[:pins[0]], body[pins[0] + 1:]
+    assert all(isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+               or isinstance(node, ast.Import)
+               and {a.name for a in node.names} <= {"os", "sys"}
+               for node in before)
+    relative = [node for node in body
+                if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative and all(node in after for node in relative)

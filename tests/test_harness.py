@@ -12,8 +12,9 @@ import pytest
 from bohmlab import bohm, evolve_store, harness, intrinsics, measure
 from bohmlab.bohm import integrate_trajectories, sample_initial_positions
 from bohmlab.cli import build_parser, main
-from bohmlab.errors import (ConfigurationError, HorizonError,
-                            InsufficientStatisticsError, LagError)
+from bohmlab.errors import (ConfigurationError, EmptyEnsembleError,
+                            HorizonError, InsufficientStatisticsError,
+                            LagError)
 from bohmlab.harness import DEFAULTS, parse_config, resolve_out_dir, run
 from bohmlab.intrinsics import (dwell_time_density, ensemble_currents,
                                 per_trajectory_dwell_times, psd)
@@ -25,6 +26,14 @@ FAST = {
     "ensemble": {"n": 25, "seed": 7},
     "propagator": {"dt": 0.01, "steps_per_output": 10},
     "task": {"name": "propagate", "duration": 0.5},
+}
+# a k = 5 packet on [-10, 10] runs into the edge within a duration of 4, and
+# every trajectory freezes there
+WRAPPED = {
+    "grid": {"n": 256, "x_min": -10.0, "x_max": 10.0},
+    "potential": {"kind": "free"},
+    "state": {"kind": "gaussian", "momentum": 5.0},
+    "ensemble": {"n": 1000, "seed": 3},
 }
 
 
@@ -382,15 +391,31 @@ class TestRun:
 
     @pytest.mark.parametrize("task", ["psd", "work"])
     def test_wrapped_packet_reports_truncated(self, tmp_path, task):
-        # a k = 5 packet on [-10, 10] runs into the edge within the duration,
-        # and every trajectory freezes there
         cfg = parse_config(json.dumps({
-            "grid": {"n": 256, "x_min": -10.0, "x_max": 10.0},
-            "potential": {"kind": "free"},
-            "state": {"kind": "gaussian", "momentum": 5.0},
-            "ensemble": {"n": 1000, "seed": 3},
-            "task": {"name": task, "duration": 4.0}}))
-        assert run(cfg, out_dir=str(tmp_path)).summary["truncated"] == 1000
+            **WRAPPED, "task": {"name": task, "duration": 4.0}}))
+        if task == "psd":
+            assert run(cfg, out_dir=str(tmp_path)).summary["truncated"] == 1000
+            return
+        # work averages only the trajectories that did not freeze: none
+        with pytest.raises(EmptyEnsembleError,
+                           match="1000 trajectories truncated"):
+            run(cfg, out_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    def test_work_leaves_truncated_trajectories_out(self, tmp_path):
+        # at duration 1.6 some of 200 trajectories reach the edge: the
+        # distribution counts the rest, and every record is still written
+        # with a node-only flag
+        cfg = parse_config(json.dumps({
+            **WRAPPED, "ensemble": {"n": 200, "seed": 3},
+            "task": {"name": "work", "duration": 1.6}}))
+        summary = run(cfg, out_dir=str(tmp_path)).summary
+        dist = json.loads((tmp_path / "work_distribution.json").read_text())
+        records = (tmp_path / "work_records.csv").read_text().splitlines()
+        assert 0 < summary["truncated"] < 200
+        assert dist["count"] == 200 - summary["truncated"]
+        assert len(records) == 1 + 200
+        assert all(row.endswith(",false") for row in records[1:])
 
     @pytest.mark.parametrize("task", ["trajectories", "work", "dwell", "psd"])
     def test_one_rk4_step_per_frame(self, tmp_path, monkeypatch, task):
@@ -781,6 +806,17 @@ def test_cli_substeps_key_exit_two(tmp_path):
     assert not out.exists()
 
 
+def test_cli_work_all_truncated_exit_three(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**WRAPPED, "task": {"name": "work",
+                                                    "duration": 4.0}}))
+    done = run_cli(["work", "--config", str(path), "--out",
+                    str(tmp_path / "out")])
+    assert done.returncode == 3
+    assert "EmptyEnsembleError" in done.stderr
+    assert "1000 trajectories truncated at the domain edge" in done.stderr
+
+
 def _thread_counts(libraries):
     return [get() for _, get in libraries]
 
@@ -831,6 +867,51 @@ class TestOneBlasThread:
         manifest = run(parse_config(json.dumps(FAST)), out_dir=str(tmp_path))
         for name in manifest.outputs:
             assert (tmp_path / name).exists()
+
+
+# what a fresh interpreter sees after `import bohmlab`: every OpenBLAS's
+# thread count, its own threads, and the variable OpenBLAS reads
+PIN_PROBE = """import json, os
+{first}import bohmlab
+from bohmlab import harness
+print(json.dumps([[get() for _, get in harness._openblas_libraries()],
+                  len(os.listdir("/proc/self/task")),
+                  os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not harness._openblas_libraries(),
+                    reason="numpy is not linked against OpenBLAS")
+class TestImportPin:
+    @staticmethod
+    def probe(first="", threads=None):
+        env = {k: v for k, v in os.environ.items() if k not in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-c", PIN_PROBE.format(
+            first=first)], env=env, capture_output=True, text=True,
+            check=True)
+        return json.loads(done.stdout)
+
+    def test_one_thread_and_no_worker_when_unset(self):
+        counts, tasks, variable = self.probe()
+        assert counts and counts == [1] * len(counts)
+        assert tasks == 1
+        assert variable is None
+
+    def test_callers_variable_kept(self):
+        counts, _, variable = self.probe(threads="2")
+        assert counts and counts == [2] * len(counts)
+        assert variable == "2"
+
+    def test_numpy_imported_first_keeps_default(self):
+        # OpenBLAS's own choice: one thread per CPU this process may use
+        counts, _, variable = self.probe(first="import numpy\n")
+        default = len(os.sched_getaffinity(0))
+        assert counts and counts == [default] * len(counts)
+        assert variable is None
 
 
 DETERMINISM_MC = {

@@ -366,6 +366,46 @@ class TestCurrentAndPsd:
         assert not truncated.any()
         assert np.max(np.abs(z)) < 1.0
 
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(center=st.floats(-4.0, 0.0), width=st.floats(0.7, 1.5),
+           momentum=st.floats(0.5, 2.0), chirp=st.floats(0.05, 0.3),
+           kind=st.sampled_from(PotentialModel.KINDS),
+           strength=st.floats(0.2, 1.0),
+           charge=st.sampled_from([-1.6, 0.4, 2.5]),
+           mass=st.floats(0.5, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_mean_current_is_charge_over_length_times_mean_momentum(
+            self, center, width, momentum, chirp, kind, strength, charge, mass,
+            seed):
+        # the paper's third example over random packets, potentials, charges
+        # and masses: each frame's N = 2000 currents are independent draws
+        # of (q/L) v(X, t) with X ~ |psi|^2 (equivariance; one RK4 step per
+        # frame errs far below the standard error), whose mean is
+        # (q/L) <p>/m.  A chirped packet has no node, so v has a finite
+        # variance and each frame's z is standard normal to O(N^-1/2).  A
+        # union bound over 21 frames and 10 examples: P(any |z| > 5) <=
+        # 210 * 5.7e-7 = 1.2e-4.  Leaving the charge out of the current
+        # (charge != 1) moves z by |1 - q| <p>/(m sd) * sqrt(N), far past 5
+        grid = Grid1D(-20.0, 20.0, 256)
+        gauss = WaveFunction.gaussian(grid, center, width, momentum)
+        psi = WaveFunction(grid, gauss.amplitudes
+                           * np.exp(1j * chirp * (grid.x - center) ** 2))
+        params = {"free": {}, "barrier": {"height": 3 * strength, "left": 1.0,
+                                          "right": 4.0},
+                  "harmonic": {"omega": strength},
+                  "drive": {"amplitude": strength}}[kind]
+        pot = PotentialModel(kind, mass=mass, charge=charge, **params)
+        ev = evolve_store(psi, pot, PropagatorConfig(0.005, steps_per_output=10),
+                          1.0, mass)
+        p = momentum_operator(grid)
+        length = 7.3
+        rows, truncated = ensemble_currents(
+            ev, sample_initial_positions(psi, 2000, seed=seed), length)
+        z = [(row.mean() - charge / length * expectation(p, ev.psi(j)) / mass)
+             / (row.std(ddof=1) / np.sqrt(row.size))
+             for j, row in enumerate(rows)]
+        assert len(z) == 21 and not truncated.any()
+        assert np.max(np.abs(z)) <= 5.0
+
     def test_psd_even_and_zero_frequency_identity(self):
         rng = np.random.default_rng(8)
         currents = rng.normal(size=(400, 6))

@@ -22,6 +22,33 @@ def grid():
     return Grid1D(-30.0, 30.0, 512)
 
 
+# hypothesis draws of a 2-3 packet superposition on a random grid, evolved
+# under one of the four potentials, for the paper's pointwise identities
+RANDOM_STATES = dict(
+    n=st.integers(64, 512),
+    packets=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.6, 2.0),
+                               st.floats(-2.5, 2.5), st.floats(0.2, 1.0)),
+                     min_size=2, max_size=3),
+    kind=st.sampled_from(PotentialModel.KINDS),
+    strength=st.floats(0.2, 1.0), duration=st.floats(0.0, 1.0),
+    mass=st.floats(0.5, 2.0), hbar=st.floats(0.5, 2.0))
+
+
+def random_state(n, packets, kind, strength, duration, mass, hbar):
+    """(psi, potential) of one RANDOM_STATES draw."""
+    grid = Grid1D(-20.0, 20.0, n)
+    amp = sum(np.sqrt(w) * WaveFunction.gaussian(grid, c, s, k, hbar)
+              .amplitudes for c, s, k, w in packets)
+    params = {"free": {}, "barrier": {"height": 3 * strength, "left": 1.0,
+                                      "right": 4.0},
+              "harmonic": {"omega": strength},
+              "drive": {"amplitude": strength}}[kind]
+    pot = PotentialModel(kind, mass=mass, **params)
+    psi = propagate(WaveFunction(grid, amp).normalize(), pot,
+                    PropagatorConfig(0.005), duration, mass, hbar)
+    return psi, pot
+
+
 class TestWeakValue:
     def test_momentum_on_gaussian(self, grid):
         # (p psi)(x)/psi(x) = hbar k0 + i hbar x / (2 sigma^2), exactly
@@ -53,28 +80,14 @@ class TestWeakValue:
                            read_at(psi, grid_velocity(psi), xs), atol=1e-7)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(64, 512),
-           packets=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.6, 2.0),
-                                      st.floats(-2.5, 2.5), st.floats(0.2, 1.0)),
-                            min_size=2, max_size=3),
-           kind=st.sampled_from(PotentialModel.KINDS),
-           strength=st.floats(0.2, 1.0), duration=st.floats(0.0, 1.0),
-           mass=st.floats(0.5, 2.0), hbar=st.floats(0.5, 2.0))
+    @given(**RANDOM_STATES)
     def test_momentum_weak_value_is_mass_times_bohm_velocity(
             self, n, packets, kind, strength, duration, mass, hbar):
         # the paper's momentum identity Re[(p psi)/psi] = m v_Bohm on random
         # grids and superpositions evolved under each potential; p psi comes
         # from p's eigenbasis, not from the FFT derivative of the velocity
-        grid = Grid1D(-20.0, 20.0, n)
-        amp = sum(np.sqrt(w) * WaveFunction.gaussian(grid, c, s, k, hbar)
-                  .amplitudes for c, s, k, w in packets)
-        params = {"free": {}, "barrier": {"height": 3 * strength, "left": 1.0,
-                                          "right": 4.0},
-                  "harmonic": {"omega": strength},
-                  "drive": {"amplitude": strength}}[kind]
-        pot = PotentialModel(kind, mass=mass, **params)
-        psi = propagate(WaveFunction(grid, amp).normalize(), pot,
-                        PropagatorConfig(0.005), duration, mass, hbar)
+        psi, _ = random_state(n, packets, kind, strength, duration, mass, hbar)
+        grid = psi.grid
         p = momentum_operator(grid, hbar)
         p_psi = p.eigenvectors() @ (p.eigenvalues() * p.coefficients(psi))
         dens = psi.density()
@@ -114,6 +127,30 @@ class TestLocalEnergy:
         q = read_at(psi, quantum_potential(psi), xs)
         v = read_at(psi, grid_velocity(psi), xs)
         assert np.allclose(le, q + 0.5 * v ** 2 + pot.values(xs), atol=2e-5)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(**RANDOM_STATES)
+    def test_local_energy_is_q_plus_kinetic_plus_potential(
+            self, n, packets, kind, strength, duration, mass, hbar):
+        # the paper's energy identity Re[(H psi)/psi] = Q + m v^2/2 + V on
+        # random grids and superpositions evolved under each potential.  H psi
+        # is the Hamiltonian's, Q and v are bohm's; both sides are exact for
+        # the band-limited psi, so what is left is rounding: eps = 2.2e-16
+        # over FFTs of log2(n) <= 9 stages, divided by |psi| >= 1e-3 max|psi|
+        # away from nodes, times hbar^2/2m <= 4 and k^2 <= 1e2 on the
+        # packets' band, about 1e-9; a Q taken from R = |psi| instead rings
+        # at every node, and misses by O(1) of the scale
+        psi, pot = random_state(n, packets, kind, strength, duration, mass,
+                                hbar)
+        grid = psi.grid
+        h = build_hamiltonian(grid, pot, psi.time, mass, hbar)
+        dens = psi.density()
+        away = dens >= 1e-6 * dens.max()  # away from nodes
+        le = np.real(h.apply(psi.amplitudes)[away] / psi.amplitudes[away])
+        rhs = (quantum_potential(psi, mass, hbar)
+               + 0.5 * mass * grid_velocity(psi, mass, hbar) ** 2
+               + pot.values(grid.x, psi.time))[away]
+        assert np.max(np.abs(le - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(le)))
 
 
 class TestEnsembleAverage:
