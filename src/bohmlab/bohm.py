@@ -4,8 +4,9 @@ integration.
 
 Trajectories are integrated in a two-pass scheme: the wavefunction history
 comes first (qgrid.evolve_store stores it, qgrid.evolve_stream hands it
-over frame by frame), then the guidance equation dx/dt = v(x, t) is
-integrated with RK4.  Every consumer of one history reads the same
+over frame by frame, propagated in a forked worker that runs ahead on
+another core), then the guidance equation dx/dt = v(x, t) is integrated
+with RK4.  Every consumer of one history reads the same
 VelocityField (Evolution.velocity).  It builds a block of frames at a time,
 on first use: each frame's grid velocity with node points clamped to the
 nearest non-node value, and the knot slopes of its periodic cubic spline

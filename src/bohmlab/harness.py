@@ -449,6 +449,14 @@ def _trajectory_ensemble(config, ev, psi):
     return ens, {"truncated": int(ens.truncated.sum())}
 
 
+def _check_untruncated(truncated):
+    """Raise EmptyEnsembleError, naming the count, if every trajectory
+    froze at the domain edge."""
+    if truncated.all():
+        raise EmptyEnsembleError(f"no trajectory left; {truncated.size} "
+                                 "trajectories truncated at the domain edge")
+
+
 def _task_trajectories(config, tmp):
     psi, ev = _evolve(config, float(config.task["duration"]), evolve_store)
     ens, health = _trajectory_ensemble(config, ev, psi)
@@ -524,21 +532,24 @@ def _task_dwell(config, tmp):
     # density and the dwell operator read only the window's columns, which
     # the evolution keeps, and the dwell times add up as RK4 yields
     psi, ev = _evolve(config, horizon, evolve_stream)
-    ev.keep_columns(np.flatnonzero(window_weights(ev.grid, *region)))
-    starts = _starts(config, psi)
-    last = []
+    with contextlib.closing(ev):
+        ev.keep_columns(np.flatnonzero(window_weights(ev.grid, *region)))
+        starts = _starts(config, psi)
+        last = []
 
-    def positions():
-        for x, _, frozen in bohm.rk4_frames(ev, starts):
-            last[:] = x, frozen
-            yield x
+        def positions():
+            for x, _, frozen in bohm.rk4_frames(ev, starts):
+                last[:] = x, frozen
+                yield x
 
-    taus = per_trajectory_dwell_times(positions(), ev.times, region)
+        taus = per_trajectory_dwell_times(positions(), ev.times, region)
     final, frozen = last
     # raises HorizonError once every frame is propagated, before the
     # backward sweep and before any file is written
     t_density = dwell_time_density(ev, region, horizon)
-    t_traj, stderr = dwell_time_ensemble(taus)
+    # a trajectory frozen at the domain edge stops dwelling early
+    _check_untruncated(frozen)
+    t_traj, stderr = dwell_time_ensemble(taus[~frozen])
     _write_csv(os.path.join(tmp, "dwell_times.csv"),
                ["experiment_id", "x_start", "tau"],
                np.column_stack([np.arange(len(starts)), starts, taus]))
@@ -565,8 +576,11 @@ def _task_psd(config, tmp):
     # raises LagError before any frame is propagated: autocorrelation can
     # judge a stream only once it has given its first window
     check_lags(tau_max, dt, len(ev.times))
-    currents, truncated = ensemble_currents(ev, _starts(config, psi), length)
-    result = psd(currents, dt, tau_max, window=config.task["window"])
+    with contextlib.closing(ev):
+        currents, truncated = ensemble_currents(ev, _starts(config, psi),
+                                                length)
+        result = psd(currents, dt, tau_max, window=config.task["window"])
+    _check_untruncated(truncated)
     _write_csv(os.path.join(tmp, "autocorrelation.csv"), ["tau", "c"],
                np.column_stack([result.lags, result.autocorrelation]))
     _write_csv(os.path.join(tmp, "psd.csv"), ["omega", "psd"],
@@ -708,9 +722,12 @@ def run(config: ScenarioConfig, out_dir: str | None = None,
     The task runs on one BLAS thread (every OpenBLAS in the process is set
     to one thread and restored afterwards), so the same config and seed give
     the same bits whatever the caller's BLAS thread setting.  Trajectories
-    are integrated serially.  threads accepts only 1: it is kept for
-    perfbench, which passes threads=1, and goes at the next benchmark
-    revision (ROADMAP item 1).
+    are integrated serially.  The psd and dwell tasks propagate in a frame
+    worker forked at their first frame pull (qgrid.evolve_stream), with the
+    same bits; each task closes its evolution on the way out, so no child
+    process outlives run, whether it returns or raises.  threads accepts
+    only 1: it is kept for perfbench, which passes threads=1, and goes at
+    the next benchmark revision (ROADMAP item 1).
     """
     if threads != 1:
         raise ConfigurationError(f"threads must be 1, got {threads!r}")

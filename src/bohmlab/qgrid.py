@@ -18,6 +18,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import signal
+import threading
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -453,15 +459,18 @@ class Evolution:
     streamed.
 
     frames is either the (nt, n) complex record (a stored evolution, made
-    by evolve_store) or an iterator that yields its rows in order (a
+    by evolve_store) or an iterable that yields its rows in order (a
     streamed one, made by evolve_stream).  A stored evolution gives any
     frame in any order.  A streamed one holds no record: frame_block pulls
-    each frame from the iterator once, in order, and is read only through
-    Evolution.velocity, so asking it for frames, for psi(j) or for a block
-    out of order raises FrameAccessError.  Both keep initial, the state at
-    times[0].  A streamed evolution told keep_columns(idx) before its first
-    frame also copies those grid columns of every frame it hands over into
-    an (nt, k) record, which frame_columns gives once the frames are pulled:
+    each frame once, in order, through a _FrameStream, which on Linux runs
+    the iterable in a worker forked on the first pull, ahead of the
+    reader.  It is read only through Evolution.velocity, so asking it for
+    frames, for psi(j) or for a block out of order raises
+    FrameAccessError.  Its worker is reaped once the last frame is pulled;
+    close() stops it sooner.  Both keep initial, the state at times[0].
+    A streamed evolution told keep_columns(idx) before its first frame
+    also copies those grid columns of every frame it hands over into an
+    (nt, k) record, which frame_columns gives once the frames are pulled:
     all a window reduction over frames needs, since it reads each frame
     only where its window weights are nonzero.
     """
@@ -480,7 +489,7 @@ class Evolution:
         self.mass = mass
         self.hbar = hbar
         self._stored = isinstance(frames, np.ndarray)
-        self._frames = frames if self._stored else iter(frames)
+        self._frames = frames if self._stored else _FrameStream(frames)
         self._next = 0  # the frame a streamed evolution gives next
         # psi at times[0]: a stored evolution's first frame; a streamed one
         # is given it
@@ -504,8 +513,9 @@ class Evolution:
         """Frames lo..hi-1 (hi capped at nt) as one (rows, n) complex array.
 
         A stored evolution gives a view of its record.  A streamed one
-        pulls the rows from its iterator; lo must be the first frame not
-        yet pulled.
+        pulls the rows from its stream; lo must be the first frame not yet
+        pulled.  An exception that stopped the propagation is raised by
+        the pull of the frame it stopped.
         """
         if self._stored:
             return self._frames[lo:hi]
@@ -515,13 +525,21 @@ class Evolution:
                 f"frame {self._next} is next")
         block = np.empty((min(hi, len(self.times)) - lo, self.grid.n),
                          dtype=complex)
-        for row in block:
-            row[:] = next(self._frames)
+        self._frames.readinto(block)
         self._next += len(block)
+        if self._next == len(self.times):
+            self._frames.close()
         if self._kept is not None:
             idx, cols = self._kept
             cols[lo:self._next] = block[:, idx]
         return block
+
+    def close(self) -> None:
+        """Stop a streamed evolution's propagation: its worker, if one
+        runs, is killed and reaped, and a later pull raises
+        FrameAccessError.  A stored evolution has nothing to stop."""
+        if not self._stored:
+            self._frames.close()
 
     def keep_columns(self, idx) -> None:
         """Keep grid columns idx of every frame a streamed evolution hands
@@ -582,12 +600,143 @@ def _frame_loop(psi, stepper, cfg, n_frames, dt):
         yield amp
 
 
-def evolve_stream(psi: WaveFunction, potential: PotentialModel,
-                  cfg: PropagatorConfig, duration: float,
-                  mass: float = 1.0, hbar: float = 1.0) -> Evolution:
-    """A streamed Evolution: a frame every cfg.steps_per_output steps,
-    propagated only as its VelocityField pulls them, so it holds O(n)
-    memory whatever the duration.
+# The frame pipe's size: 32 frames ahead of the reader at n = 2048.  With
+# Linux's default 64 KiB the worker waited on the reader and gained nothing.
+_PIPE_BYTES = 1 << 20
+
+
+def _write_all(fd, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _run_worker(frames, fd, err, readers) -> None:
+    """The body of a forked frame worker, which never returns: each row of
+    frames, as raw complex bytes, down fd, or the pickled exception that
+    stopped it down err once fd is closed.  It closes the reader's ends
+    first, so the reader's exit breaks its pipes."""
+    status = 0
+    try:
+        for reader in readers:
+            os.close(reader)
+        for amp in frames:
+            _write_all(fd, amp)
+    except BaseException as exc:
+        status = 1
+        with contextlib.suppress(BaseException):
+            os.close(fd)  # the reader meets the end of the frames first
+            _write_all(err, pickle.dumps(exc))
+    finally:
+        os._exit(status)
+
+
+def _stop_worker(owner, pid, *fds):
+    """Close the reader's pipes, kill worker pid if it still runs and reap
+    it; returns its wait status (None if it was reaped elsewhere).  Does
+    nothing in any process but owner, such as a later worker that was
+    forked with the stream in its memory."""
+    if os.getpid() != owner:
+        return None
+    for fd in fds:
+        os.close(fd)
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
+    with contextlib.suppress(ChildProcessError):
+        return os.waitpid(pid, 0)[1]
+    return None
+
+
+class _FrameStream:
+    """The rows of an iterable of frames, read in order into blocks.
+
+    The first read, where os.fork exists and this is the process's only
+    thread (forking a threaded process is unsafe), forks a worker that runs
+    the iterable and writes each frame's raw bytes into a pipe enlarged to
+    _PIPE_BYTES where Linux allows, so the propagation runs on another
+    core, ahead of the reader, and its frames arrive with the same bits.
+    Elsewhere the iterable runs here, a frame per row read.  The
+    exception that stops a worker is pickled down a second pipe and raised
+    by the read that reaches its frame; a worker that ends without sending
+    one raises OSError naming its exit code.  The worker leaves through
+    os._exit; close(), or the stream's collection, kills it if it still
+    runs and reaps it.
+    """
+
+    _frames = None  # the iterable, until the first read
+    _rows = None    # its iterator, run in this process
+    _fd = None      # the worker's frame pipe
+    _err = None     # and its exception pipe
+    _stop = None    # stops the worker (a weakref.finalize), until it ends
+    pid = None      # the worker's process id, once forked
+
+    def __init__(self, frames):
+        self._frames = frames
+
+    def readinto(self, block: np.ndarray) -> None:
+        """Fill the rows of block, a C-contiguous (rows, n) complex array,
+        with the next frames."""
+        if self._frames is not None:
+            self._start()
+        if self._rows is not None:
+            for row in block:
+                row[:] = next(self._rows)
+            return
+        if self._stop is None or not self._stop.alive:
+            raise FrameAccessError("the frame stream is closed")
+        view = memoryview(block).cast("B")
+        while view:
+            got = os.readv(self._fd, [view])
+            if not got:
+                self._raise_worker_error()
+            view = view[got:]
+
+    def _start(self) -> None:
+        frames, self._frames = self._frames, None
+        self._rows = iter(frames)
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return
+        import fcntl
+        fd, w = os.pipe()
+        err, err_w = os.pipe()
+        with contextlib.suppress(AttributeError, OSError):  # Linux only
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: propagate here
+            pid = None
+        if pid == 0:
+            _run_worker(frames, w, err_w, (fd, err))
+        os.close(w)
+        os.close(err_w)
+        if pid is None:
+            os.close(fd)
+            os.close(err)
+            return
+        self._rows = None
+        self._fd, self._err, self.pid = fd, err, pid
+        self._stop = weakref.finalize(self, _stop_worker, os.getpid(), pid,
+                                      fd, err)
+
+    def _raise_worker_error(self):
+        """The frames ended early: raise the worker's exception, or OSError
+        naming its exit code if it sent none."""
+        record = b"".join(iter(lambda: os.read(self._err, 1 << 16), b""))
+        status = self._stop()
+        if record:
+            raise pickle.loads(record)
+        code = "unknown" if status is None else os.waitstatus_to_exitcode(status)
+        raise OSError(f"the frame worker exited with code {code} before its "
+                      "last frame")
+
+    def close(self) -> None:
+        self._frames = self._rows = None
+        if self._stop is not None:
+            self._stop()
+
+
+def _frame_plan(psi, potential, cfg, duration, mass, hbar):
+    """(times, dt, the frame loop) of an evolution of psi over duration.
 
     The step is duration over a whole number of frames times
     steps_per_output; the stepper is made here, so its errors come first.
@@ -600,17 +749,31 @@ def evolve_stream(psi: WaveFunction, potential: PotentialModel,
     dt = duration / (n_frames * spo)  # exact multiple of steps_per_output
     stepper = make_stepper(psi.grid, potential, dt, cfg.method, mass, hbar)
     times = psi.time + dt * spo * np.arange(n_frames + 1)
-    return Evolution(psi.grid, times,
-                     _frame_loop(psi, stepper, cfg, n_frames, dt), potential,
-                     dt, cfg.method, mass, hbar, initial=psi)
+    return times, dt, _frame_loop(psi, stepper, cfg, n_frames, dt)
+
+
+def evolve_stream(psi: WaveFunction, potential: PotentialModel,
+                  cfg: PropagatorConfig, duration: float,
+                  mass: float = 1.0, hbar: float = 1.0) -> Evolution:
+    """A streamed Evolution: a frame every cfg.steps_per_output steps,
+    propagated from the first pull on, in a forked worker where one can
+    run (see _FrameStream), so it holds O(n) memory whatever the duration.
+    Nothing is propagated, and no worker forked, before that pull."""
+    times, dt, frames = _frame_plan(psi, potential, cfg, duration, mass, hbar)
+    return Evolution(psi.grid, times, frames, potential, dt, cfg.method,
+                     mass, hbar, initial=psi)
 
 
 def evolve_store(psi: WaveFunction, potential: PotentialModel,
                  cfg: PropagatorConfig, duration: float,
                  mass: float = 1.0, hbar: float = 1.0) -> Evolution:
-    """The stored record of evolve_stream: every frame collected, in order,
-    into one (nt, n) complex array, for the tasks that read frames out of
-    order or more than once."""
-    ev = evolve_stream(psi, potential, cfg, duration, mass, hbar)
-    return Evolution(ev.grid, ev.times, ev.frame_block(0, len(ev.times)),
-                     potential, ev.dt, ev.method, mass, hbar)
+    """The stored record of evolve_stream's frames, collected in order in
+    this process (nothing runs beside it to overlap) into one (nt, n)
+    complex array, for the tasks that read frames out of order or more
+    than once."""
+    times, dt, frames = _frame_plan(psi, potential, cfg, duration, mass, hbar)
+    record = np.empty((len(times), psi.grid.n), dtype=complex)
+    for row, amp in zip(record, frames):
+        row[:] = amp
+    return Evolution(psi.grid, times, record, potential, dt, cfg.method,
+                     mass, hbar)

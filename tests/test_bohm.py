@@ -468,6 +468,7 @@ class TestRollingField:
         for refused in (lambda: streamed.frames, lambda: streamed.psi(0)):
             with pytest.raises(FrameAccessError, match="no frame record"):
                 refused()
+        streamed.close()  # its worker, 30 frames in, is stopped and reaped
 
 
 class TestTrajectories:

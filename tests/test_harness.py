@@ -347,13 +347,16 @@ class TestRun:
 
     def test_dwell_task_propagates_once(self, tmp_path, monkeypatch):
         # one forward sweep, shared by the trajectories, the density and the
-        # dwell operator, one backward sweep and one per-trajectory dwell pass
+        # dwell operator, one backward sweep and one per-trajectory dwell pass.
+        # The forward sweep runs in a forked worker, so each step appends a
+        # byte to a file that both processes write
         from bohmlab import qgrid, weakval
-        steps = {"forward": 0, "backward": 0}
+        log = tmp_path / "steps.log"
         step = qgrid._SplitOperatorStepper.step
 
         def counting_step(stepper, amp, t):
-            steps["forward" if stepper.dt > 0 else "backward"] += 1
+            with open(log, "ab") as fh:
+                fh.write(b"f" if stepper.dt > 0 else b"b")
             return step(stepper, amp, t)
 
         passes = []
@@ -369,7 +372,9 @@ class TestRun:
         cfg = parse_config(json.dumps({**FAST, "state": {
             "kind": "gaussian", "center": -8.0, "momentum": 5.0},
             "task": {"name": "dwell", "horizon": 4.0}}))
-        summary = run(cfg, out_dir=str(tmp_path)).summary
+        summary = run(cfg, out_dir=str(tmp_path / "out")).summary
+        record = log.read_bytes()
+        steps = {"forward": record.count(b"f"), "backward": record.count(b"b")}
         assert steps == {"forward": 400, "backward": 400}
         assert len(passes) == 1
         assert not hasattr(weakval, "evolve_store")
@@ -391,15 +396,49 @@ class TestRun:
 
     @pytest.mark.parametrize("task", ["psd", "work"])
     def test_wrapped_packet_reports_truncated(self, tmp_path, task):
+        # work averages only the trajectories that did not freeze, and psd
+        # correlates no current once every trajectory froze: none is left
         cfg = parse_config(json.dumps({
             **WRAPPED, "task": {"name": task, "duration": 4.0}}))
-        if task == "psd":
-            assert run(cfg, out_dir=str(tmp_path)).summary["truncated"] == 1000
-            return
-        # work averages only the trajectories that did not freeze: none
         with pytest.raises(EmptyEnsembleError,
                            match="1000 trajectories truncated"):
             run(cfg, out_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    def test_dwell_mean_leaves_truncated_trajectories_out(self, tmp_path):
+        # a k = 5 packet at 5 on [-10, 10] crosses the edge within 2 time
+        # units, while |psi|^2 has wrapped round and left [4, 6] well before
+        # the horizon: every trajectory freezes, none is left to average
+        cfg = parse_config(json.dumps({
+            **WRAPPED, "state": {"kind": "gaussian", "center": 5.0,
+                                 "momentum": 5.0},
+            "ensemble": {"n": 200, "seed": 3},
+            "task": {"name": "dwell", "region": [4.0, 6.0], "horizon": 2.0}}))
+        with pytest.raises(EmptyEnsembleError,
+                           match="200 trajectories truncated"):
+            run(cfg, out_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    def test_psd_worker_is_reaped_when_rk4_fails(self, tmp_path,
+                                                 monkeypatch, forks):
+        # RK4 raises mid-stream: the task's evolution is closed on the way
+        # out, so its frame worker is killed and reaped inside run()
+        rk4 = intrinsics.rk4_frames
+
+        def failing(evolution, starts):
+            for j, frame in enumerate(rk4(evolution, starts)):
+                if j == 20:
+                    raise RuntimeError("RK4 failed mid-stream")
+                yield frame
+
+        monkeypatch.setattr(intrinsics, "rk4_frames", failing)
+        cfg = parse_config(json.dumps({**self.PSD, "task": {
+            "name": "psd", "duration": 2.0, "tau_max": 0.5}}))
+        with pytest.raises(RuntimeError, match="mid-stream"):
+            run(cfg, out_dir=str(tmp_path))
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
         assert not list(tmp_path.iterdir())
 
     def test_work_leaves_truncated_trajectories_out(self, tmp_path):

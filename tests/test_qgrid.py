@@ -1,3 +1,6 @@
+import os
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,13 +11,25 @@ from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      qgrid,
                      momentum_operator, position_operator, propagate,
                      window_weights)
-from bohmlab.errors import ConfigurationError, DimensionError
+from bohmlab.errors import (ConfigurationError, DimensionError,
+                            FrameAccessError, StepSizeError)
 from bohmlab.qgrid import DENSE_EIG_LIMIT, evolution_operator
 
 
 @pytest.fixture
 def grid():
     return Grid1D(-20.0, 20.0, 256)
+
+
+# the evolve_store scenario of the streamed-frame tests: 51 frames
+STREAM_ARGS = (WaveFunction.gaussian(Grid1D(-20.0, 20.0, 256), momentum=2.0),
+               PotentialModel("harmonic", omega=1.0),
+               PropagatorConfig(0.005, steps_per_output=4), 1.0)
+
+
+def assert_reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 def free_gaussian_width(sigma0, t, hbar=1.0, mass=1.0):
@@ -149,30 +164,33 @@ class TestPropagation:
                                            steps_per_output=5), 0.5)
         assert (ev.method, ev.dt) == (method, 0.01)
 
-    def test_stream_pulls_the_stored_frames_in_order(self, grid, monkeypatch):
-        # evolve_store collects the one frame loop; a streamed evolution
-        # propagates, and checks the norm drift, only as frames are pulled
-        psi = WaveFunction.gaussian(grid, momentum=2.0)
-        args = (psi, PotentialModel("harmonic", omega=1.0),
-                PropagatorConfig(0.005, steps_per_output=4), 1.0)
-        stored = evolve_store(*args)
-        checks = []
-        check = qgrid._check_norm_drift
+    def test_stream_pulls_the_stored_frames_in_order(self, monkeypatch,
+                                                      forks):
+        # evolve_store collects the one frame loop in this process; a
+        # streamed evolution forks nothing and takes no step before its
+        # first pull (the frame-k failure is TestFrameWorker's)
+        steps = []
+        step = qgrid._SplitOperatorStepper.step
 
-        def counting(*args):
-            checks.append(args)
-            return check(*args)
+        def counting(stepper, amp, t):
+            steps.append(t)
+            return step(stepper, amp, t)
 
-        monkeypatch.setattr(qgrid, "_check_norm_drift", counting)
-        streamed = evolve_stream(*args)
-        assert checks == []
+        monkeypatch.setattr(qgrid._SplitOperatorStepper, "step", counting)
+        stored = evolve_store(*STREAM_ARGS)
+        assert forks == [] and len(steps) == 4 * (len(stored.times) - 1)
+        del steps[:]
+        streamed = evolve_stream(*STREAM_ARGS)
+        assert forks == [] and steps == []
         head = streamed.frame_block(0, 5)
-        assert len(checks) == 4  # frame 0 is psi itself
         tail = streamed.frame_block(5, 1000)  # capped at the last frame
-        assert len(checks) == len(stored.times) - 1
         assert np.array_equal(np.concatenate([head, tail]), stored.frames)
         assert np.array_equal(streamed.times, stored.times)
         assert (streamed.dt, streamed.method) == (stored.dt, stored.method)
+        assert len(forks) == 1 and steps == []  # every step in the worker
+        assert_reaped(forks[0])
+        evolve_stream(*STREAM_ARGS).close()  # never pulled: nothing forked
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("method", ["split-operator", "exact"])
     def test_energy_conservation(self, grid, method):
@@ -330,3 +348,79 @@ class TestWindowOperator:
     def test_bad_window(self, grid):
         with pytest.raises(ConfigurationError):
             window_weights(grid, 1.0, -1.0)
+
+
+class TestFrameWorker:
+    """A streamed evolution propagates in a worker forked on its first
+    pull, ahead of the reader, and hands over the frames in process bits."""
+
+    @pytest.mark.parametrize("where", ["worker", "second-thread",
+                                       "fork-fails"])
+    def test_streamed_frames_are_the_stored_bits(self, monkeypatch, forks,
+                                                 where):
+        # a second thread makes a fork unsafe, and a failed fork leaves no
+        # worker: either way the loop runs in process
+        if where == "fork-fails":
+            def refuse():
+                raise BlockingIOError("no process to spare")
+            monkeypatch.setattr(os, "fork", refuse)
+        stored = evolve_store(*STREAM_ARGS)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if where == "second-thread":
+            thread.start()
+        try:
+            open_fds = len(os.listdir("/proc/self/fd"))
+            streamed = evolve_stream(*STREAM_ARGS)
+            blocks = [streamed.frame_block(lo, lo + 8)
+                      for lo in range(0, len(stored.times), 8)]
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert np.array_equal(np.concatenate(blocks), stored.frames)
+        assert len(forks) == (where == "worker")
+        assert (streamed._frames.pid is None) == (where != "worker")
+        assert len(os.listdir("/proc/self/fd")) == open_fds  # pipes closed
+
+    def test_norm_failure_raises_when_its_frame_is_pulled(self, monkeypatch):
+        # the worker runs ahead and fails at frame k; the reader gets frames
+        # 0..k-1 first, then the worker's StepSizeError with frame k
+        k = 7
+        stored = evolve_store(*STREAM_ARGS)
+        checks = []
+
+        def failing(amp, grid, cfg):
+            checks.append(None)  # counted in the worker's memory
+            if len(checks) == k:
+                raise StepSizeError(f"norm check failed at frame {k}")
+
+        monkeypatch.setattr(qgrid, "_check_norm_drift", failing)
+        streamed = evolve_stream(*STREAM_ARGS)
+        frames = [streamed.frame_block(0, 1)]
+        pid = streamed._frames.pid
+        # the worker has ended, not yet reaped, before frame 1 is pulled
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        frames += [streamed.frame_block(j, j + 1) for j in range(1, k)]
+        assert np.array_equal(np.concatenate(frames), stored.frames[:k])
+        with pytest.raises(StepSizeError, match=f"at frame {k}"):
+            streamed.frame_block(k, k + 1)
+        assert checks == []
+        assert_reaped(pid)
+        with pytest.raises(FrameAccessError, match="closed"):
+            streamed.frame_block(k, k + 1)
+
+    def test_killed_worker_raises_oserror(self):
+        # 101 frames of 16 KiB overfill the 1 MiB pipe: the worker is
+        # still running when it is killed, and the frames run out short
+        psi = WaveFunction.gaussian(Grid1D(-20.0, 20.0, 1024), momentum=2.0)
+        streamed = evolve_stream(psi, PotentialModel("free"),
+                                 PropagatorConfig(0.002, steps_per_output=1),
+                                 0.2)
+        streamed.frame_block(0, 1)
+        pid = streamed._frames.pid
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises(OSError, match=f"code -{signal.SIGKILL:d}"):
+            streamed.frame_block(1, len(streamed.times))
+        assert_reaped(pid)
