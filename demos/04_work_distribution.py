@@ -5,8 +5,8 @@ each Bohmian trajectory.  For a uniformly driven packet the ensemble mean
 reproduces the change of <H(t)>; for a stationary state the distribution
 collapses to a point mass at zero, matching the two-point-measurement
 benchmark.  The stationary state is a dense eigenvector of H, propagated
-with the exact eigenbasis step, under which it stays stationary to
-rounding.
+by the split-operator step at dt = 0.001, under which it stays stationary
+to O(dt^2): the work spread is about 1e-7.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ hpot = PotentialModel("harmonic", omega=1.0)
 h = build_hamiltonian(grid, hpot)
 eig = WaveFunction(grid, h.eigenvectors()[:, 0])
 ev2 = evolve_store(eig, hpot, PropagatorConfig(
-    0.01, method="exact", steps_per_output=10), 1.0)
+    0.001, steps_per_output=100), 1.0)
 ens2 = integrate_trajectories(ev2, sample_initial_positions(eig, 1000, seed=3))
 dist2 = work_distribution(work_records(ev2, ens2, 0.0, 1.0))
 print("\nharmonic ground state:")

@@ -6,7 +6,7 @@ average of the dwell-operator weak value must all agree; the pointwise
 per-trajectory comparison against the weak value at the starting position
 is reported as a distribution.  All three estimators share one stored
 split-operator history: the dwell operator reuses its forward frames and
-sweeps back with the step and method the Evolution records, at -dt.
+sweeps back with the step the Evolution records, at -dt.
 """
 
 import numpy as np

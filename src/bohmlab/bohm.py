@@ -22,6 +22,7 @@ at nodes; equilibrium-sampled trajectories visit nodes with probability ~0.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,14 +238,17 @@ class VelocityField:
     frame count.  A read further back builds its block again, from the
     record of a stored evolution; a streamed evolution raises
     FrameAccessError instead.  Build it through Evolution.velocity, which
-    keeps one per evolution.
+    keeps one per evolution.  The field reads its evolution through a weak
+    proxy, so the two make no reference cycle: a streamed evolution that is
+    dropped half-read stops its worker at once, and a read through a field
+    whose evolution is gone raises ReferenceError.
     """
 
     def __init__(self, evolution: Evolution):
         self.grid = evolution.grid
         self.times = evolution.times
         self.frame_dt = evolution.frame_dt
-        self._evolution = evolution
+        self._evolution = weakref.proxy(evolution)
         self._blocks = {}  # block index -> (values, slopes), at most two
 
     def frame(self, j: int) -> tuple:

@@ -48,8 +48,7 @@ DEFAULTS = {
     "grid": {"x_min": -30.0, "x_max": 30.0, "n": 512},
     "potential": {"kind": "free"},
     "state": {"kind": "gaussian"},
-    "propagator": {"dt": 0.005, "method": "split-operator",
-                   "steps_per_output": 10},
+    "propagator": {"dt": 0.005, "steps_per_output": 10},
     "ensemble": {"n": 1000, "seed": 42},
     "task": {"name": "propagate"},
 }
@@ -160,8 +159,7 @@ class ScenarioConfig:
 
     def build_propagator(self) -> PropagatorConfig:
         p = self.propagator
-        return PropagatorConfig(float(p["dt"]), method=p["method"],
-                                steps_per_output=int(p["steps_per_output"]))
+        return PropagatorConfig(float(p["dt"]), int(p["steps_per_output"]))
 
 
 _ANY = (lambda v: True, "")

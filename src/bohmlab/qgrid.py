@@ -8,10 +8,9 @@ Conventions used throughout the package:
   that sum |psi|^2 dx = 1;
 * spectral (FFT) derivatives, so smooth states are resolved to machine
   precision as long as the packet stays away from the domain edges;
-* two propagators: the split-operator (Strang) FFT step for any potential,
-  and the exact step exp(-i H dt / hbar) in the dense eigenbasis of a
-  time-independent H (n <= DENSE_EIG_LIMIT), which keeps eigenstates
-  stationary;
+* one propagator, the split-operator (Strang) FFT step, for any potential;
+  the dense exp(-i H t / hbar) of a time-independent H (n <= DENSE_EIG_LIMIT)
+  is evolution_operator, for the dense measurement chain;
 * a grid point or position is a node when |psi|^2 there falls below
   NODE_THRESHOLD_REL times the maximum of |psi|^2 on the grid.
 """
@@ -366,22 +365,21 @@ def node_mask(amplitudes: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PropagatorConfig:
     dt: float
-    method: str = "split-operator"  # or "exact"
     steps_per_output: int = 10
-
-    METHODS = ("split-operator", "exact")
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if self.method not in self.METHODS:
-            raise ConfigurationError(f"unknown propagation method {self.method!r}"
-                                     f" (valid: {', '.join(self.METHODS)})")
         if self.steps_per_output < 1:
             raise ConfigurationError("steps_per_output must be >= 1")
 
 
-class _SplitOperatorStepper:
+class Stepper:
+    """The split-operator (Strang) step of dt from t, for any potential:
+    exp(-i V(t + dt) dt / 2 hbar) exp(-i T dt / hbar) exp(-i V(t) dt / 2 hbar).
+    dt may be < 0, and the step of -dt from t + dt undoes the step of dt
+    from t."""
+
     def __init__(self, grid, potential, dt, mass, hbar):
         self.grid = grid
         self.potential = potential
@@ -405,26 +403,6 @@ class _SplitOperatorStepper:
         return self._half_v(t + self.dt) * amp
 
 
-class _ExactStepper:
-    """One dense step U = exp(-i H dt / hbar) from the eigenbasis of a static H.
-
-    evolution_operator rejects time-dependent potentials and grids above
-    DENSE_EIG_LIMIT before any n x n allocation.
-    """
-
-    def __init__(self, grid, potential, dt, mass, hbar):
-        self._u = evolution_operator(grid, potential, dt, mass=mass, hbar=hbar)
-
-    def step(self, amp, t):
-        return self._u @ amp
-
-
-def make_stepper(grid, potential, dt, method, mass, hbar):
-    """The stepper of `method` that advances amplitudes by dt (may be < 0)."""
-    cls = _SplitOperatorStepper if method == "split-operator" else _ExactStepper
-    return cls(grid, potential, dt, mass, hbar)
-
-
 def _step_count(duration, dt):
     steps = max(1, int(round(abs(duration) / dt)))
     return steps, np.sign(duration) * abs(duration) / steps
@@ -436,7 +414,7 @@ def propagate(psi: WaveFunction, potential: PotentialModel, cfg: PropagatorConfi
     if duration == 0.0:
         return psi
     steps, dt = _step_count(duration, cfg.dt)
-    stepper = make_stepper(psi.grid, potential, dt, cfg.method, mass, hbar)
+    stepper = Stepper(psi.grid, potential, dt, mass, hbar)
     amp = psi.amplitudes
     t = psi.time
     for _ in range(steps):
@@ -467,25 +445,25 @@ class Evolution:
     reader.  It is read only through Evolution.velocity, so asking it for
     frames, for psi(j) or for a block out of order raises
     FrameAccessError.  Its worker is reaped once the last frame is pulled;
-    close() stops it sooner.  Both keep initial, the state at times[0].
-    A streamed evolution told keep_columns(idx) before its first frame
-    also copies those grid columns of every frame it hands over into an
-    (nt, k) record, which frame_columns gives once the frames are pulled:
-    all a window reduction over frames needs, since it reads each frame
-    only where its window weights are nonzero.
+    close(), or dropping the evolution, stops it sooner.  Both keep
+    initial, the state at times[0].  A streamed evolution told
+    keep_columns(idx) before its first frame also copies those grid
+    columns of every frame it hands over into an (nt, k) record, which
+    frame_columns gives once the frames are pulled: all a window reduction
+    over frames needs, since it reads each frame only where its window
+    weights are nonzero.
     """
 
     _kept = None  # (idx, (nt, k) record) of the columns kept
 
     def __init__(self, grid: Grid1D, times: np.ndarray, frames,
-                 potential: PotentialModel, dt: float, method: str,
+                 potential: PotentialModel, dt: float,
                  mass: float = 1.0, hbar: float = 1.0,
                  initial: WaveFunction | None = None):
         self.grid = grid
         self.times = times              # (nt,)
         self.potential = potential
         self.dt = dt                    # the propagator step taken
-        self.method = method            # and its PropagatorConfig.method
         self.mass = mass
         self.hbar = hbar
         self._stored = isinstance(frames, np.ndarray)
@@ -739,7 +717,7 @@ def _frame_plan(psi, potential, cfg, duration, mass, hbar):
     """(times, dt, the frame loop) of an evolution of psi over duration.
 
     The step is duration over a whole number of frames times
-    steps_per_output; the stepper is made here, so its errors come first.
+    steps_per_output.
     """
     if duration <= 0:
         raise ConfigurationError("an evolution needs duration > 0")
@@ -747,7 +725,7 @@ def _frame_plan(psi, potential, cfg, duration, mass, hbar):
     spo = cfg.steps_per_output
     n_frames = int(np.ceil(total_steps / spo))
     dt = duration / (n_frames * spo)  # exact multiple of steps_per_output
-    stepper = make_stepper(psi.grid, potential, dt, cfg.method, mass, hbar)
+    stepper = Stepper(psi.grid, potential, dt, mass, hbar)
     times = psi.time + dt * spo * np.arange(n_frames + 1)
     return times, dt, _frame_loop(psi, stepper, cfg, n_frames, dt)
 
@@ -760,8 +738,8 @@ def evolve_stream(psi: WaveFunction, potential: PotentialModel,
     run (see _FrameStream), so it holds O(n) memory whatever the duration.
     Nothing is propagated, and no worker forked, before that pull."""
     times, dt, frames = _frame_plan(psi, potential, cfg, duration, mass, hbar)
-    return Evolution(psi.grid, times, frames, potential, dt, cfg.method,
-                     mass, hbar, initial=psi)
+    return Evolution(psi.grid, times, frames, potential, dt, mass, hbar,
+                     initial=psi)
 
 
 def evolve_store(psi: WaveFunction, potential: PotentialModel,
@@ -775,5 +753,4 @@ def evolve_store(psi: WaveFunction, potential: PotentialModel,
     record = np.empty((len(times), psi.grid.n), dtype=complex)
     for row, amp in zip(record, frames):
         row[:] = amp
-    return Evolution(psi.grid, times, record, potential, dt, cfg.method,
-                     mass, hbar)
+    return Evolution(psi.grid, times, record, potential, dt, mass, hbar)

@@ -254,7 +254,7 @@ def check_work_properties():
     h = build_hamiltonian(grid, hpot)
     eig = WaveFunction(grid, h.eigenvectors()[:, 0])
     ev2 = evolve_store(eig, hpot, PropagatorConfig(
-        0.01, method="exact", steps_per_output=10), 1.0)
+        0.001, steps_per_output=100), 1.0)
     ens2 = integrate_trajectories(ev2, sample_initial_positions(eig, 500, seed=56))
     dist2 = work_distribution(work_records(ev2, ens2, 0.0, 1.0))
     point_mass = dist2.std < 1e-6 and abs(dist2.mean) < 1e-6

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .qgrid import (Evolution, PotentialModel, PropagatorConfig,
-                    SpectralOperator, WaveFunction, build_hamiltonian,
-                    check_horizon, make_stepper, node_mask, window_weights)
+                    SpectralOperator, Stepper, WaveFunction, build_hamiltonian,
+                    check_horizon, node_mask, window_weights)
 from .bohm import read_at
 
 
@@ -59,10 +59,10 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
     columns serves once its frames are pulled; each is scattered back into
     a full-length row before it meets w, which keeps the bits of a read of
     whole frames.  The time quadrature is trapezoid at the frames' spacing.
-    The backward sweep runs evolution.method round(frame_dt / dt) times a
-    frame with -evolution.dt: the exact inverse of the forward step for
-    both methods (Strang splitting: S(-dt) = S(dt)^-1), so D is Hermitian
-    and <psi0|D|psi0> equals the density quadrature on the same frames.
+    The backward sweep takes round(frame_dt / dt) Strang steps a frame
+    with -evolution.dt, the exact inverse of the forward step
+    (S(-dt) = S(dt)^-1), so D is Hermitian and <psi0|D|psi0> equals the
+    density quadrature on the same frames.
     """
     potential, grid = evolution.potential, evolution.grid
     if potential.time_dependent:
@@ -74,8 +74,7 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
         raise ConfigurationError(f"dwell operator needs horizon > 0, got {horizon}")
     spo = round(evolution.frame_dt / evolution.dt)
     dt, dt_out = evolution.dt, evolution.dt * spo
-    back = make_stepper(grid, potential, -dt, evolution.method, evolution.mass,
-                        evolution.hbar)
+    back = Stepper(grid, potential, -dt, evolution.mass, evolution.hbar)
     idx = np.flatnonzero(w)
     cols = evolution.frame_columns(idx, i_t + 1)
     row = np.zeros(grid.n, dtype=complex)

@@ -16,15 +16,21 @@ Across modules, no src module or demo imports an `_`-private name from a
 bohmlab module other than itself: a private helper another module needs
 is public API and carries a public name.
 
-An Evolution holds the grid, potential (with its charge), mass, hbar, step
-and method that made it.  So a public function of bohm, intrinsics or
-weakval that takes an Evolution takes none of these again, where a value
-that disagreed with the evolution would give a wrong answer silently.
+An Evolution holds the grid, potential (with its charge), mass, hbar and
+step that made it.  So a public function of bohm, intrinsics or weakval
+that takes an Evolution takes none of these again, where a value that
+disagreed with the evolution would give a wrong answer silently.
+
+A config's propagator section has exactly the fields of PropagatorConfig,
+so a knob cannot stay in one after it has left the other.
 """
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from bohmlab import PropagatorConfig, harness
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "bohmlab").glob("*.py")
@@ -121,6 +127,11 @@ def test_no_private_name_crosses_modules():
 
 def test_evolution_consumers_take_nothing_it_holds():
     assert _repeated_inputs() == REPEATS_ALLOWED
+
+
+def test_propagator_defaults_are_the_config_fields():
+    assert (set(harness.DEFAULTS["propagator"])
+            == {field.name for field in fields(PropagatorConfig)})
 
 
 def _is_numpy_import(node):

@@ -162,14 +162,14 @@ class TestRun:
         # dwell operator's backward sweep and before any file is written
         from bohmlab import qgrid
         backward = []
-        step = qgrid._SplitOperatorStepper.step
+        step = qgrid.Stepper.step
 
         def counting_step(stepper, amp, t):
             if stepper.dt < 0:
                 backward.append(t)
             return step(stepper, amp, t)
 
-        monkeypatch.setattr(qgrid._SplitOperatorStepper, "step", counting_step)
+        monkeypatch.setattr(qgrid.Stepper, "step", counting_step)
         cfg = parse_config(json.dumps({**FAST, "task": {
             "name": "dwell", "region": [-5.0, 5.0], "horizon": 0.5}}))
         with pytest.raises(HorizonError, match="probability mass"):
@@ -352,7 +352,7 @@ class TestRun:
         # byte to a file that both processes write
         from bohmlab import qgrid, weakval
         log = tmp_path / "steps.log"
-        step = qgrid._SplitOperatorStepper.step
+        step = qgrid.Stepper.step
 
         def counting_step(stepper, amp, t):
             with open(log, "ab") as fh:
@@ -366,7 +366,7 @@ class TestRun:
             passes.append(args)
             return dwell_times(*args)
 
-        monkeypatch.setattr(qgrid._SplitOperatorStepper, "step", counting_step)
+        monkeypatch.setattr(qgrid.Stepper, "step", counting_step)
         monkeypatch.setattr(harness, "per_trajectory_dwell_times",
                             counting_dwell_times)
         cfg = parse_config(json.dumps({**FAST, "state": {
@@ -625,10 +625,9 @@ class TestCli:
 
     def test_retired_method_exit_two(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"propagator": {
-            "dt": 0.01, "method": "crank-nicolson"}})
+            "dt": 0.01, "method": "split-operator"}})
         assert main(["propagate", "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert "split-operator" in err and "exact" in err
+        assert "unknown key 'method'" in capsys.readouterr().err
 
     def test_numeric_error_exit_three(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"task": {

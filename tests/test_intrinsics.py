@@ -31,7 +31,7 @@ class TestWork:
         h = build_hamiltonian(grid, pot)
         psi = WaveFunction(grid, h.eigenvectors()[:, 0])
         ev = evolve_store(psi, pot, PropagatorConfig(
-            0.01, method="exact", steps_per_output=10), 1.0)
+            0.001, steps_per_output=100), 1.0)
         starts = sample_initial_positions(psi, 200, seed=3)
         ens = integrate_trajectories(ev, starts)
         recs = work_records(ev, ens, 0.0, 1.0)
@@ -58,11 +58,13 @@ class TestWork:
         assert abs(dist.mean - delta) < 3 * stderr
 
     def test_node_endpoint_is_flagged(self, grid):
-        # the first excited state has a node at 0, where a trajectory rests
+        # the first excited state has a node at 0, where a trajectory rests;
+        # the split-operator step keeps it stationary to O(dt^2), so dt is
+        # small enough for a mean work within 1e-10 of 0
         pot = PotentialModel("harmonic", omega=1.0)
         psi = WaveFunction(grid, build_hamiltonian(grid, pot).eigenvectors()[:, 1])
         ev = evolve_store(psi, pot, PropagatorConfig(
-            0.01, method="exact", steps_per_output=10), 0.5)
+            5e-5, steps_per_output=2000), 0.5)
         ens = integrate_trajectories(ev, np.array([-1.0, 0.0, 1.3]))
         records = work_records(ev, ens, 0.0, 0.5)
         assert records.shape == (3, 2)
@@ -131,12 +133,12 @@ class TestPowerBalance:
 
     def test_trajectory_on_node_raises(self):
         # x = 0 is a grid point and the node of the first excited state,
-        # which the exact propagator keeps stationary
+        # which the split-operator step keeps a node: it keeps the state odd
         grid = Grid1D(-10.0, 10.0, 128)
         pot = PotentialModel("harmonic", omega=1.0)
         psi = WaveFunction(grid, build_hamiltonian(grid, pot).eigenvectors()[:, 1])
         ev = evolve_store(psi, pot, PropagatorConfig(
-            0.01, method="exact", steps_per_output=10), 0.5)
+            0.01, steps_per_output=10), 0.5)
         t_mid = float(ev.times[len(ev.times) // 2])
         with pytest.raises(NodeError):
             power_balance_residual(ev, np.zeros(len(ev.times)), t_mid)
@@ -515,7 +517,7 @@ class TestDensityRegionMass:
         empty frame 2 time units later, the trapezoid returns it exactly."""
         frames = np.stack([amplitudes, np.zeros_like(amplitudes)])
         ev = Evolution(self.GRID, np.array([0.0, 2.0]), frames,
-                       PotentialModel("free"), 2.0, "split-operator")
+                       PotentialModel("free"), 2.0)
         return dwell_time_density(ev, region, 2.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

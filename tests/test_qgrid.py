@@ -1,3 +1,4 @@
+import gc
 import os
 import signal
 import threading
@@ -5,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      build_hamiltonian, evolve_store, evolve_stream, expectation,
@@ -135,11 +138,17 @@ class TestPropagation:
         assert width == pytest.approx(free_gaussian_width(sigma0, t), abs=1e-4)
 
     def test_stationary_state(self, grid):
-        # dense-H eigenvectors are exact eigenvectors of the exact step
-        h = build_hamiltonian(grid, PotentialModel("harmonic", omega=1.0))
-        psi = WaveFunction(grid, h.eigenvectors()[:, 2])
-        out = propagate(psi, PotentialModel("harmonic", omega=1.0),
-                        PropagatorConfig(0.01, method="exact"), 1.0)
+        # an eigenvector of the Strang step's own dense matrix (rows of
+        # step(identity) are its columns), the one nearest the second
+        # excited state of H, stays stationary over 100 steps
+        pot = PotentialModel("harmonic", omega=1.0)
+        stepper = qgrid.Stepper(grid, pot, 0.01, 1.0, 1.0)
+        _, vecs = np.linalg.eig(stepper.step(np.eye(grid.n, dtype=complex),
+                                             0.0).T)
+        target = build_hamiltonian(grid, pot).eigenvectors()[:, 2]
+        near = np.argmax(np.abs(vecs.conj().T @ target))
+        psi = WaveFunction(grid, vecs[:, near]).normalize()
+        out = propagate(psi, pot, PropagatorConfig(0.01), 1.0)
         assert np.allclose(out.density(), psi.density(), atol=1e-10)
 
     def test_zero_duration_identity(self, grid):
@@ -154,15 +163,13 @@ class TestPropagation:
         for i in range(len(ev.times)):
             assert abs(ev.psi(i).norm() - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("method", PropagatorConfig.METHODS)
-    def test_evolution_records_its_method(self, method):
+    def test_evolution_records_its_step(self):
         # the history says how it was made, so later consumers need no cfg
         grid = Grid1D(-10.0, 10.0, 64)
         ev = evolve_store(WaveFunction.gaussian(grid),
                           PotentialModel("harmonic", omega=1.0),
-                          PropagatorConfig(0.01, method=method,
-                                           steps_per_output=5), 0.5)
-        assert (ev.method, ev.dt) == (method, 0.01)
+                          PropagatorConfig(0.01, steps_per_output=5), 0.5)
+        assert ev.dt == 0.01
 
     def test_stream_pulls_the_stored_frames_in_order(self, monkeypatch,
                                                       forks):
@@ -170,13 +177,13 @@ class TestPropagation:
         # streamed evolution forks nothing and takes no step before its
         # first pull (the frame-k failure is TestFrameWorker's)
         steps = []
-        step = qgrid._SplitOperatorStepper.step
+        step = qgrid.Stepper.step
 
         def counting(stepper, amp, t):
             steps.append(t)
             return step(stepper, amp, t)
 
-        monkeypatch.setattr(qgrid._SplitOperatorStepper, "step", counting)
+        monkeypatch.setattr(qgrid.Stepper, "step", counting)
         stored = evolve_store(*STREAM_ARGS)
         assert forks == [] and len(steps) == 4 * (len(stored.times) - 1)
         del steps[:]
@@ -186,49 +193,64 @@ class TestPropagation:
         tail = streamed.frame_block(5, 1000)  # capped at the last frame
         assert np.array_equal(np.concatenate([head, tail]), stored.frames)
         assert np.array_equal(streamed.times, stored.times)
-        assert (streamed.dt, streamed.method) == (stored.dt, stored.method)
+        assert streamed.dt == stored.dt
         assert len(forks) == 1 and steps == []  # every step in the worker
         assert_reaped(forks[0])
         evolve_stream(*STREAM_ARGS).close()  # never pulled: nothing forked
         assert len(forks) == 1
 
-    @pytest.mark.parametrize("method", ["split-operator", "exact"])
-    def test_energy_conservation(self, grid, method):
-        # the exact step commutes with a static H, conserving <H> exactly;
-        # the split-operator drift stays within tolerance at this dt.
+    def test_energy_conservation(self, grid):
+        # the split-operator drift of <H> stays within tolerance at this dt
         pot = PotentialModel("harmonic", omega=1.0)
         psi = WaveFunction.gaussian(grid, center=1.0)
         h = build_hamiltonian(grid, pot)
         e0 = expectation(h, psi)
-        dt = 0.0005 if method == "split-operator" else 0.01
-        tol = 1e-7 if method == "split-operator" else 1e-10
-        out = propagate(psi, pot, PropagatorConfig(dt, method=method), 1.0)
-        assert expectation(h, out) == pytest.approx(e0, abs=tol)
+        out = propagate(psi, pot, PropagatorConfig(0.0005), 1.0)
+        assert expectation(h, out) == pytest.approx(e0, abs=1e-7)
 
-    @pytest.mark.parametrize("method", PropagatorConfig.METHODS)
-    def test_time_reversal(self, grid, method):
-        # both steps are exactly inverted by the same step with -dt
+    def test_time_reversal(self, grid):
+        # the Strang step is exactly inverted by the same step with -dt
         pot = PotentialModel("harmonic", omega=1.0)
         psi = WaveFunction.gaussian(grid, center=2.0, momentum=1.0)
-        cfg = PropagatorConfig(0.01, method=method)
+        cfg = PropagatorConfig(0.01)
         there = propagate(psi, pot, cfg, 1.0)
         back = propagate(there, pot, cfg, -1.0)
         assert np.allclose(back.amplitudes, psi.amplitudes, atol=1e-8)
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(16, 512), half=st.floats(5.0, 40.0),
+           kind=st.sampled_from(["free", "barrier", "harmonic", "drive"]),
+           strength=st.floats(0.1, 5.0), dt=st.floats(1e-4, 0.05),
+           duration=st.floats(0.01, 1.0), center=st.floats(-0.3, 0.3),
+           momentum=st.floats(-3.0, 3.0))
+    def test_strang_reversible_and_unitary(self, n, half, kind, strength, dt,
+                                           duration, center, momentum):
+        # over random grids, potentials and steps: stepping +duration and
+        # then -duration returns psi, and every step keeps the norm
+        grid = Grid1D(-half, half, n)
+        pot = PotentialModel(kind, height=strength, left=-0.1 * half,
+                             right=0.1 * half, omega=strength,
+                             amplitude=strength)
+        psi = WaveFunction.gaussian(grid, center=center * half,
+                                    width=0.1 * half, momentum=momentum)
+        cfg = PropagatorConfig(dt)
+        there = propagate(psi, pot, cfg, duration)
+        back = propagate(there, pot, cfg, -duration)
+        assert there.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(back.amplitudes, psi.amplitudes, rtol=0.0,
+                           atol=1e-10 * np.abs(psi.amplitudes).max())
+
     def test_exact_rejects_drive(self, grid):
-        psi = WaveFunction.gaussian(grid)
-        with pytest.raises(ConfigurationError):
-            propagate(psi, PotentialModel("drive", amplitude=0.3),
-                      PropagatorConfig(0.01, method="exact"), 0.1)
+        with pytest.raises(ConfigurationError, match="time-independent"):
+            evolution_operator(grid, PotentialModel("drive", amplitude=0.3), 0.1)
 
     def test_exact_size_guard_before_dense_allocation(self):
         n = DENSE_EIG_LIMIT + 1
-        psi = WaveFunction.gaussian(Grid1D(-20.0, 20.0, n))
+        grid = Grid1D(-20.0, 20.0, n)
         tracemalloc.start()
         try:
             with pytest.raises(ConfigurationError, match="limited to n <="):
-                propagate(psi, PotentialModel("free"),
-                          PropagatorConfig(0.01, method="exact"), 0.1)
+                evolution_operator(grid, PotentialModel("free"), 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,8 +268,7 @@ class TestPropagation:
         pot = PotentialModel("harmonic", omega=1.0)
         psi = WaveFunction.gaussian(grid, center=1.0)
         u = evolution_operator(grid, pot, 0.7)
-        direct = propagate(psi, pot,
-                           PropagatorConfig(0.001, method="exact"), 0.7)
+        direct = propagate(psi, pot, PropagatorConfig(0.001), 0.7)
         assert np.allclose(u @ psi.amplitudes, direct.amplitudes, atol=1e-5)
 
 
@@ -424,3 +445,17 @@ class TestFrameWorker:
         with pytest.raises(OSError, match=f"code -{signal.SIGKILL:d}"):
             streamed.frame_block(1, len(streamed.times))
         assert_reaped(pid)
+
+    def test_dropped_half_read_stream_reaps_its_worker(self, forks):
+        # the velocity field reads its evolution through a weak proxy, so
+        # with the cyclic collector off, dropping an evolution 8 frames into
+        # its 51 still stops and reaps its worker at once
+        gc.disable()
+        try:
+            streamed = evolve_stream(*STREAM_ARGS)
+            streamed.velocity.coefficients(float(streamed.times[0]))
+            assert len(forks) == 1
+            del streamed
+            assert_reaped(forks[0])
+        finally:
+            gc.enable()

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      build_hamiltonian, evolve_store, expectation,
-                     momentum_operator, position_operator, propagate, qgrid,
-                     weakval)
+                     momentum_operator, position_operator, propagate, qgrid)
 from bohmlab.bohm import grid_velocity, quantum_potential, read_at
 from bohmlab.errors import ConfigurationError, HorizonError, NodeError
 from bohmlab.qgrid import node_mask
@@ -182,7 +181,7 @@ class TestEnsembleAverage:
 
 
 class TestDwellOperator:
-    CFG = PropagatorConfig(0.005, method="exact", steps_per_output=4)
+    CFG = PropagatorConfig(0.005, steps_per_output=4)
 
     def make_packet(self, grid):
         return WaveFunction.gaussian(grid, center=-8.0, width=1.0, momentum=5.0)
@@ -190,14 +189,12 @@ class TestDwellOperator:
     def evolve(self, psi0, cfg=CFG, potential=PotentialModel("free")):
         return evolve_store(psi0, potential, cfg, 4.0)
 
-    @pytest.mark.parametrize("method", PropagatorConfig.METHODS)
-    def test_quadrature_matches_density_formula(self, grid, method):
+    def test_quadrature_matches_density_formula(self, grid):
         # <psi0|D|psi0> = integral_0^T dt integral_a^b |psi(x,t)|^2 dx
         from bohmlab.intrinsics import dwell_time_density
-        cfg = replace(self.CFG, method=method)
         psi0 = self.make_packet(grid)
         region, horizon = (-2.0, 2.0), 4.0
-        ev = self.evolve(psi0, cfg)
+        ev = self.evolve(psi0)
         d_psi = dwell_operator_state(ev, region, horizon)
         quad = float(np.real(np.vdot(psi0.amplitudes, d_psi)) * grid.dx)
 
@@ -206,14 +203,12 @@ class TestDwellOperator:
         # the packet crosses a width-4 window at speed 5 (plus spreading)
         assert quad == pytest.approx(0.8, rel=0.05)
 
-    @pytest.mark.parametrize("method", PropagatorConfig.METHODS)
-    def test_hermitian_between_two_packets(self, grid, method):
-        cfg = replace(self.CFG, method=method)
+    def test_hermitian_between_two_packets(self, grid):
         psi0 = self.make_packet(grid)
         phi = WaveFunction.gaussian(grid, center=-6.0, width=1.3, momentum=5.0)
         region, horizon = (-2.0, 2.0), 4.0
-        d_psi = dwell_operator_state(self.evolve(psi0, cfg), region, horizon)
-        d_phi = dwell_operator_state(self.evolve(phi, cfg), region, horizon)
+        d_psi = dwell_operator_state(self.evolve(psi0), region, horizon)
+        d_phi = dwell_operator_state(self.evolve(phi), region, horizon)
         lhs = np.vdot(phi.amplitudes, d_psi) * grid.dx
         rhs = np.conj(np.vdot(psi0.amplitudes, d_phi)) * grid.dx
         assert abs(lhs - rhs) < 1e-10
@@ -233,8 +228,7 @@ class TestDwellOperator:
     def test_horizon_rule_shared_with_density(self, grid):
         # both density-based estimators judge the same |psi|^2 region mass
         from bohmlab.intrinsics import dwell_time_density
-        cfg = replace(self.CFG, method="split-operator")
-        ev = self.evolve(self.make_packet(grid), cfg)
+        ev = self.evolve(self.make_packet(grid))
         region = (-2.0, 2.0)
 
         def raises(fn, *args):
@@ -265,16 +259,13 @@ class TestDwellOperator:
         # so the sweep would not invert the stored 0.0025 forward step
         grid = Grid1D(-40.0, 40.0, 512)
         cfg = PropagatorConfig(0.0025, steps_per_output=8)
-        steps = []
+        steps, init = [], qgrid.Stepper.__init__
 
-        def spy(make):
-            def recording(*args):
-                steps.append(args[2])
-                return make(*args)
-            return recording
+        def recording(stepper, grid, potential, dt, mass, hbar):
+            steps.append(dt)
+            init(stepper, grid, potential, dt, mass, hbar)
 
-        monkeypatch.setattr(qgrid, "make_stepper", spy(qgrid.make_stepper))
-        monkeypatch.setattr(weakval, "make_stepper", spy(weakval.make_stepper))
+        monkeypatch.setattr(qgrid.Stepper, "__init__", recording)
         ev = evolve_store(self.make_packet(grid), PotentialModel("free"), cfg,
                           5.0)
         dwell_operator_state(ev, (-2.0, 2.0), 4.6)
@@ -282,22 +273,23 @@ class TestDwellOperator:
 
     def test_backward_sweep_takes_the_evolutions_method(self, grid,
                                                         monkeypatch):
-        # an exact evolution is swept back by the exact step at -ev.dt
+        # every step of the sweep is the evolution's Strang step at -ev.dt,
+        # taken steps_per_output times for each of the horizon's 200 frames
         ev = self.evolve(self.make_packet(grid))
-        make, steppers = weakval.make_stepper, []
+        step, steps = qgrid.Stepper.step, []
 
-        def recording(*args):
-            steppers.append(args[2:4])
-            return make(*args)
+        def recording(stepper, amp, t):
+            steps.append(stepper.dt)
+            return step(stepper, amp, t)
 
-        monkeypatch.setattr(weakval, "make_stepper", recording)
+        monkeypatch.setattr(qgrid.Stepper, "step", recording)
         dwell_operator_state(ev, (-2.0, 2.0), 4.0)
-        assert ev.method == "exact" and steppers == [(-ev.dt, "exact")]
+        assert steps == [-ev.dt] * (4 * 200) and ev.dt == 0.005
 
     def test_field_does_not_read_cfg(self, grid):
         cfg = PropagatorConfig(0.005, steps_per_output=8)
         ev = self.evolve(self.make_packet(grid), cfg)
-        other = replace(cfg, method="exact", steps_per_output=4)
+        other = replace(cfg, dt=0.01, steps_per_output=4)
         assert np.array_equal(dwell_operator_field(ev, (-2.0, 2.0), 4.0, cfg),
                               dwell_operator_field(ev, (-2.0, 2.0), 4.0, other),
                               equal_nan=True)
@@ -317,8 +309,7 @@ class TestDwellOperator:
         assert quad == pytest.approx(0.80825, abs=1e-5)
 
     def test_time_dependent_potential_rejected(self, grid):
-        cfg = replace(self.CFG, method="split-operator")
-        ev = self.evolve(self.make_packet(grid), cfg,
-                         PotentialModel("drive", amplitude=0.1))
+        ev = self.evolve(self.make_packet(grid),
+                         potential=PotentialModel("drive", amplitude=0.1))
         with pytest.raises(ConfigurationError):
             dwell_operator_state(ev, (-2.0, 2.0), 4.0)
