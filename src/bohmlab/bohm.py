@@ -324,7 +324,7 @@ def rk4_frames(evolution: Evolution, starts: np.ndarray):
         x_new = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         out = ~grid.contains(x_new)
         frozen = frozen | out
-        x = np.where(out, x, x_new)  # freeze trajectories that leave
+        x = np.where(frozen, x, x_new)  # a frozen trajectory stays put
     for a in (x, frozen):
         a.flags.writeable = False
     yield x, None, frozen

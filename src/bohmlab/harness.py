@@ -257,6 +257,12 @@ def _validate(cfg: dict) -> list[str]:
         elif all([num(f"task.region[{i}]", v) for i, v in enumerate(region)]) \
                 and not float(region[1]) > float(region[0]):
             errors.append(f"task.region: needs b > a, got {region}")
+    if kinds.get("task") == "measure" and task["g_index"] != "auto":
+        n = cfg["grid"]["n"]
+        with contextlib.suppress(TypeError, ValueError):  # recorded above
+            if float(task["g_index"]) >= float(n):
+                errors.append(f"task.g_index: must be < grid.n = {n}, "
+                              f"got {task['g_index']!r}")
     errors += [f"task.{key}: must be one of {allowed}, got {task[key]!r}"
                for key, allowed in _NAMES.items()
                if key in task and task[key] not in allowed]
@@ -556,10 +562,9 @@ def _task_dwell(config, tmp):
                "density": t_density,
                "stuck": int(np.count_nonzero((final > region[0])
                                              & (final < region[1]))),
-               "truncated": int(frozen.sum())}
-    if not ev.potential.time_dependent:
-        summary["weak_value"] = weak_average(psi, dwell_operator_field(
-            ev, region, horizon, config.build_propagator()))
+               "truncated": int(frozen.sum()),
+               "weak_value": weak_average(psi, dwell_operator_field(
+                   ev, region, horizon, config.build_propagator()))}
     _write_json(os.path.join(tmp, "dwell.json"), summary)
     return ["dwell_times.csv", "dwell.json"], summary
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EmptyEnsembleError, LagError, NodeError
-from .qgrid import Evolution, check_horizon, window_weights
+from .qgrid import Evolution, window_columns
 from .bohm import (TrajectoryEnsemble, nodes_at, quantum_potential, read_at,
                    rk4_frames)
 from .weakval import local_energy
@@ -292,12 +292,10 @@ def per_trajectory_dwell_times(positions, times: np.ndarray,
     """Time each trajectory spends inside [a, b], shape (N,).
 
     positions is the (nt, N) position record at times, or any iterable of
-    its rows, such as rk4_frames' x as RK4 yields it.  Each trajectory's
-    step times are summed in step order: a stream's one row at a time, as
-    it arrives; a record's in blocks of about _BLOCK_CELLS cells
-    (np.add.accumulate keeps the order), so a narrow record does not pay
-    per row.  So no temporary grows with nt, and a trajectory's sum has the
-    same bits whatever N and whether its rows came streamed or stored.  A
+    its rows, such as rk4_frames' x as RK4 yields it.  One loop takes the
+    rows in order and adds each step's time to the trajectory's sum, so no
+    temporary grows with nt, and a trajectory's sum has the same bits
+    whatever N and whether its rows came streamed or stored.  A
     trajectory still inside at the final time counts its time up to then;
     whether the horizon is long enough is judged on |psi|^2 by
     dwell_time_density.
@@ -305,21 +303,10 @@ def per_trajectory_dwell_times(positions, times: np.ndarray,
     a, b = region
     if not b > a:
         raise ConfigurationError(f"region needs b > a, got [{a}, {b}]")
-    dts = np.diff(times)
-    if isinstance(positions, np.ndarray):
-        taus = np.zeros(positions.shape[1])
-        steps = max(1, _BLOCK_CELLS // positions.shape[1])
-        for j in range(0, len(positions) - 1, steps):
-            block = positions[j:j + steps + 1]
-            frac = _step_times(block[:-1], block[1:], region,
-                               dts[j:j + steps, None])
-            frac[0] += taus
-            taus = np.add.accumulate(frac, out=frac)[-1]
-        return taus
     rows = iter(positions)
     x0 = next(rows)
     taus = np.zeros(np.shape(x0))
-    for x1, dt in zip(rows, dts):
+    for x1, dt in zip(rows, np.diff(times)):
         taus += _step_times(x0, x1, region, dt)
         x0 = x1
     return taus
@@ -337,24 +324,14 @@ def dwell_time_density(evolution: Evolution, region: tuple[float, float],
     """Dwell time from the density: time integral of the in-region mass
     sum(w |psi|^2) dx, with w the window_weights of the region.
 
-    Frames are read only where w is nonzero (Evolution.frame_columns), so a
+    Frames are read by qgrid.window_columns only where w is nonzero, so a
     streamed evolution that kept those columns serves once its frames are
-    pulled; blocks of _BLOCK_CELLS cells are scattered back into
-    full-length rows before they meet w, which keeps the bits of a read of
-    whole frames.
+    pulled; the mass is summed over those k columns in blocks of about
+    _BLOCK_CELLS cells.
     """
-    i_t = evolution.index_of(evolution.times[0] + horizon)
-    grid = evolution.grid
-    w = window_weights(grid, *region)
-    idx = np.flatnonzero(w)
-    cols = evolution.frame_columns(idx, i_t + 1)
-    step = max(1, _BLOCK_CELLS // grid.n)
-    rows = np.zeros((step, grid.n), dtype=complex)
-    mass = np.empty(i_t + 1)
-    for s in range(0, i_t + 1, step):
-        block = rows[:len(cols[s:s + step])]
-        block[:, idx] = cols[s:s + step]
-        mass[s:s + step] = np.abs(block) ** 2 @ w
-    mass *= grid.dx
-    check_horizon(mass[-1], region, horizon)
-    return float(np.trapezoid(mass, evolution.times[:i_t + 1]))
+    _, w, cols = window_columns(evolution, region, horizon)
+    step = max(1, _BLOCK_CELLS // max(len(w), 1))
+    mass = np.concatenate([np.abs(cols[s:s + step]) ** 2 @ w
+                           for s in range(0, len(cols), step)])
+    return float(np.trapezoid(mass * evolution.grid.dx,
+                              evolution.times[:len(cols)]))

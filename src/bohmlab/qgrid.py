@@ -285,12 +285,27 @@ def window_weights(grid: Grid1D, a: float, b: float) -> np.ndarray:
     return w
 
 
-def check_horizon(mass: float, region, horizon: float) -> None:
-    """Raise HorizonError if more than HORIZON_MASS_TOL of |psi|^2 is still
-    inside the region at the dwell-time horizon."""
+def window_columns(evolution: "Evolution", region,
+                   horizon: float) -> tuple:
+    """(idx, w, cols): the grid columns idx where the window_weights of
+    region are nonzero, the weights w there, and those columns of the
+    evolution's frames up to times[0] + horizon as one (frames, k) complex
+    array (Evolution.frame_columns): the one read of frames behind both
+    density-based dwell estimates.
+
+    Raises HorizonError if more than HORIZON_MASS_TOL of |psi|^2 is still
+    inside the region at the horizon frame.
+    """
+    w = window_weights(evolution.grid, *region)
+    idx = np.flatnonzero(w)
+    i_t = evolution.index_of(evolution.times[0] + horizon)
+    cols = evolution.frame_columns(idx, i_t + 1)
+    w = w[idx]
+    mass = np.abs(cols[-1]) ** 2 @ w * evolution.grid.dx
     if mass > HORIZON_MASS_TOL:
         raise HorizonError(
             f"probability mass {mass:.2e} still inside {region} at T={horizon}")
+    return idx, w, cols
 
 
 def build_hamiltonian(grid: Grid1D, potential: PotentialModel, t: float = 0.0,
@@ -415,14 +430,10 @@ def propagate(psi: WaveFunction, potential: PotentialModel, cfg: PropagatorConfi
         return psi
     steps, dt = _step_count(duration, cfg.dt)
     stepper = Stepper(psi.grid, potential, dt, mass, hbar)
-    amp = psi.amplitudes
-    t = psi.time
-    for _ in range(steps):
-        amp = stepper.step(amp, t)
-        t += dt
-    out = WaveFunction(psi.grid, amp, psi.time + duration)
-    _check_norm_drift(out.amplitudes, psi.grid, cfg)
-    return out
+    # the frame loop's one frame, after all the steps
+    *_, amp = _frame_loop(psi, stepper, replace(cfg, steps_per_output=steps),
+                          1, dt)
+    return WaveFunction(psi.grid, amp, psi.time + duration)
 
 
 def _check_norm_drift(amp, grid, cfg):
@@ -532,14 +543,15 @@ class Evolution:
         self._kept = idx, np.empty((len(self.times), len(idx)), dtype=complex)
 
     def frame_columns(self, idx, hi: int) -> np.ndarray:
-        """Grid columns idx of frames 0..hi-1 as one (hi, k) complex array.
+        """Grid columns idx of frames 0..hi-1 as one C-ordered (hi, k)
+        complex array.
 
         A stored evolution copies them from its record.  A streamed one
         gives the columns it kept (keep_columns with the same idx) once it
         has handed over frame hi - 1, and raises FrameAccessError before.
         """
         if self._stored:
-            return self._frames[:hi, idx]
+            return self._frames[:hi].take(idx, axis=1)
         if self._kept is None or not np.array_equal(self._kept[0], idx):
             raise FrameAccessError("a streamed evolution keeps no such columns")
         if hi > self._next:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .qgrid import (Evolution, PotentialModel, PropagatorConfig,
                     SpectralOperator, Stepper, WaveFunction, build_hamiltonian,
-                    check_horizon, node_mask, window_weights)
+                    node_mask, window_columns)
 from .bohm import read_at
 
 
@@ -54,44 +54,35 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
 
     psi0 is the evolution's initial state and A multiplies by the
     window_weights w of `region`.  The forward frames are the evolution's
-    own up to times[0] + horizon, read only where w is nonzero
-    (Evolution.frame_columns), so a streamed evolution that kept those
-    columns serves once its frames are pulled; each is scattered back into
-    a full-length row before it meets w, which keeps the bits of a read of
-    whole frames.  The time quadrature is trapezoid at the frames' spacing.
-    The backward sweep takes round(frame_dt / dt) Strang steps a frame
-    with -evolution.dt, the exact inverse of the forward step
-    (S(-dt) = S(dt)^-1), so D is Hermitian and <psi0|D|psi0> equals the
+    own up to times[0] + horizon, read by qgrid.window_columns only where
+    w is nonzero, so a streamed evolution that kept those columns serves
+    once its frames are pulled; the sweep adds each frame's w psi_j at
+    those columns only.  The time quadrature is trapezoid at the frames'
+    spacing.  The backward sweep takes round(frame_dt / dt) Strang steps a
+    frame with -evolution.dt, from the horizon frame's time down, and the
+    step of -dt from t + dt undoes the forward step of dt from t, for a
+    driven potential too.  So D is Hermitian and <psi0|D|psi0> equals the
     density quadrature on the same frames.
     """
-    potential, grid = evolution.potential, evolution.grid
-    if potential.time_dependent:
-        raise ConfigurationError(
-            "dwell operator requires a time-independent potential")
-    w = window_weights(grid, *region)
-    i_t = evolution.index_of(evolution.times[0] + horizon)
+    grid = evolution.grid
+    idx, w, cols = window_columns(evolution, region, horizon)
+    i_t = len(cols) - 1
     if i_t == 0:
         raise ConfigurationError(f"dwell operator needs horizon > 0, got {horizon}")
     spo = round(evolution.frame_dt / evolution.dt)
-    dt, dt_out = evolution.dt, evolution.dt * spo
-    back = Stepper(grid, potential, -dt, evolution.mass, evolution.hbar)
-    idx = np.flatnonzero(w)
-    cols = evolution.frame_columns(idx, i_t + 1)
-    row = np.zeros(grid.n, dtype=complex)
-
-    def frame(j):
-        row[idx] = cols[j]
-        return row
-
-    check_horizon(np.abs(frame(i_t)) ** 2 @ w * grid.dx, region, horizon)
-
-    weights = np.full(i_t + 1, dt_out)
-    weights[0] = weights[-1] = 0.5 * dt_out
-    chi = weights[-1] * (w * frame(i_t))
+    dt = evolution.dt
+    back = Stepper(grid, evolution.potential, -dt, evolution.mass,
+                   evolution.hbar)
+    weights = np.full(i_t + 1, dt * spo)
+    weights[[0, -1]] *= 0.5
+    chi = np.zeros(grid.n, dtype=complex)
+    chi[idx] = weights[-1] * (w * cols[-1])
+    t = evolution.times[i_t]
     for j in range(i_t - 1, -1, -1):
         for _ in range(spo):
-            chi = back.step(chi, 0.0)
-        chi = chi + weights[j] * (w * frame(j))
+            chi = back.step(chi, t)
+            t -= dt
+        chi[idx] += weights[j] * (w * cols[j])
     return chi
 
 

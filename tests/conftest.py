@@ -1,6 +1,14 @@
 import os
 
 import pytest
+from hypothesis import settings
+
+# Every property test is deterministic and unhurried unless it says
+# otherwise: the same examples on every run, no example database, and no
+# per-example deadline on a shared machine.
+settings.register_profile("tier-1", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("tier-1")
 
 
 @pytest.fixture(autouse=True)

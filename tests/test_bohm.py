@@ -277,7 +277,7 @@ def _two_gaussian_frames(grid, nt, c1, c2, w1, w2, k, boost, node):
 class TestVelocityFieldBuild:
     """The block build gives each frame's row of a frame-by-frame build."""
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(n=st.integers(64, 512), nt=st.integers(2, 70),
            c1=st.floats(-8.0, -1.0), c2=st.floats(1.0, 8.0),
            w1=st.floats(0.3, 2.0), w2=st.floats(0.3, 2.0),
@@ -336,9 +336,8 @@ def _reference_rk4(evolution, starts):
         k3 = _reference_velocity(vel, x + 0.5 * h * k2, t + 0.5 * h)
         k4 = _reference_velocity(vel, x + h * k3, t + h)
         x_new = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out = ~grid.contains(x_new)
-        trunc |= out
-        x = np.where(out, x, x_new)
+        trunc |= ~grid.contains(x_new)
+        x = np.where(trunc, x, x_new)
         pos[j + 1] = x
     return pos, trunc
 
@@ -424,6 +423,21 @@ class TestRk4Stages:
         assert np.array_equal(np.array(pos), ens.positions)
         assert np.array_equal(frozen, ens.truncated)
 
+    def test_frozen_trajectories_stay_put(self):
+        # the wrapped packet: a free k = 5 Gaussian on [-10, 10] runs into
+        # the edge.  A trajectory frozen at frame j keeps that frame's
+        # position, wherever a step from there would have landed
+        grid = Grid1D(-10.0, 10.0, 256)
+        psi = WaveFunction.gaussian(grid, momentum=5.0)
+        ev = evolve_store(psi, PotentialModel("free"),
+                          PropagatorConfig(0.005, steps_per_output=10), 4.0)
+        frames = [(x, frozen) for x, _, frozen in bohm.rk4_frames(
+            ev, sample_initial_positions(psi, 1000, seed=3))]
+        pos = np.array([x for x, _ in frames])
+        assert frames[len(frames) // 2][1].any()
+        for j, (x, frozen) in enumerate(frames):
+            assert np.all(pos[j:, frozen] == x[frozen])
+
     @pytest.mark.parametrize("substeps", [0, 2])
     def test_substeps_other_than_one_rejected(self, leaving_evolution,
                                                substeps):
@@ -478,7 +492,7 @@ class TestTrajectories:
         return evolve_store(psi, PotentialModel("free"),
                             PropagatorConfig(0.005, steps_per_output=20), 2.0)
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=20)
     @given(sigma0=st.floats(0.5, 2.0),
            units=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=8))
     def test_free_gaussian_scaling_law(self, sigma0, units):

@@ -295,7 +295,7 @@ class TestRun:
     def test_dwell_task_streams_the_stored_bits(self, tmp_path):
         # the task reads its frames through RK4 and the window's columns;
         # the stored record of the same evolution gives the same bits, and
-        # the record's blocked dwell-time sum the stream's row-by-row one
+        # the position record's rows the same dwell-time sums
         cfg = parse_config(json.dumps(self.DWELL))
         summary = run(cfg, out_dir=str(tmp_path)).summary
         region, horizon = (-2.0, 2.0), 4.0
@@ -316,6 +316,23 @@ class TestRun:
         assert np.array_equal(table[:, 1], ens.positions[0])
         taus = per_trajectory_dwell_times(ens.positions, ens.times, region)
         assert np.array_equal(table[:, 2], taus)
+
+    def test_driven_dwell_writes_every_key(self, tmp_path):
+        # a driven packet gets every estimate a static one gets: the sweep
+        # inverts the driven forward steps, so weak_value meets density
+        def summary(potential):
+            cfg = parse_config(json.dumps({**self.DWELL,
+                                           "potential": potential}))
+            out = tmp_path / potential["kind"]
+            run(cfg, out_dir=str(out))
+            return json.loads((out / "dwell.json").read_text())
+
+        driven = summary({"kind": "drive", "amplitude": 0.2})
+        barrier = summary({"kind": "barrier", "height": 1.0, "left": 10.0,
+                           "right": 12.0})
+        assert driven.keys() == barrier.keys()
+        assert driven["weak_value"] == pytest.approx(driven["density"],
+                                                     rel=1e-6)
 
     def test_dwell_task_memory_holds_no_record(self, tmp_path):
         # 4x the frames may add the window's column record, 4x the
@@ -581,9 +598,11 @@ class TestCli:
         ("measure", {"task": {"g_operator": None}},
          "task.g_operator: must be one of"),
         ("measure", {"task": {"mode": "mc"}}, "task.mode: must be one of"),
+        ("measure", {"task": {"g_index": 500}},
+         "task.g_index: must be < grid.n = 128, got 500"),
     ], ids=["x_max", "region", "coupling", "dwell-substeps",
             "trajectories-substeps", "barrier", "omega", "index", "window",
-            "operator", "s_operator", "g_operator", "mode"])
+            "operator", "s_operator", "g_operator", "mode", "g_index"])
     def test_malformed_value_exit_two(self, tmp_path, capsys, task, extra,
                                       violation):
         path = self.write_config(tmp_path, extra)

@@ -450,7 +450,7 @@ class TestOperationalEstimator:
             assert mine.dtype == theirs.dtype
             assert np.array_equal(mine, theirs)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(n_s=st.integers(2, 64), n_g=st.integers(2, 128),
            rows=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1),
            coupling=st.floats(0.01, 2.0), width=st.floats(0.2, 3.0))
@@ -518,7 +518,7 @@ class TestChainReachesWeakValues:
     (1e-12 of the weight) moves the value by far less than that bound.
     """
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=20)
     @given(s_name=st.sampled_from(["position", "momentum", "hamiltonian"]),
            kind=st.sampled_from(sorted(POTENTIALS)),
            n=st.integers(64, 256), center=st.floats(-4.0, 4.0),

@@ -217,7 +217,7 @@ class TestPropagation:
         back = propagate(there, pot, cfg, -1.0)
         assert np.allclose(back.amplitudes, psi.amplitudes, atol=1e-8)
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(n=st.integers(16, 512), half=st.floats(5.0, 40.0),
            kind=st.sampled_from(["free", "barrier", "harmonic", "drive"]),
            strength=st.floats(0.1, 5.0), dt=st.floats(1e-4, 0.05),
@@ -239,6 +239,20 @@ class TestPropagation:
         assert there.norm() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(back.amplitudes, psi.amplitudes, rtol=0.0,
                            atol=1e-10 * np.abs(psi.amplitudes).max())
+
+    @pytest.mark.parametrize("duration", [1.0, 0.7, 0.0123])
+    @pytest.mark.parametrize("pot", [
+        PotentialModel("harmonic", omega=1.0),
+        PotentialModel("drive", profile=lambda t: 0.5 * np.cos(3.0 * t))],
+        ids=["harmonic", "drive"])
+    def test_propagate_is_the_last_stored_frame(self, grid, pot, duration):
+        # propagate runs the frame loop with one frame of all its steps
+        psi = WaveFunction.gaussian(grid, center=1.0, momentum=1.0)
+        cfg = PropagatorConfig(0.005)
+        spo = round(duration / cfg.dt)
+        ev = evolve_store(psi, pot, PropagatorConfig(cfg.dt, spo), duration)
+        assert np.array_equal(propagate(psi, pot, cfg, duration).amplitudes,
+                              ev.frames[-1])
 
     def test_exact_rejects_drive(self, grid):
         with pytest.raises(ConfigurationError, match="time-independent"):
