@@ -24,7 +24,8 @@ ens = integrate_trajectories(ev, starts)
 
 print("equivariance (L1 distance between trajectory histogram and |psi|^2):")
 for frame in range(0, len(ev.times), 2):
-    print(f"  t = {ev.times[frame]:4.1f}   L1 = {equivariance_l1(ev, ens, frame):.4f}")
+    l1 = equivariance_l1(ev.psi(frame), ens.positions[frame])
+    print(f"  t = {ev.times[frame]:4.1f}   L1 = {l1:.4f}")
 
 ordered = ens.positions[:, np.argsort(ens.positions[0])]
 print("non-crossing:", bool(np.all(np.diff(ordered, axis=1) > 0)))

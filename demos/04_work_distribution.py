@@ -24,8 +24,9 @@ psi = WaveFunction.gaussian(grid, width=1.5)
 t2 = 1.5
 ev = evolve_store(psi, pot, PropagatorConfig(0.002, steps_per_output=25), t2)
 ens = integrate_trajectories(ev, sample_initial_positions(psi, 10_000, seed=2))
-dist = work_distribution(work_records(ev, ens, 0.0, t2))
-delta_h = expectation(build_hamiltonian(grid, pot, t=t2), ev.psi(len(ev.times) - 1)) \
+dist = work_distribution(work_records(
+    ev, ens.positions[0], ens.positions[-1]))
+delta_h = expectation(build_hamiltonian(grid, pot, t=t2), ev.final) \
     - expectation(build_hamiltonian(grid, pot, t=0.0), psi)
 
 print("driven Gaussian, E(t) = 0.4 sin(0.8 t), T = 1.5, N = 10^4")
@@ -41,6 +42,7 @@ eig = WaveFunction(grid, h.eigenvectors()[:, 0])
 ev2 = evolve_store(eig, hpot, PropagatorConfig(
     0.001, steps_per_output=100), 1.0)
 ens2 = integrate_trajectories(ev2, sample_initial_positions(eig, 1000, seed=3))
-dist2 = work_distribution(work_records(ev2, ens2, 0.0, 1.0))
+dist2 = work_distribution(work_records(
+    ev2, ens2.positions[0], ens2.positions[-1]))
 print("\nharmonic ground state:")
 print(f"  <W> = {dist2.mean:+.2e}, std = {dist2.std:.2e}  (point mass at 0)")

@@ -212,9 +212,9 @@ def sample_initial_positions(psi: WaveFunction, n: int, seed: int) -> np.ndarray
 class TrajectoryEnsemble:
     """N trajectories on a shared time axis; positions has shape (nt, N).
 
-    integrate_trajectories collects it from rk4_frames; the psd task's
-    currents and the dwell task's dwell times stream from rk4_frames
-    instead and never hold this record.
+    integrate_trajectories collects it from rk4_frames for the
+    trajectories task, whose output it is; the work, dwell and psd tasks
+    read rk4_frames as it yields and never hold this record.
     """
 
     times: np.ndarray
@@ -344,24 +344,19 @@ def integrate_trajectories(evolution: Evolution, starts: np.ndarray,
     return TrajectoryEnsemble(evolution.times, pos, frozen.copy())
 
 
-def equivariance_l1(evolution: Evolution, ensemble: TrajectoryEnsemble,
-                    frame: int) -> float:
-    """L1 distance between a 25-bin trajectory histogram and |psi|^2 at a frame."""
-    psi = evolution.psi(frame)
-    dens = psi.density()
-    dx = evolution.grid.dx
-    mass_cdf = np.cumsum(dens) * dx
-    lo = evolution.grid.x[np.searchsorted(mass_cdf, 5e-4)]
-    hi = evolution.grid.x[min(np.searchsorted(mass_cdf, 1 - 5e-4),
-                              evolution.grid.n - 1)]
+def equivariance_l1(psi: WaveFunction, x: np.ndarray) -> float:
+    """L1 distance between a 25-bin histogram of positions x and |psi|^2."""
+    grid = psi.grid
+    # the mass up to the right edge of each cell; cells are centred on the
+    # grid points, matching the equilibrium sampler
+    cum = np.concatenate([[0.0], np.cumsum(psi.density()) * grid.dx])
+    lo = grid.x[np.searchsorted(cum[1:], 5e-4)]
+    hi = grid.x[min(np.searchsorted(cum[1:], 1 - 5e-4), grid.n - 1)]
     edges = np.linspace(lo, hi, 26)
-    hist, _ = np.histogram(ensemble.positions[frame], bins=edges)
-    emp = hist / ensemble.count
-    # reference probability per bin from the grid density; cells are
-    # centred on the grid points, matching the equilibrium sampler
-    cum = np.concatenate([[0.0], np.cumsum(dens) * dx])
-    xe = np.concatenate([evolution.grid.x - 0.5 * dx,
-                         [evolution.grid.x[-1] + 0.5 * dx]])
+    hist, _ = np.histogram(x, bins=edges)
+    emp = hist / len(x)
+    # reference probability per bin from the grid density
+    xe = np.concatenate([grid.x - 0.5 * grid.dx, [grid.x[-1] + 0.5 * grid.dx]])
     ref = np.diff(np.interp(edges, xe, cum))
     # include the mass falling outside the binned range on the empirical side
     out_mass = 1.0 - emp.sum() - (1.0 - ref.sum())

@@ -227,13 +227,13 @@ def _validate(cfg: dict) -> list[str]:
 
     def build(section, builder):
         try:
-            builder()
+            return builder()
         except ConfigurationError as exc:
             errors.append(f"{section}: {exc}")
         except (TypeError, ValueError, OverflowError):
             pass  # a malformed number or an unknown key, recorded above
 
-    build("grid", scenario.build_grid)
+    grid = build("grid", scenario.build_grid)
     build("propagator", scenario.build_propagator)
     if "potential" in kinds:
         build("potential", scenario.build_potential)
@@ -254,9 +254,13 @@ def _validate(cfg: dict) -> list[str]:
         region = task["region"]
         if not isinstance(region, list) or len(region) != 2:
             errors.append(f"task.region: must be a pair of numbers, got {region!r}")
-        elif all([num(f"task.region[{i}]", v) for i, v in enumerate(region)]) \
-                and not float(region[1]) > float(region[0]):
-            errors.append(f"task.region: needs b > a, got {region}")
+        elif all([num(f"task.region[{i}]", v) for i, v in enumerate(region)]):
+            a, b = float(region[0]), float(region[1])
+            if not b > a:
+                errors.append(f"task.region: needs b > a, got {region}")
+            elif grid is not None and not window_weights(grid, a, b).any():
+                errors.append("task.region: must overlap a cell of the grid "
+                              f"[{grid.x_min}, {grid.x_max}), got {region}")
     if kinds.get("task") == "measure" and task["g_index"] != "auto":
         n = cfg["grid"]["n"]
         with contextlib.suppress(TypeError, ValueError):  # recorded above
@@ -423,8 +427,11 @@ def _mass_hbar(config):
 
 
 def _evolve(config, duration, evolve):
-    """(psi0, its Evolution from evolve, evolve_store or evolve_stream);
-    tasks read grid, potential, mass, hbar from ev."""
+    """(psi0, evolve(psi0, ...)) for evolve one of evolve_store,
+    evolve_stream and propagate; tasks read grid, potential, mass, hbar
+    from an Evolution.  Every Bohmian task streams: the velocity field
+    pulls each frame from the propagator as RK4 reaches it, so the run
+    holds O(n + N) memory whatever the duration."""
     psi = config.build_state(config.build_grid())
     mass, hbar = _mass_hbar(config)
     return psi, evolve(psi, config.build_potential(),
@@ -440,17 +447,12 @@ def _task_propagate(config, tmp):
     norms = [(t, ev.psi(i).norm()) for i, t in enumerate(ev.times)]
     _write_csv(os.path.join(tmp, "norms.csv"), ["t", "norm"], norms)
     return ["density.csv", "norms.csv"], {
-        "n_frames": len(ev.times), "final_norm": float(ev.psi(len(ev.times) - 1).norm())}
+        "n_frames": len(ev.times), "final_norm": float(ev.final.norm())}
 
 
 def _starts(config, psi):
     return sample_initial_positions(psi, int(config.ensemble["n"]),
                                     seed=config.subsystem_seeds()["sampling"])
-
-
-def _trajectory_ensemble(config, ev, psi):
-    ens = integrate_trajectories(ev, _starts(config, psi))
-    return ens, {"truncated": int(ens.truncated.sum())}
 
 
 def _check_untruncated(truncated):
@@ -462,15 +464,16 @@ def _check_untruncated(truncated):
 
 
 def _task_trajectories(config, tmp):
-    psi, ev = _evolve(config, float(config.task["duration"]), evolve_store)
-    ens, health = _trajectory_ensemble(config, ev, psi)
+    psi, ev = _evolve(config, float(config.task["duration"]), evolve_stream)
+    with contextlib.closing(ev):
+        ens = integrate_trajectories(ev, _starts(config, psi))
     header = ["t"] + [f"x_{i}" for i in range(ens.count)]
     _write_csv(os.path.join(tmp, "trajectories.csv"), header,
                np.column_stack([ens.times, ens.positions]))
-    last = len(ev.times) - 1
     return ["trajectories.csv"], {
         "n_trajectories": ens.count,
-        "equivariance_l1_final": equivariance_l1(ev, ens, last), **health}
+        "equivariance_l1_final": equivariance_l1(ev.final, ens.positions[-1]),
+        "truncated": int(ens.truncated.sum())}
 
 
 def _operator(name, grid, mass, hbar, potential):
@@ -484,57 +487,54 @@ def _operator(name, grid, mass, hbar, potential):
 
 
 def _task_weakvalue(config, tmp):
-    grid = config.build_grid()
-    pot = config.build_potential()
+    _, psi = _evolve(config, float(config.task["duration"]), propagate)
     mass, hbar = _mass_hbar(config)
-    psi = propagate(config.build_state(grid), pot, config.build_propagator(),
-                    float(config.task["duration"]), mass=mass, hbar=hbar)
-    op = _operator(config.task["operator"], grid, mass, hbar, pot)
+    op = _operator(config.task["operator"], psi.grid, mass, hbar,
+                   config.build_potential())
     dens = psi.density()
     wv = grid_weak_value(op.apply(psi.amplitudes), psi.amplitudes)
     _write_csv(os.path.join(tmp, "weakvalue.csv"),
                ["x", "real", "imag", "density"],
-               np.column_stack([grid.x, wv.real, wv.imag, dens]))
+               np.column_stack([psi.grid.x, wv.real, wv.imag, dens]))
     return ["weakvalue.csv"], {
         "operator": config.task["operator"],
         "quadrature_average": weak_average(psi, wv)}
 
 
 def _task_work(config, tmp):
-    psi, ev = _evolve(config, float(config.task["duration"]), evolve_store)
-    ens, health = _trajectory_ensemble(config, ev, psi)
-    t2 = float(ev.times[-1])
-    records = work_records(ev, ens, 0.0, t2)
+    psi, ev = _evolve(config, float(config.task["duration"]), evolve_stream)
+    starts = _starts(config, psi)
+    with contextlib.closing(ev):
+        for x, _, frozen in bohm.rk4_frames(ev, starts):
+            pass  # work reads the last frame's positions and mask only
+    # a trajectory frozen at the domain edge carries no work to average
+    _check_untruncated(frozen)
+    records = work_records(ev, starts, x)
     e1, e2 = records.T
     flagged = np.isnan(records).any(axis=1)
     _write_csv(os.path.join(tmp, "work_records.csv"),
                ["experiment_id", "e_initial", "e_final", "work", "flagged"],
-               list(zip(range(ens.count), e1.tolist(), e2.tolist(),
+               list(zip(range(len(starts)), e1.tolist(), e2.tolist(),
                         (e2 - e1).tolist(), flagged.tolist())))
-    # a trajectory frozen at the domain edge carries no work to average
-    try:
-        dist = work_distribution(records[~ens.truncated])
-    except EmptyEnsembleError as exc:
-        raise EmptyEnsembleError(f"{exc}; {health['truncated']} trajectories "
-                                 "truncated at the domain edge") from None
+    dist = work_distribution(records[~frozen])
     h1, h2 = (build_hamiltonian(ev.grid, ev.potential, t, ev.mass, ev.hbar)
-              for t in (0.0, t2))
-    delta_h = expectation(h2, ev.psi(len(ev.times) - 1)) - expectation(h1, psi)
+              for t in (0.0, float(ev.times[-1])))
+    delta_h = expectation(h2, ev.final) - expectation(h1, psi)
     _write_json(os.path.join(tmp, "work_distribution.json"), {
         "bin_edges": list(dist.bin_edges), "probabilities": list(dist.probabilities),
         "count": dist.count, "mean": dist.mean, "std": dist.std,
         "flagged_count": dist.flagged_count})
     return ["work_records.csv", "work_distribution.json"], {
         "mean_work": dist.mean, "std_work": dist.std,
-        "delta_h": float(delta_h), "flagged": dist.flagged_count, **health}
+        "delta_h": float(delta_h), "flagged": dist.flagged_count,
+        "truncated": int(frozen.sum())}
 
 
 def _task_dwell(config, tmp):
     region = tuple(float(v) for v in config.task["region"])
     horizon = float(config.task["horizon"])
-    # the field pulls each frame from the propagator as RK4 reaches it; the
-    # density and the dwell operator read only the window's columns, which
-    # the evolution keeps, and the dwell times add up as RK4 yields
+    # the density and the dwell operator read only the window's columns,
+    # which the evolution keeps, and the dwell times add up as RK4 yields
     psi, ev = _evolve(config, horizon, evolve_stream)
     with contextlib.closing(ev):
         ev.keep_columns(np.flatnonzero(window_weights(ev.grid, *region)))
@@ -570,8 +570,6 @@ def _task_dwell(config, tmp):
 
 
 def _task_psd(config, tmp):
-    # the field pulls each frame from the propagator as RK4 reaches it, so
-    # the run holds O(n + N) memory whatever the duration
     psi, ev = _evolve(config, float(config.task["duration"]), evolve_stream)
     length = config.task["device_length"]
     length = float(length) if length is not None else ev.grid.length
@@ -725,12 +723,13 @@ def run(config: ScenarioConfig, out_dir: str | None = None,
     The task runs on one BLAS thread (every OpenBLAS in the process is set
     to one thread and restored afterwards), so the same config and seed give
     the same bits whatever the caller's BLAS thread setting.  Trajectories
-    are integrated serially.  The psd and dwell tasks propagate in a frame
-    worker forked at their first frame pull (qgrid.evolve_stream), with the
-    same bits; each task closes its evolution on the way out, so no child
-    process outlives run, whether it returns or raises.  threads accepts
-    only 1: it is kept for perfbench, which passes threads=1, and goes at
-    the next benchmark revision (ROADMAP item 1).
+    are integrated serially.  The trajectories, work, dwell and psd tasks
+    propagate in a frame worker forked at their first frame pull
+    (qgrid.evolve_stream), with the same bits; each task closes its
+    evolution on the way out, so no child process outlives run, whether
+    it returns or raises.  threads accepts only 1: it is kept for
+    perfbench, which passes threads=1, and goes at the next benchmark
+    revision (ROADMAP item 1).
     """
     if threads != 1:
         raise ConfigurationError(f"threads must be 1, got {threads!r}")

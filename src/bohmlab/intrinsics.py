@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EmptyEnsembleError, LagError, NodeError
 from .qgrid import Evolution, window_columns
-from .bohm import (TrajectoryEnsemble, nodes_at, quantum_potential, read_at,
-                   rk4_frames)
+from .bohm import nodes_at, quantum_potential, read_at, rk4_frames
 from .weakval import local_energy
 
 
@@ -38,10 +37,10 @@ class WorkDistribution:
     flagged_count: int
 
 
-def work_records(evolution: Evolution, ensemble: TrajectoryEnsemble,
-                 t1: float, t2: float) -> np.ndarray:
-    """Local-energy weak values under the evolution's potential at the two
-    endpoints, shape (N, 2).
+def work_records(evolution: Evolution, x_start: np.ndarray,
+                 x_final: np.ndarray) -> np.ndarray:
+    """Local-energy weak values under the evolution's potential, (N, 2):
+    evolution.initial's at positions x_start, evolution.final's at x_final.
 
     Row i holds experiment i's (e_initial, e_final); its work is their
     difference.  A row is NaN, and the record flagged, where an endpoint
@@ -49,20 +48,17 @@ def work_records(evolution: Evolution, ensemble: TrajectoryEnsemble,
     endpoint is read with the one node check of its read_at; only when that
     finds a node are the endpoints' node masks made.
     """
-    ends = [(evolution.psi(i), ensemble.positions[i])
-            for i in (evolution.index_of(t1), evolution.index_of(t2))]
+    ends = [(evolution.initial, x_start), (evolution.final, x_final)]
     potential, m, hbar = evolution.potential, evolution.mass, evolution.hbar
-    energies = np.empty((ensemble.count, 2))
+    energies = np.empty((len(x_start), 2))
     try:
         for col, (psi, x) in enumerate(ends):
             energies[:, col] = local_energy(psi, potential, x, m, hbar)
     except NodeError:
         bad = nodes_at(*ends[0]) | nodes_at(*ends[1])
         energies[:] = np.nan
-        if (~bad).any():
-            for col, (psi, x) in enumerate(ends):
-                energies[~bad, col] = local_energy(psi, potential, x[~bad], m,
-                                                   hbar)
+        for col, (psi, x) in enumerate(ends):
+            energies[~bad, col] = local_energy(psi, potential, x[~bad], m, hbar)
     return energies
 
 
@@ -134,9 +130,9 @@ def ensemble_currents(evolution: Evolution, starts: np.ndarray,
 
     Returns (rows, truncated).  rows yields one (N,) array per output frame,
     each RK4's own k1 of that frame scaled (the last frame, which no step
-    leaves, is evaluated here), so the (nt, N) record is never held.
-    truncated, the (N,) mask of trajectories frozen at the edge, is final
-    once rows is exhausted.
+    leaves, is evaluated here) and 0 where a trajectory has frozen at the
+    edge, so the (nt, N) record is never held.  truncated, the (N,) mask
+    of the frozen trajectories, is final once rows is exhausted.
     """
     if length <= 0:
         raise ConfigurationError(f"device length must be > 0, got {length}")
@@ -148,7 +144,9 @@ def ensemble_currents(evolution: Evolution, starts: np.ndarray,
             if k1 is None:
                 k1 = evolution.velocity(x, float(evolution.times[-1]))
                 truncated[:] = frozen
-            yield np.multiply(k1, scale)
+            current = np.multiply(k1, scale)
+            current[frozen] = 0.0
+            yield current
 
     return rows(), truncated
 

@@ -456,8 +456,9 @@ class Evolution:
     reader.  It is read only through Evolution.velocity, so asking it for
     frames, for psi(j) or for a block out of order raises
     FrameAccessError.  Its worker is reaped once the last frame is pulled;
-    close(), or dropping the evolution, stops it sooner.  Both keep
-    initial, the state at times[0].  A streamed evolution told
+    close(), or dropping the evolution, stops it sooner.  Both give
+    initial and final, the states at times[0] and times[-1], a streamed
+    one final once its last frame is pulled.  A streamed one told
     keep_columns(idx) before its first frame also copies those grid
     columns of every frame it hands over into an (nt, k) record, which
     frame_columns gives once the frames are pulled: all a window reduction
@@ -466,6 +467,7 @@ class Evolution:
     """
 
     _kept = None  # (idx, (nt, k) record) of the columns kept
+    _final = None  # psi at times[-1], once a streamed evolution pulls it
 
     def __init__(self, grid: Grid1D, times: np.ndarray, frames,
                  potential: PotentialModel, dt: float,
@@ -480,8 +482,6 @@ class Evolution:
         self._stored = isinstance(frames, np.ndarray)
         self._frames = frames if self._stored else _FrameStream(frames)
         self._next = 0  # the frame a streamed evolution gives next
-        # psi at times[0]: a stored evolution's first frame; a streamed one
-        # is given it
         self.initial = self.psi(0) if self._stored else initial
 
     @property
@@ -497,6 +497,15 @@ class Evolution:
 
     def psi(self, index: int) -> WaveFunction:
         return WaveFunction(self.grid, self.frames[index], float(self.times[index]))
+
+    @property
+    def final(self) -> WaveFunction:
+        """psi at times[-1]."""
+        if self._stored:
+            return self.psi(-1)
+        if self._final is None:
+            raise FrameAccessError("final state asked before the last frame")
+        return self._final
 
     def frame_block(self, lo: int, hi: int) -> np.ndarray:
         """Frames lo..hi-1 (hi capped at nt) as one (rows, n) complex array.
@@ -518,6 +527,8 @@ class Evolution:
         self._next += len(block)
         if self._next == len(self.times):
             self._frames.close()
+            self._final = WaveFunction(self.grid, block[-1].copy(),
+                                       float(self.times[-1]))
         if self._kept is not None:
             idx, cols = self._kept
             cols[lo:self._next] = block[:, idx]

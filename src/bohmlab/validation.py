@@ -170,19 +170,15 @@ def check_perturbation_crossover():
             "detail": out["magnitudes"]}
 
 
-def _free_gaussian_evolution(n_traj, seed):
-    grid = Grid1D(-30.0, 30.0, 512)
-    psi = WaveFunction.gaussian(grid, width=1.0)
-    ev = evolve_store(psi, PotentialModel("free"),
-                      PropagatorConfig(0.005, steps_per_output=20), 2.0)
-    starts = sample_initial_positions(psi, n_traj, seed=seed)
-    return ev, integrate_trajectories(ev, starts)
-
-
 def check_equilibrium_and_trajectories():
     """Equivariance every frame, exact free-Gaussian scaling, non-crossing."""
-    ev, ens = _free_gaussian_evolution(10_000, seed=77)
-    l1 = max(equivariance_l1(ev, ens, f) for f in range(len(ev.times)))
+    psi = WaveFunction.gaussian(Grid1D(-30.0, 30.0, 512), width=1.0)
+    ev = evolve_store(psi, PotentialModel("free"),
+                      PropagatorConfig(0.005, steps_per_output=20), 2.0)
+    starts = sample_initial_positions(psi, 10_000, seed=77)
+    ens = integrate_trajectories(ev, starts)
+    l1 = max(equivariance_l1(ev.psi(f), ens.positions[f])
+             for f in range(len(ev.times)))
 
     # analytic scaling x(t) = x0 sigma(t)/sigma0 on well-separated starts
     starts = np.concatenate([np.linspace(-2.5, -0.25, 8),
@@ -243,9 +239,8 @@ def check_work_properties():
     ev = evolve_store(psi, pot, cfg, t2)
     starts = sample_initial_positions(psi, 10_000, seed=55)
     ens = integrate_trajectories(ev, starts)
-    dist = work_distribution(work_records(ev, ens, 0.0, t2))
-    delta = expectation(build_hamiltonian(grid, pot, t=t2),
-                        ev.psi(len(ev.times) - 1)) \
+    dist = work_distribution(work_records(ev, starts, ens.positions[-1]))
+    delta = expectation(build_hamiltonian(grid, pot, t=t2), ev.final) \
         - expectation(build_hamiltonian(grid, pot, t=0.0), psi)
     stderr = dist.std / np.sqrt(dist.count)
     z = abs(dist.mean - delta) / stderr
@@ -256,7 +251,8 @@ def check_work_properties():
     ev2 = evolve_store(eig, hpot, PropagatorConfig(
         0.001, steps_per_output=100), 1.0)
     ens2 = integrate_trajectories(ev2, sample_initial_positions(eig, 500, seed=56))
-    dist2 = work_distribution(work_records(ev2, ens2, 0.0, 1.0))
+    dist2 = work_distribution(work_records(
+        ev2, ens2.positions[0], ens2.positions[-1]))
     point_mass = dist2.std < 1e-6 and abs(dist2.mean) < 1e-6
     nonneg = bool(np.all(dist.probabilities >= 0)
                   and np.all(dist2.probabilities >= 0))

@@ -23,6 +23,10 @@ disagreed with the evolution would give a wrong answer silently.
 
 A config's propagator section has exactly the fields of PropagatorConfig,
 so a knob cannot stay in one after it has left the other.
+
+In harness, only the propagate task, which writes every frame, names
+evolve_store: every other task streams its frames (evolve_stream) and
+holds no (nt, n) record.
 """
 
 import ast
@@ -132,6 +136,20 @@ def test_evolution_consumers_take_nothing_it_holds():
 def test_propagator_defaults_are_the_config_fields():
     assert (set(harness.DEFAULTS["propagator"])
             == {field.name for field in fields(PropagatorConfig)})
+
+
+def _definitions_naming(module, name):
+    """The top-level definitions of a src module (or "<module level>") that
+    name `name`, bare or as an attribute; an import does not count."""
+    tree = ast.parse((ROOT / "src" / "bohmlab" / f"{module}.py").read_text())
+    return [getattr(top, "name", "<module level>") for top in tree.body
+            if any(isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name
+                   for node in ast.walk(top))]
+
+
+def test_only_the_propagate_task_stores_frames():
+    assert _definitions_naming("harness", "evolve_store") == ["_task_propagate"]
 
 
 def _is_numpy_import(node):

@@ -57,7 +57,7 @@ class TestVelocity:
         psi0 = WaveFunction.gaussian(grid, width=sigma0)
         ev = evolve_store(psi0, PotentialModel("free"),
                           PropagatorConfig(0.005, steps_per_output=30), t)
-        psi = ev.psi(len(ev.times) - 1)
+        psi = ev.final
         st = spread(sigma0, t)
         rate = t / (4 * sigma0 ** 4) / (1 + (t / (2 * sigma0 ** 2)) ** 2)
         xs = np.array([-2.0, -0.5, 0.7, 1.8])
@@ -537,8 +537,7 @@ class TestTrajectories:
         psi0 = free_evolution.psi(0)
         starts = sample_initial_positions(psi0, 10_000, seed=7)
         ens = integrate_trajectories(free_evolution, starts)
-        last = len(free_evolution.times) - 1
-        assert equivariance_l1(free_evolution, ens, last) < 0.05
+        assert equivariance_l1(free_evolution.final, ens.positions[-1]) < 0.05
 
     def test_psd_task_builds_field_once(self, tmp_path, monkeypatch):
         builds = []

@@ -36,6 +36,19 @@ WRAPPED = {
     "ensemble": {"n": 1000, "seed": 3},
 }
 
+# one config at FAST scale for each task that takes a seed
+SAME_SEED = [
+    FAST,
+    {**FAST, "task": {"name": "trajectories", "duration": 0.5}},
+    {**FAST, "task": {"name": "weakvalue", "duration": 0.5}},
+    {**FAST, "task": {"name": "work", "duration": 0.5}},
+    {**FAST, "state": {"kind": "gaussian", "center": -8.0, "momentum": 5.0},
+     "task": {"name": "dwell", "horizon": 4.0}},
+    {**FAST, "task": {"name": "psd", "duration": 1.0, "tau_max": 0.3}},
+    {**FAST, "task": {"name": "measure", "mode": "monte_carlo",
+                      "n_experiments": 2000}},
+]
+
 
 class TestParseConfig:
     def test_defaults_filled(self):
@@ -128,14 +141,23 @@ class TestRun:
             on_disk = json.load(fh)
         assert on_disk["summary"]["final_norm"] == pytest.approx(1.0)
 
-    def test_determinism(self, tmp_path):
-        cfg = parse_config(json.dumps({**FAST, "task": {
-            "name": "trajectories", "duration": 0.5}}))
-        run(cfg, out_dir=str(tmp_path / "a"))
-        run(cfg, out_dir=str(tmp_path / "b"))
-        a = (tmp_path / "a" / "trajectories.csv").read_bytes()
-        b = (tmp_path / "b" / "trajectories.csv").read_bytes()
-        assert a == b
+    @pytest.mark.parametrize("doc", SAME_SEED,
+                             ids=lambda doc: doc["task"]["name"])
+    def test_determinism(self, tmp_path, doc):
+        # the same config and seed give the same bytes in every file
+        # (manifest.json's wall_clock aside), for every task but validate,
+        # whose criteria fix their own scenarios and seeds
+        assert ({d["task"]["name"] for d in SAME_SEED}
+                == harness.TASKS.keys() - {"validate"})
+        cfg = parse_config(json.dumps(doc))
+        outputs = []
+        for name in "ab":
+            run(cfg, out_dir=str(tmp_path / name))
+            files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            manifest = json.loads(files.pop("manifest.json"))
+            del manifest["wall_clock"]
+            outputs.append((files, manifest))
+        assert outputs[0] == outputs[1]
 
     def test_threads_other_than_one_rejected(self, tmp_path):
         # trajectories are integrated serially; threads=1 is all run takes
@@ -361,6 +383,28 @@ class TestRun:
         position_record = 1500 * 201 * 8
         assert 1500 * 512 < position_record
         assert peak(2, 2000) - peak(2, 500) <= 1500 * 512
+
+    def test_work_task_memory_holds_no_record(self, tmp_path):
+        # 4x the frames add nothing: the task reads its frames once,
+        # through RK4, and keeps psi and the positions at the two endpoints,
+        # where the stored task held the frame and the position record
+        def peak(spo):
+            cfg = parse_config(json.dumps({
+                **FAST, "ensemble": {"n": 500, "seed": 7},
+                "propagator": {"dt": 0.01, "steps_per_output": spo},
+                "task": {"name": "work", "duration": 4.0}}))
+            tracemalloc.start()
+            try:
+                run(cfg, out_dir=str(tmp_path))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # a first run makes the process's first-use caches
+        extra_frames = 200 - 50  # 400 steps at 2 and at 8 steps per frame
+        frame_record = extra_frames * FAST["grid"]["n"] * 16
+        assert 32_768 < frame_record < extra_frames * 500 * 8
+        assert peak(2) - peak(8) <= 32_768
 
     def test_dwell_task_propagates_once(self, tmp_path, monkeypatch):
         # one forward sweep, shared by the trajectories, the density and the
@@ -641,6 +685,22 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_region_off_the_grid_exit_two(self, tmp_path, capsys):
+        # a window that holds no grid cell gives every dwell time as 0; it
+        # is listed with the other violations, before anything propagates
+        path = self.write_config(tmp_path, {"task": {
+            "name": "dwell", "region": [30.0, 35.0], "horizon": -1.0}})
+        out = tmp_path / "out"
+        assert main(["dwell", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("\n  task.region: must overlap a cell of the grid "
+                "[-20.0, 20.0), got [30.0, 35.0]") in err
+        assert "\n  task.horizon: must be > 0" in err
+        assert not out.exists()
+        # the last cell, [19.53, 19.84], is enough
+        parse_config(json.dumps({**FAST, "task": {
+            "name": "dwell", "region": [19.8, 35.0]}}))
 
     def test_retired_method_exit_two(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"propagator": {

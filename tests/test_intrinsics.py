@@ -34,7 +34,7 @@ class TestWork:
             0.001, steps_per_output=100), 1.0)
         starts = sample_initial_positions(psi, 200, seed=3)
         ens = integrate_trajectories(ev, starts)
-        recs = work_records(ev, ens, 0.0, 1.0)
+        recs = work_records(ev, ens.positions[0], ens.positions[-1])
         dist = work_distribution(recs)
         assert dist.flagged_count == 0
         assert abs(dist.mean) < 1e-6
@@ -49,11 +49,11 @@ class TestWork:
         ev = evolve_store(psi, pot, cfg, 1.5)
         starts = sample_initial_positions(psi, 3000, seed=9)
         ens = integrate_trajectories(ev, starts)
-        recs = work_records(ev, ens, 0.0, 1.5)
+        recs = work_records(ev, ens.positions[0], ens.positions[-1])
         dist = work_distribution(recs)
         h1 = build_hamiltonian(grid, pot, t=0.0)
         h2 = build_hamiltonian(grid, pot, t=1.5)
-        delta = expectation(h2, ev.psi(len(ev.times) - 1)) - expectation(h1, psi)
+        delta = expectation(h2, ev.final) - expectation(h1, psi)
         stderr = dist.std / np.sqrt(dist.count)
         assert abs(dist.mean - delta) < 3 * stderr
 
@@ -66,7 +66,7 @@ class TestWork:
         ev = evolve_store(psi, pot, PropagatorConfig(
             5e-5, steps_per_output=2000), 0.5)
         ens = integrate_trajectories(ev, np.array([-1.0, 0.0, 1.3]))
-        records = work_records(ev, ens, 0.0, 0.5)
+        records = work_records(ev, ens.positions[0], ens.positions[-1])
         assert records.shape == (3, 2)
         assert np.isnan(records[1]).all() and np.isfinite(records[[0, 2]]).all()
         dist = work_distribution(records)
@@ -81,7 +81,7 @@ class TestWork:
         ev = evolve_store(psi, pot, PropagatorConfig(0.005, steps_per_output=20),
                           1.0)
         ens = integrate_trajectories(ev, sample_initial_positions(psi, 300, seed=4))
-        want = work_records(ev, ens, 0.0, 1.0)
+        want = work_records(ev, ens.positions[0], ens.positions[-1])
         calls = []
         nodes_at = bohm.nodes_at
 
@@ -91,7 +91,7 @@ class TestWork:
 
         monkeypatch.setattr(bohm, "nodes_at", spy)
         monkeypatch.setattr(intrinsics, "nodes_at", spy)
-        got = work_records(ev, ens, 0.0, 1.0)
+        got = work_records(ev, ens.positions[0], ens.positions[-1])
         assert calls == [300, 300]
         assert np.isfinite(got).all()
         assert np.array_equal(got, want)
@@ -102,7 +102,8 @@ class TestWork:
         ev = evolve_store(psi, pot, PropagatorConfig(0.005, steps_per_output=20), 1.0)
         starts = sample_initial_positions(psi, 500, seed=4)
         ens = integrate_trajectories(ev, starts)
-        dist = work_distribution(work_records(ev, ens, 0.0, 1.0))
+        dist = work_distribution(work_records(ev, ens.positions[0],
+                                              ens.positions[-1]))
         assert dist.probabilities.sum() == pytest.approx(1.0)
         assert len(dist.bin_edges) == len(dist.probabilities) + 1
 
@@ -207,6 +208,27 @@ class TestCurrentAndPsd:
         assert same and truncated_same
         *_, peak_long = self._streamed_currents(grid, 16.0)
         assert peak_long <= peak + 4096
+
+    def test_frozen_trajectory_carries_no_current(self):
+        # a k = 5 packet on [-10, 10]: by t = 1.6 some of 200 trajectories
+        # have reached the edge.  From the frame each froze on, its current
+        # is 0; every other current is RK4's own k1 of the frame, scaled
+        grid = Grid1D(-10.0, 10.0, 256)
+        psi = WaveFunction.gaussian(grid, momentum=5.0)
+        ev = evolve_store(psi, PotentialModel("free", charge=1.6),
+                          PropagatorConfig(0.005, steps_per_output=10), 1.6)
+        starts = sample_initial_positions(psi, 200, seed=3)
+        rows, truncated = ensemble_currents(ev, starts, 20.0)
+        zeroed = 0
+        for row, (x, k1, frozen) in zip(rows, bohm.rk4_frames(ev, starts)):
+            if k1 is None:
+                k1 = ev.velocity(x, float(ev.times[-1]))
+            assert np.array_equal(row[~frozen], 1.6 / 20.0 * k1[~frozen])
+            assert np.all(row[frozen] == 0.0)
+            zeroed += np.count_nonzero(k1[frozen])
+        assert 0 < truncated.sum() < 200
+        assert np.array_equal(truncated, frozen)
+        assert zeroed > 0  # a frozen trajectory's field is not 0 there
 
     @pytest.mark.parametrize("length", [0.0, -60.0])
     def test_nonpositive_length_rejected(self, grid, length, monkeypatch):

@@ -1,8 +1,10 @@
+import contextlib
 import gc
 import os
 import signal
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -418,6 +420,37 @@ class TestFrameWorker:
         assert len(forks) == (where == "worker")
         assert (streamed._frames.pid is None) == (where != "worker")
         assert len(os.listdir("/proc/self/fd")) == open_fds  # pipes closed
+
+    @pytest.mark.parametrize("where", ["worker", "in-process"])
+    @settings(max_examples=15)
+    @given(n=st.integers(16, 300), half=st.floats(5.0, 40.0),
+           spo=st.integers(1, 8), n_frames=st.integers(1, 30),
+           amplitude=st.floats(-2.0, 2.0), frequency=st.floats(0.0, 5.0),
+           block=st.integers(1, 12))
+    def test_streamed_frames_equal_stored_frames(self, where, n, half, spo,
+                                                 n_frames, amplitude,
+                                                 frequency, block):
+        # over random grids, steps per frame and drives E(t) = a cos(f t),
+        # read in random blocks: the streamed frames and final state are
+        # the stored record's bits, from a forked worker or from this
+        # process (where no fork is to be had)
+        grid = Grid1D(-half, half, n)
+        pot = PotentialModel(
+            "drive", profile=lambda t: amplitude * np.cos(frequency * t))
+        psi = WaveFunction.gaussian(grid, width=0.1 * half, momentum=1.0)
+        args = (psi, pot, PropagatorConfig(0.01, spo), 0.01 * spo * n_frames)
+        stored = evolve_store(*args)
+        no_fork = mock.patch.object(os, "fork", side_effect=BlockingIOError)
+        with no_fork if where == "in-process" else contextlib.nullcontext():
+            streamed = evolve_stream(*args)
+            with pytest.raises(FrameAccessError, match="final state"):
+                streamed.final
+            blocks = [streamed.frame_block(lo, lo + block)
+                      for lo in range(0, len(stored.times), block)]
+        assert (streamed._frames.pid is None) == (where == "in-process")
+        assert np.array_equal(np.concatenate(blocks), stored.frames)
+        assert np.array_equal(streamed.final.amplitudes, stored.frames[-1])
+        assert streamed.final.time == stored.final.time == stored.times[-1]
 
     def test_norm_failure_raises_when_its_frame_is_pulled(self, monkeypatch):
         # the worker runs ahead and fails at frame k; the reader gets frames
