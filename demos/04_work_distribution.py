@@ -23,9 +23,9 @@ pot = PotentialModel("drive", profile=lambda t: 0.4 * np.sin(0.8 * t))
 psi = WaveFunction.gaussian(grid, width=1.5)
 t2 = 1.5
 ev = evolve_store(psi, pot, PropagatorConfig(0.002, steps_per_output=25), t2)
-ens = integrate_trajectories(ev, sample_initial_positions(psi, 10_000, seed=2))
+starts = sample_initial_positions(psi, 10_000, seed=2)
 dist = work_distribution(work_records(
-    ev, ens.positions[0], ens.positions[-1]))
+    ev, starts, integrate_trajectories(ev, starts)[-1]))
 delta_h = expectation(build_hamiltonian(grid, pot, t=t2), ev.final) \
     - expectation(build_hamiltonian(grid, pot, t=0.0), psi)
 
@@ -41,8 +41,8 @@ h = build_hamiltonian(grid, hpot)
 eig = WaveFunction(grid, h.eigenvectors()[:, 0])
 ev2 = evolve_store(eig, hpot, PropagatorConfig(
     0.001, steps_per_output=100), 1.0)
-ens2 = integrate_trajectories(ev2, sample_initial_positions(eig, 1000, seed=3))
+starts2 = sample_initial_positions(eig, 1000, seed=3)
 dist2 = work_distribution(work_records(
-    ev2, ens2.positions[0], ens2.positions[-1]))
+    ev2, starts2, integrate_trajectories(ev2, starts2)[-1]))
 print("\nharmonic ground state:")
 print(f"  <W> = {dist2.mean:+.2e}, std = {dist2.std:.2e}  (point mass at 0)")

@@ -26,9 +26,10 @@ region, horizon = (-2.0, 2.0), 5.0
 
 cfg = PropagatorConfig(0.0025, steps_per_output=8)
 ev = evolve_store(psi, pot, cfg, horizon)
-ens = integrate_trajectories(ev, sample_initial_positions(psi, 2000, seed=4))
+starts = sample_initial_positions(psi, 2000, seed=4)
 
-taus = per_trajectory_dwell_times(ens.positions, ens.times, region)
+taus = per_trajectory_dwell_times(integrate_trajectories(ev, starts),
+                                  ev.times, region)
 t_traj, stderr = dwell_time_ensemble(taus)
 t_density = dwell_time_density(ev, region, horizon)
 
@@ -40,7 +41,7 @@ print(f"  trajectory ensemble : {t_traj:.5f} +- {stderr:.5f}")
 print(f"  density quadrature  : {t_density:.5f}")
 print(f"  weak-value average  : {t_wv:.5f}")
 
-wv_at_start = read_at(psi, np.nan_to_num(field), ens.positions[0])
+wv_at_start = read_at(psi, np.nan_to_num(field), starts)
 disc = np.abs(taus - wv_at_start)
 print("\nper-trajectory |tau_i - wv_D(x_i(0))|:")
 print(f"  mean {disc.mean():.4f}, median {np.median(disc):.4f}, "

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,24 +207,6 @@ def sample_initial_positions(psi: WaveFunction, n: int, seed: int) -> np.ndarray
     return g.x_min + (xs - g.x_min) % (g.x_max - g.x_min)
 
 
-@dataclass(frozen=True)
-class TrajectoryEnsemble:
-    """N trajectories on a shared time axis; positions has shape (nt, N).
-
-    integrate_trajectories collects it from rk4_frames for the
-    trajectories task, whose output it is; the work, dwell and psd tasks
-    read rk4_frames as it yields and never hold this record.
-    """
-
-    times: np.ndarray
-    positions: np.ndarray
-    truncated: np.ndarray  # (N,) bool
-
-    @property
-    def count(self) -> int:
-        return self.positions.shape[1]
-
-
 class VelocityField:
     """Guidance velocity over an evolution: periodic cubic in x, linear in t.
 
@@ -330,18 +311,14 @@ def rk4_frames(evolution: Evolution, starts: np.ndarray):
     yield x, None, frozen
 
 
-def integrate_trajectories(evolution: Evolution, starts: np.ndarray,
-                           substeps: int = 1) -> TrajectoryEnsemble:
-    """The (nt, N) record of rk4_frames for all starting points.
-
-    substeps must be 1.
-    """
-    if substeps != 1:
-        raise ConfigurationError(f"substeps must be 1, got {substeps!r}")
+def integrate_trajectories(evolution: Evolution,
+                           starts: np.ndarray) -> np.ndarray:
+    """The (nt, N) position record of rk4_frames, for the criteria and
+    demos that check whole paths; no task holds it."""
     pos = np.empty((len(evolution.times), np.size(starts)))
-    for j, (x, _, frozen) in enumerate(rk4_frames(evolution, starts)):
+    for j, (x, _, _) in enumerate(rk4_frames(evolution, starts)):
         pos[j] = x
-    return TrajectoryEnsemble(evolution.times, pos, frozen.copy())
+    return pos
 
 
 def equivariance_l1(psi: WaveFunction, x: np.ndarray) -> float:

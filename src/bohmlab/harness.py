@@ -15,6 +15,7 @@ import copy
 import ctypes
 import difflib
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -32,6 +33,7 @@ from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     build_hamiltonian, evolution_operator, evolve_store,
                     evolve_stream, expectation, momentum_operator,
                     position_operator, propagate, window_weights)
+# no task calls integrate_trajectories: perfbench/tracer.py wraps the name
 from .bohm import equivariance_l1, integrate_trajectories, sample_initial_positions
 from .weakval import dwell_operator_field, grid_weak_value, weak_average
 from .intrinsics import (check_lags, dwell_time_density,
@@ -329,23 +331,26 @@ def _cell_format(value) -> str:
 
 
 def _write_csv(path, header, rows):
-    """Header, then rows written in blocks of about _CSV_BLOCK_CELLS cells.
+    """Header, then rows, any iterable of rows (an array gives its rows),
+    written in blocks of about _CSV_BLOCK_CELLS cells.
 
     Each column keeps the format of its first cell: bools as true/false,
     ints as %d, everything else as %.16e.
     """
+    rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        if len(rows) == 0:
+        first = next(rows, None)
+        if first is None:
             return
-        line = ",".join(map(_cell_format, rows[0])) + "\n"
+        line = ",".join(map(_cell_format, first)) + "\n"
         # %s gives True/False; the int and float text is lower case already.
         lower = "%s" in line
-        step = max(1, _CSV_BLOCK_CELLS // len(rows[0]))
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
-            if isinstance(block, np.ndarray):
-                block = block.tolist()
+        step = max(1, _CSV_BLOCK_CELLS // len(first))
+        rows = itertools.chain([first], rows)
+        while block := list(itertools.islice(rows, step)):
+            if isinstance(first, np.ndarray):  # Python floats format faster
+                block = np.array(block).tolist()
             text = "".join([line % tuple(row) for row in block])
             fh.write(text.lower() if lower else text)
 
@@ -463,17 +468,27 @@ def _check_untruncated(truncated):
                                  "trajectories truncated at the domain edge")
 
 
+def _rk4_positions(ev, starts, last):
+    """x at each frame of one rk4_frames pass; last keeps the latest
+    (x, frozen), for the task to read after the pass."""
+    for x, _, frozen in bohm.rk4_frames(ev, starts):
+        last[:] = x, frozen
+        yield x
+
+
 def _task_trajectories(config, tmp):
     psi, ev = _evolve(config, float(config.task["duration"]), evolve_stream)
-    with contextlib.closing(ev):
-        ens = integrate_trajectories(ev, _starts(config, psi))
-    header = ["t"] + [f"x_{i}" for i in range(ens.count)]
-    _write_csv(os.path.join(tmp, "trajectories.csv"), header,
-               np.column_stack([ens.times, ens.positions]))
+    starts, last = _starts(config, psi), []
+    with contextlib.closing(ev):  # each row is written as RK4 yields it
+        rows = (np.concatenate(([t], x)) for x, t
+                in zip(_rk4_positions(ev, starts, last), ev.times))
+        _write_csv(os.path.join(tmp, "trajectories.csv"),
+                   ["t"] + [f"x_{i}" for i in range(len(starts))], rows)
+    final, frozen = last
     return ["trajectories.csv"], {
-        "n_trajectories": ens.count,
-        "equivariance_l1_final": equivariance_l1(ev.final, ens.positions[-1]),
-        "truncated": int(ens.truncated.sum())}
+        "n_trajectories": len(starts),
+        "equivariance_l1_final": equivariance_l1(ev.final, final),
+        "truncated": int(frozen.sum())}
 
 
 def _operator(name, grid, mass, hbar, potential):
@@ -514,8 +529,8 @@ def _task_work(config, tmp):
     flagged = np.isnan(records).any(axis=1)
     _write_csv(os.path.join(tmp, "work_records.csv"),
                ["experiment_id", "e_initial", "e_final", "work", "flagged"],
-               list(zip(range(len(starts)), e1.tolist(), e2.tolist(),
-                        (e2 - e1).tolist(), flagged.tolist())))
+               zip(range(len(starts)), e1.tolist(), e2.tolist(),
+                   (e2 - e1).tolist(), flagged.tolist()))
     dist = work_distribution(records[~frozen])
     h1, h2 = (build_hamiltonian(ev.grid, ev.potential, t, ev.mass, ev.hbar)
               for t in (0.0, float(ev.times[-1])))
@@ -538,15 +553,9 @@ def _task_dwell(config, tmp):
     psi, ev = _evolve(config, horizon, evolve_stream)
     with contextlib.closing(ev):
         ev.keep_columns(np.flatnonzero(window_weights(ev.grid, *region)))
-        starts = _starts(config, psi)
-        last = []
-
-        def positions():
-            for x, _, frozen in bohm.rk4_frames(ev, starts):
-                last[:] = x, frozen
-                yield x
-
-        taus = per_trajectory_dwell_times(positions(), ev.times, region)
+        starts, last = _starts(config, psi), []
+        taus = per_trajectory_dwell_times(_rk4_positions(ev, starts, last),
+                                          ev.times, region)
     final, frozen = last
     # raises HorizonError once every frame is propagated, before the
     # backward sweep and before any file is written
@@ -558,7 +567,7 @@ def _task_dwell(config, tmp):
                ["experiment_id", "x_start", "tau"],
                np.column_stack([np.arange(len(starts)), starts, taus]))
     summary = {"trajectory_mean": float(t_traj),
-               "trajectory_stderr": float(stderr),
+               "trajectory_stderr": stderr,
                "density": t_density,
                "stuck": int(np.count_nonzero((final > region[0])
                                              & (final < region[1]))),

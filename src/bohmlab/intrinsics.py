@@ -90,7 +90,7 @@ def power_balance_residual(evolution: Evolution, positions: np.ndarray,
     and E_field those of the evolution's potential.
 
     positions holds the trajectory at every stored frame, one column of
-    TrajectoryEnsemble.positions.  E = m v^2/2 + Q is the unperturbed energy
+    integrate_trajectories' record.  E = m v^2/2 + Q is the unperturbed energy
     it carries; all time derivatives are centered finite differences at the
     frame spacing, so the residual decays at 2nd order in the output step.
     An endpoint on a node raises NodeError, from bohm.read_at.
@@ -248,17 +248,20 @@ def psd(currents, dt: float, tau_max: float,
 
     Trapezoid weights in the lag quadrature make PSD(0) equal the lag
     integral of C(tau); omega >= 0 is evaluated in blocks of _BLOCK_CELLS
-    cosines and mirrored, so the PSD is even by construction.
+    cosines and mirrored, so the PSD is even by construction.  A tau_max
+    that rounds to no lag raises LagError before currents is read.
     """
+    m_max = int(round(tau_max / dt))
+    if m_max < 1:
+        raise LagError(f"lag horizon {tau_max} rounds to no lag at dt = {dt}")
     lags, c = autocorrelation(currents, dt, tau_max)
     if window == "hann":
         c = c * np.hanning(len(c))
     elif window is not None:
         raise ConfigurationError(f"unknown window {window!r}")
-    m_max = (len(lags) - 1) // 2
     weights = dt * c  # trapezoid weights times C
     weights[[0, -1]] *= 0.5
-    omega = np.pi / tau_max * np.arange(-m_max, m_max + 1) if m_max else np.zeros(1)
+    omega = np.pi / tau_max * np.arange(-m_max, m_max + 1)
     step = max(1, _BLOCK_CELLS // len(lags))
     half = np.concatenate([np.cos(np.outer(omega[s:s + step], lags)) @ weights
                            for s in range(m_max, len(omega), step)])
@@ -310,10 +313,11 @@ def per_trajectory_dwell_times(positions, times: np.ndarray,
     return taus
 
 
-def dwell_time_ensemble(taus: np.ndarray) -> tuple[float, float]:
-    """Mean of the per-trajectory dwell times taus and its standard error."""
+def dwell_time_ensemble(taus: np.ndarray) -> tuple[float, float | None]:
+    """Mean of the per-trajectory dwell times taus and its standard error,
+    None (null in JSON, which has no infinity) for fewer than two taus."""
     stderr = float(np.std(taus, ddof=1) / np.sqrt(len(taus))) if len(taus) > 1 \
-        else float("inf")
+        else None
     return float(np.mean(taus)), stderr
 
 

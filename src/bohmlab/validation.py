@@ -176,27 +176,27 @@ def check_equilibrium_and_trajectories():
     ev = evolve_store(psi, PotentialModel("free"),
                       PropagatorConfig(0.005, steps_per_output=20), 2.0)
     starts = sample_initial_positions(psi, 10_000, seed=77)
-    ens = integrate_trajectories(ev, starts)
-    l1 = max(equivariance_l1(ev.psi(f), ens.positions[f])
+    paths = integrate_trajectories(ev, starts)
+    l1 = max(equivariance_l1(ev.psi(f), paths[f])
              for f in range(len(ev.times)))
 
     # analytic scaling x(t) = x0 sigma(t)/sigma0 on well-separated starts
     starts = np.concatenate([np.linspace(-2.5, -0.25, 8),
                              np.linspace(0.25, 2.5, 8)])
     ref = integrate_trajectories(ev, starts)
-    scale = np.sqrt(1.0 + (ref.times / 2.0) ** 2)
+    scale = np.sqrt(1.0 + (ev.times / 2.0) ** 2)
     expected = starts[None, :] * scale[:, None]
-    rel = float(np.max(np.abs(ref.positions - expected) / np.abs(expected)))
+    rel = float(np.max(np.abs(ref - expected) / np.abs(expected)))
 
-    sorted_paths = ens.positions[:, np.argsort(ens.positions[0])]
+    sorted_paths = paths[:, np.argsort(paths[0])]
     crossing_free = bool(np.all(np.diff(sorted_paths, axis=1) > 0))
     passed = l1 < 0.05 and rel < 1e-3 and crossing_free
     return {"measured": float(l1), "target": 0.0, "tolerance": 0.05,
             "comparison": "<", "passed": bool(passed),
             "detail": {"max_l1": float(l1), "scaling_rel_error": rel,
                        "non_crossing": crossing_free,
-                       "n_trajectories": ens.count,
-                       "start_span": float(np.ptp(ens.positions[0]))}}
+                       "n_trajectories": paths.shape[1],
+                       "start_span": float(np.ptp(paths[0]))}}
 
 
 def check_energy_decomposition():
@@ -208,9 +208,9 @@ def check_energy_decomposition():
     def residual(spo):
         ev = evolve_store(psi0, pot, PropagatorConfig(0.002, steps_per_output=spo),
                           1.0)
-        ens = integrate_trajectories(ev, np.array([1.0]))
+        path = integrate_trajectories(ev, np.array([1.0]))[:, 0]
         t_mid = float(ev.times[len(ev.times) // 2])
-        return power_balance_residual(ev, ens.positions[:, 0], t_mid)
+        return power_balance_residual(ev, path, t_mid)
 
     ev = evolve_store(psi0, pot, PropagatorConfig(0.002, steps_per_output=25), 1.0)
     psi = ev.psi(len(ev.times) // 2)
@@ -238,8 +238,8 @@ def check_work_properties():
     t2 = 1.5
     ev = evolve_store(psi, pot, cfg, t2)
     starts = sample_initial_positions(psi, 10_000, seed=55)
-    ens = integrate_trajectories(ev, starts)
-    dist = work_distribution(work_records(ev, starts, ens.positions[-1]))
+    final = integrate_trajectories(ev, starts)[-1]
+    dist = work_distribution(work_records(ev, starts, final))
     delta = expectation(build_hamiltonian(grid, pot, t=t2), ev.final) \
         - expectation(build_hamiltonian(grid, pot, t=0.0), psi)
     stderr = dist.std / np.sqrt(dist.count)
@@ -250,9 +250,9 @@ def check_work_properties():
     eig = WaveFunction(grid, h.eigenvectors()[:, 0])
     ev2 = evolve_store(eig, hpot, PropagatorConfig(
         0.001, steps_per_output=100), 1.0)
-    ens2 = integrate_trajectories(ev2, sample_initial_positions(eig, 500, seed=56))
+    starts2 = sample_initial_positions(eig, 500, seed=56)
     dist2 = work_distribution(work_records(
-        ev2, ens2.positions[0], ens2.positions[-1]))
+        ev2, starts2, integrate_trajectories(ev2, starts2)[-1]))
     point_mass = dist2.std < 1e-6 and abs(dist2.mean) < 1e-6
     nonneg = bool(np.all(dist.probabilities >= 0)
                   and np.all(dist2.probabilities >= 0))
@@ -282,8 +282,8 @@ def check_dwell_triple_agreement():
 
     t_density = dwell_time_density(ev, region, horizon)
     starts = sample_initial_positions(psi, 2000, seed=91)
-    ens = integrate_trajectories(ev, starts)
-    taus = per_trajectory_dwell_times(ens.positions, ens.times, region)
+    taus = per_trajectory_dwell_times(integrate_trajectories(ev, starts),
+                                      ev.times, region)
     t_traj, stderr = dwell_time_ensemble(taus)
 
     field = dwell_operator_field(ev, region, horizon, cfg)
@@ -293,7 +293,7 @@ def check_dwell_triple_agreement():
     pair_rel = max(abs(a - b) / max(abs(a), abs(b))
                    for i, a in enumerate(vals) for b in vals[i + 1:])
 
-    wv_at_start = read_at(psi, np.nan_to_num(field), ens.positions[0])
+    wv_at_start = read_at(psi, np.nan_to_num(field), starts)
     disc = np.abs(taus - wv_at_start)
     passed = pair_rel <= 0.02
     return {"measured": float(pair_rel), "target": 0.0, "tolerance": 0.02,

@@ -26,7 +26,9 @@ so a knob cannot stay in one after it has left the other.
 
 In harness, only the propagate task, which writes every frame, names
 evolve_store: every other task streams its frames (evolve_stream) and
-holds no (nt, n) record.
+holds no (nt, n) record.  No harness definition names
+integrate_trajectories either: every Bohmian task reads rk4_frames as it
+yields and holds no (nt, N) position record.
 """
 
 import ast
@@ -150,6 +152,11 @@ def _definitions_naming(module, name):
 
 def test_only_the_propagate_task_stores_frames():
     assert _definitions_naming("harness", "evolve_store") == ["_task_propagate"]
+
+
+def test_no_task_collects_the_position_record():
+    # harness still imports the name: perfbench/tracer.py wraps it
+    assert _definitions_naming("harness", "integrate_trajectories") == []
 
 
 def _is_numpy_import(node):

@@ -306,6 +306,38 @@ class TestVelocityFieldBuild:
             assert masks[:, n // 4:3 * n // 4].any(axis=1).all()
 
 
+class TestVelocityFieldInterpolation:
+    """At a frame time the field is scipy's periodic CubicSpline of that
+    frame's grid_velocity; between two frames it is the linear blend of
+    their splines."""
+
+    @settings(max_examples=20)
+    @given(n=st.integers(64, 512), left=st.floats(12.0, 30.0),
+           right=st.floats(12.0, 30.0), nt=st.integers(2, 20),
+           c1=st.floats(-8.0, -1.0), c2=st.floats(1.0, 8.0),
+           w1=st.floats(0.3, 2.0), w2=st.floats(0.3, 2.0),
+           k=st.floats(-2.0, 2.0), boost=st.floats(0.05, 0.5),
+           mass=st.floats(0.5, 3.0), node=st.booleans(),
+           w=st.floats(0.05, 0.95))
+    def test_matches_scipy_periodic_spline(self, n, left, right, nt, c1, c2,
+                                           w1, w2, k, boost, mass, node, w):
+        grid = Grid1D(-left, right, n)
+        frames = _two_gaussian_frames(grid, nt, c1, c2, w1, w2, k, boost, node)
+        ev = Evolution(grid, 0.1 * np.arange(nt), frames,
+                       PotentialModel("free"), 0.1, mass=mass)
+        splines = [_scipy_periodic(grid, grid_velocity(ev.psi(j), mass))
+                   for j in range(nt)]
+        xq = np.random.default_rng(n).uniform(grid.x_min, grid.x_max, 200)
+        want = np.array([spline(xq) for spline in splines])
+        tol = 1e-10 * np.max(np.abs(want))
+        vel, h = ev.velocity, ev.frame_dt
+        for j, t in enumerate(ev.times):
+            assert np.max(np.abs(vel(xq, t) - want[j])) <= tol
+            if j + 1 < nt:
+                blend = (1.0 - w) * want[j] + w * want[j + 1]
+                assert np.max(np.abs(vel(xq, t + w * h) - blend)) <= tol
+
+
 def _reference_velocity(vel, x, t):
     """The field at (x, t): blend the two frames' knots, then build and
     evaluate one Hermite table (the evaluation before tables were shared)."""
@@ -362,34 +394,33 @@ def node_evolution():
                         PropagatorConfig(0.005, steps_per_output=10), 0.5)
 
 
+def _final_frozen(evolution, starts):
+    """The frozen mask rk4_frames yields at the last frame."""
+    *_, (_, _, frozen) = bohm.rk4_frames(evolution, starts)
+    return frozen
+
+
 class TestRk4Stages:
-    @pytest.mark.parametrize("substeps", [1])
-    def test_leaving_trajectories_bit_identical(self, leaving_evolution,
-                                                substeps):
+    def test_leaving_trajectories_bit_identical(self, leaving_evolution):
         ev = leaving_evolution
         starts = sample_initial_positions(ev.psi(0), 300, seed=5)
-        ens = integrate_trajectories(ev, starts, substeps=substeps)
         pos, trunc = _reference_rk4(ev, starts)
         assert 0 < np.count_nonzero(trunc) < len(starts)
-        assert np.array_equal(ens.positions, pos)
-        assert np.array_equal(ens.truncated, trunc)
+        assert np.array_equal(integrate_trajectories(ev, starts), pos)
+        assert np.array_equal(_final_frozen(ev, starts), trunc)
 
-    @pytest.mark.parametrize("substeps", [1])
-    def test_node_state_bit_identical(self, node_evolution, substeps):
+    def test_node_state_bit_identical(self, node_evolution):
         ev = node_evolution
         grid = ev.grid
         assert node_mask(ev.frames[0])[grid.n // 2]
         starts = np.concatenate([
             sample_initial_positions(ev.psi(0), 300, seed=6),
             [-1e-3, 1e-3, grid.x[grid.n // 2 + 1]]])
-        ens = integrate_trajectories(ev, starts, substeps=substeps)
         pos, trunc = _reference_rk4(ev, starts)
-        assert np.array_equal(ens.positions, pos)
-        assert np.array_equal(ens.truncated, trunc)
+        assert np.array_equal(integrate_trajectories(ev, starts), pos)
+        assert np.array_equal(_final_frozen(ev, starts), trunc)
 
-    @pytest.mark.parametrize("substeps", [1])
-    def test_hermite_builds_bounded(self, leaving_evolution, monkeypatch,
-                                    substeps):
+    def test_hermite_builds_bounded(self, leaving_evolution, monkeypatch):
         ev = leaving_evolution
         ev.velocity  # the field build itself builds no Hermite table
         builds = []
@@ -400,7 +431,7 @@ class TestRk4Stages:
             return build(*args)
 
         monkeypatch.setattr(bohm, "_hermite_coefficients", counting)
-        integrate_trajectories(ev, np.linspace(3.0, 7.0, 11), substeps=substeps)
+        integrate_trajectories(ev, np.linspace(3.0, 7.0, 11))
         nt = len(ev.times)
         assert len(builds) <= (nt - 1) * 3
 
@@ -418,10 +449,9 @@ class TestRk4Stages:
                 refused += 1
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = 0.0
-        ens = integrate_trajectories(ev, starts)
         assert refused == len(ev.times) - 1
-        assert np.array_equal(np.array(pos), ens.positions)
-        assert np.array_equal(frozen, ens.truncated)
+        assert np.array_equal(np.array(pos), integrate_trajectories(ev, starts))
+        assert np.array_equal(frozen, _final_frozen(ev, starts))
 
     def test_frozen_trajectories_stay_put(self):
         # the wrapped packet: a free k = 5 Gaussian on [-10, 10] runs into
@@ -437,13 +467,6 @@ class TestRk4Stages:
         assert frames[len(frames) // 2][1].any()
         for j, (x, frozen) in enumerate(frames):
             assert np.all(pos[j:, frozen] == x[frozen])
-
-    @pytest.mark.parametrize("substeps", [0, 2])
-    def test_substeps_other_than_one_rejected(self, leaving_evolution,
-                                               substeps):
-        with pytest.raises(ConfigurationError, match="substeps must be 1"):
-            integrate_trajectories(leaving_evolution, np.array([5.0]),
-                                   substeps=substeps)
 
 
 class TestRollingField:
@@ -504,9 +527,9 @@ class TestTrajectories:
         ev = evolve_store(psi, PotentialModel("free"),
                           PropagatorConfig(0.005, steps_per_output=20), 2.0)
         starts = sigma0 * np.array(units)
-        ens = integrate_trajectories(ev, starts)
-        sigma = spread(sigma0, ens.times)[:, None]
-        err = np.abs(ens.positions - starts[None, :] * sigma / sigma0) / sigma
+        paths = integrate_trajectories(ev, starts)
+        sigma = spread(sigma0, ev.times)[:, None]
+        err = np.abs(paths - starts[None, :] * sigma / sigma0) / sigma
         assert np.max(err) < 0.3 * (ev.frame_dt / (2 * sigma0 ** 2)) ** 2
 
     @pytest.fixture(scope="class")
@@ -517,27 +540,25 @@ class TestTrajectories:
         return evolve_store(psi, PotentialModel("harmonic", omega=0.5),
                             PropagatorConfig(0.0025, steps_per_output=8), 5.0)
 
-    @pytest.mark.parametrize("substeps", [1])
-    def test_coherent_state_translates_rigidly(self, coherent_evolution,
-                                               substeps):
+    def test_coherent_state_translates_rigidly(self, coherent_evolution):
         # exact law x(t) = x0 + X(t) - X(0), X(t) = -3 cos(t/2) + 2 sin(t/2)
         ev = coherent_evolution
         starts = sample_initial_positions(ev.psi(0), 500, seed=3)
-        ens = integrate_trajectories(ev, starts, substeps=substeps)
-        centre = -3.0 * np.cos(ens.times / 2) + 2.0 * np.sin(ens.times / 2)
+        paths = integrate_trajectories(ev, starts)
+        centre = -3.0 * np.cos(ev.times / 2) + 2.0 * np.sin(ev.times / 2)
         expected = starts[None, :] + (centre - centre[0])[:, None]
-        assert np.max(np.abs(ens.positions - expected)) < 1e-4
+        assert np.max(np.abs(paths - expected)) < 1e-4
 
     def test_non_crossing(self, free_evolution):
         starts = np.linspace(-2.5, 2.5, 40)
-        ens = integrate_trajectories(free_evolution, starts)
-        assert np.all(np.diff(ens.positions, axis=1) > 0)
+        paths = integrate_trajectories(free_evolution, starts)
+        assert np.all(np.diff(paths, axis=1) > 0)
 
     def test_equivariance(self, free_evolution):
         psi0 = free_evolution.psi(0)
         starts = sample_initial_positions(psi0, 10_000, seed=7)
-        ens = integrate_trajectories(free_evolution, starts)
-        assert equivariance_l1(free_evolution.final, ens.positions[-1]) < 0.05
+        final = integrate_trajectories(free_evolution, starts)[-1]
+        assert equivariance_l1(free_evolution.final, final) < 0.05
 
     def test_psd_task_builds_field_once(self, tmp_path, monkeypatch):
         builds = []
@@ -569,5 +590,5 @@ class TestTrajectories:
         ev = evolve_store(psi, pot, PropagatorConfig(
             0.001, steps_per_output=100), 1.0)
         starts = np.array([-1.0, 0.3, 0.9])
-        ens = integrate_trajectories(ev, starts)
-        assert np.max(np.abs(ens.positions - starts[None, :])) < 1e-6
+        paths = integrate_trajectories(ev, starts)
+        assert np.max(np.abs(paths - starts[None, :])) < 1e-6

@@ -213,6 +213,44 @@ class TestRun:
             run(cfg, out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
+    def test_lag_under_half_a_frame_raises_before_trajectories(
+            self, tmp_path, monkeypatch):
+        # tau_max 0.04 at a frame of 0.1 rounds to no lag: the lag integral
+        # has zero width, so there is no spectrum to report, and psd says
+        # so before it reads the first current
+        def refuse(*args, **kwargs):
+            raise AssertionError("trajectories integrated")
+
+        monkeypatch.setattr(intrinsics, "rk4_frames", refuse)
+        cfg = parse_config(json.dumps({**FAST, "task": {
+            "name": "psd", "duration": 0.5, "tau_max": 0.04}}))
+        with pytest.raises(LagError, match="rounds to no lag"):
+            run(cfg, out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_trajectory_dwell_writes_strict_json(self, tmp_path, capsys):
+        # one trajectory has no standard error: dwell.json, manifest.json
+        # and the printed manifest give null, where inf wrote Infinity,
+        # which strict JSON parsers reject
+        def refuse(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "grid": {"n": 256, "x_min": -20.0, "x_max": 20.0},
+            "state": {"kind": "gaussian", "center": -5.0, "momentum": 3.0},
+            "ensemble": {"n": 1, "seed": 3},
+            "task": {"region": [-1.0, 1.0], "horizon": 6.0}}))
+        out = tmp_path / "out"
+        assert main(["dwell", "--config", str(path), "--out", str(out)]) == 0
+        texts = [capsys.readouterr().out] + [
+            (out / name).read_text() for name in ("dwell.json", "manifest.json")]
+        for text in texts:
+            summary = json.loads(text, parse_constant=refuse)
+            summary = summary.get("summary", summary)
+            assert summary["trajectory_stderr"] is None
+            assert np.isfinite(summary["trajectory_mean"])
+
     def test_stuck_trajectory_reported(self, tmp_path, monkeypatch):
         # a trajectory held inside the region past the horizon, in the RK4
         # stream the task reads, is counted and keeps its time up to the
@@ -324,19 +362,21 @@ class TestRun:
         psi = cfg.build_state(cfg.build_grid())
         ev = evolve_store(psi, cfg.build_potential(), cfg.build_propagator(),
                           horizon)
-        ens = integrate_trajectories(ev, sample_initial_positions(
-            psi, 25, seed=cfg.subsystem_seeds()["sampling"]))
-        final = ens.positions[-1]
+        starts = sample_initial_positions(
+            psi, 25, seed=cfg.subsystem_seeds()["sampling"])
+        paths = integrate_trajectories(ev, starts)
+        *_, (final, _, frozen) = bohm.rk4_frames(ev, starts)
+        assert np.array_equal(final, paths[-1])
         assert summary["density"] == dwell_time_density(ev, region, horizon)
         assert summary["weak_value"] == weak_average(psi, dwell_operator_field(
             ev, region, horizon, cfg.build_propagator()))
         assert summary["stuck"] == np.count_nonzero((final > region[0])
                                                     & (final < region[1]))
-        assert summary["truncated"] == ens.truncated.sum()
+        assert summary["truncated"] == frozen.sum()
         table = np.loadtxt(tmp_path / "dwell_times.csv", delimiter=",",
                            skiprows=1)
-        assert np.array_equal(table[:, 1], ens.positions[0])
-        taus = per_trajectory_dwell_times(ens.positions, ens.times, region)
+        assert np.array_equal(table[:, 1], starts)
+        taus = per_trajectory_dwell_times(paths, ev.times, region)
         assert np.array_equal(table[:, 2], taus)
 
     def test_driven_dwell_writes_every_key(self, tmp_path):
@@ -405,6 +445,32 @@ class TestRun:
         frame_record = extra_frames * FAST["grid"]["n"] * 16
         assert 32_768 < frame_record < extra_frames * 500 * 8
         assert peak(2) - peak(8) <= 32_768
+
+    def test_trajectories_task_memory_holds_no_record(self, tmp_path):
+        # 4x the frames add at most the writer's one block: the task writes
+        # each frame's row as RK4 yields it, and the longer run only gets to
+        # format a full block (65 rows of 1001 cells) while it still holds
+        # the one before.  The collecting task held the (nt, N) position
+        # record and its column_stack copy
+        def peak(spo):
+            cfg = parse_config(json.dumps({
+                **FAST, "ensemble": {"n": 1000, "seed": 7},
+                "propagator": {"dt": 0.01, "steps_per_output": spo},
+                "task": {"name": "trajectories", "duration": 8.0}}))
+            tracemalloc.start()
+            try:
+                run(cfg, out_dir=str(tmp_path))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # a first run makes the process's first-use caches
+        extra_frames = 400 - 100  # 800 steps at 2 and at 8 steps per frame
+        # at most 25 characters a cell: sign, 17 digits, point, e-XX, comma
+        block_text = harness._CSV_BLOCK_CELLS * 25
+        position_record = extra_frames * 1000 * 8
+        assert block_text + 32_768 < position_record
+        assert peak(2) - peak(8) <= block_text + 32_768
 
     def test_dwell_task_propagates_once(self, tmp_path, monkeypatch):
         # one forward sweep, shared by the trajectories, the density and the
@@ -520,8 +586,7 @@ class TestRun:
     @pytest.mark.parametrize("task", ["trajectories", "work", "dwell", "psd"])
     def test_one_rk4_step_per_frame(self, tmp_path, monkeypatch, task):
         # every Bohmian task integrates once, through the one RK4 generator,
-        # one step per stored frame, and reports the ensemble's health; the
-        # psd task streams it without integrate_trajectories
+        # one step per stored frame, and reports the ensemble's health
         rk4 = bohm.rk4_frames
         runs = []
 
@@ -583,6 +648,24 @@ class TestCsvWriter:
         per_cell_csv(tmp_path / "cells.csv", header, rows)
         assert ((tmp_path / "bulk.csv").read_bytes()
                 == (tmp_path / "cells.csv").read_bytes())
+
+    def test_rows_given_one_at_a_time(self, tmp_path):
+        # a stream of array rows, as the trajectories task yields them, or
+        # of tuples, as the work task zips them, writes the bytes of the
+        # whole array or list; an empty stream writes the header only
+        record = np.random.default_rng(2).normal(size=(300, 400))
+        tuples = [(i, float(v), bool(v > 0)) for i, v in enumerate(record[0])]
+        header = [f"c{j}" for j in range(400)]
+        for name, rows, stream in (
+                ("array", record, (row for row in record)),
+                ("tuples", tuples, zip(*zip(*tuples))),
+                ("empty", np.empty((0, 400)), iter([]))):
+            harness._write_csv(tmp_path / f"{name}.csv", header, rows)
+            harness._write_csv(tmp_path / f"{name}-stream.csv", header, stream)
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}-stream.csv").read_bytes())
+        assert (tmp_path / "empty-stream.csv").read_text() \
+            == ",".join(header) + "\n"
 
 
 class TestCli:

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      bohm, build_hamiltonian, evolve_store, evolve_stream,
                      expectation, intrinsics, momentum_operator)
-from bohmlab.bohm import (TrajectoryEnsemble, integrate_trajectories,
-                          sample_initial_positions)
+from bohmlab.bohm import integrate_trajectories, sample_initial_positions
 from bohmlab.errors import ConfigurationError, LagError, NodeError
 from bohmlab.intrinsics import (autocorrelation,
                                 dwell_time_density, dwell_time_ensemble,
@@ -33,8 +32,7 @@ class TestWork:
         ev = evolve_store(psi, pot, PropagatorConfig(
             0.001, steps_per_output=100), 1.0)
         starts = sample_initial_positions(psi, 200, seed=3)
-        ens = integrate_trajectories(ev, starts)
-        recs = work_records(ev, ens.positions[0], ens.positions[-1])
+        recs = work_records(ev, starts, integrate_trajectories(ev, starts)[-1])
         dist = work_distribution(recs)
         assert dist.flagged_count == 0
         assert abs(dist.mean) < 1e-6
@@ -48,8 +46,7 @@ class TestWork:
         cfg = PropagatorConfig(0.002, steps_per_output=25)
         ev = evolve_store(psi, pot, cfg, 1.5)
         starts = sample_initial_positions(psi, 3000, seed=9)
-        ens = integrate_trajectories(ev, starts)
-        recs = work_records(ev, ens.positions[0], ens.positions[-1])
+        recs = work_records(ev, starts, integrate_trajectories(ev, starts)[-1])
         dist = work_distribution(recs)
         h1 = build_hamiltonian(grid, pot, t=0.0)
         h2 = build_hamiltonian(grid, pot, t=1.5)
@@ -65,8 +62,8 @@ class TestWork:
         psi = WaveFunction(grid, build_hamiltonian(grid, pot).eigenvectors()[:, 1])
         ev = evolve_store(psi, pot, PropagatorConfig(
             5e-5, steps_per_output=2000), 0.5)
-        ens = integrate_trajectories(ev, np.array([-1.0, 0.0, 1.3]))
-        records = work_records(ev, ens.positions[0], ens.positions[-1])
+        starts = np.array([-1.0, 0.0, 1.3])
+        records = work_records(ev, starts, integrate_trajectories(ev, starts)[-1])
         assert records.shape == (3, 2)
         assert np.isnan(records[1]).all() and np.isfinite(records[[0, 2]]).all()
         dist = work_distribution(records)
@@ -80,8 +77,9 @@ class TestWork:
         psi = WaveFunction.gaussian(grid, width=1.5)
         ev = evolve_store(psi, pot, PropagatorConfig(0.005, steps_per_output=20),
                           1.0)
-        ens = integrate_trajectories(ev, sample_initial_positions(psi, 300, seed=4))
-        want = work_records(ev, ens.positions[0], ens.positions[-1])
+        starts = sample_initial_positions(psi, 300, seed=4)
+        final = integrate_trajectories(ev, starts)[-1]
+        want = work_records(ev, starts, final)
         calls = []
         nodes_at = bohm.nodes_at
 
@@ -91,7 +89,7 @@ class TestWork:
 
         monkeypatch.setattr(bohm, "nodes_at", spy)
         monkeypatch.setattr(intrinsics, "nodes_at", spy)
-        got = work_records(ev, ens.positions[0], ens.positions[-1])
+        got = work_records(ev, starts, final)
         assert calls == [300, 300]
         assert np.isfinite(got).all()
         assert np.array_equal(got, want)
@@ -101,9 +99,8 @@ class TestWork:
         psi = WaveFunction.gaussian(grid, momentum=1.0)
         ev = evolve_store(psi, pot, PropagatorConfig(0.005, steps_per_output=20), 1.0)
         starts = sample_initial_positions(psi, 500, seed=4)
-        ens = integrate_trajectories(ev, starts)
-        dist = work_distribution(work_records(ev, ens.positions[0],
-                                              ens.positions[-1]))
+        dist = work_distribution(work_records(
+            ev, starts, integrate_trajectories(ev, starts)[-1]))
         assert dist.probabilities.sum() == pytest.approx(1.0)
         assert len(dist.bin_edges) == len(dist.probabilities) + 1
 
@@ -114,10 +111,9 @@ class TestPowerBalance:
         psi = WaveFunction.gaussian(grid, center=2.0)
         cfg = PropagatorConfig(0.002, steps_per_output=steps_per_output)
         ev = evolve_store(psi, pot, cfg, 1.0)
-        starts = np.array([1.0])
-        ens = integrate_trajectories(ev, starts)
+        path = integrate_trajectories(ev, np.array([1.0]))[:, 0]
         t_mid = ev.times[len(ev.times) // 2]
-        return power_balance_residual(ev, ens.positions[:, 0], float(t_mid))
+        return power_balance_residual(ev, path, float(t_mid))
 
     def test_second_order_decay(self, grid):
         r_coarse = self.residual_at_spacing(grid, 50)   # frame dt = 0.1
@@ -128,9 +124,9 @@ class TestPowerBalance:
         pot = PotentialModel("free")
         psi = WaveFunction.gaussian(grid)
         ev = evolve_store(psi, pot, PropagatorConfig(0.01, steps_per_output=10), 0.5)
-        ens = integrate_trajectories(ev, np.array([0.5]))
+        path = integrate_trajectories(ev, np.array([0.5]))[:, 0]
         with pytest.raises(ConfigurationError):
-            power_balance_residual(ev, ens.positions[:, 0], 0.0)
+            power_balance_residual(ev, path, 0.0)
 
     def test_trajectory_on_node_raises(self):
         # x = 0 is a grid point and the node of the first excited state,
@@ -179,9 +175,10 @@ class TestCurrentAndPsd:
         ev = evolve_store(psi, PotentialModel("free", charge=1.6),
                           PropagatorConfig(0.01, steps_per_output=1), duration)
         starts = sample_initial_positions(psi, 500, seed=5)
-        ens = integrate_trajectories(ev, starts)
+        paths = integrate_trajectories(ev, starts)
+        *_, (_, _, frozen) = bohm.rk4_frames(ev, starts)
         vel = ev.velocity
-        raw = np.array([vel(ens.positions[j], float(t))
+        raw = np.array([vel(paths[j], float(t))
                         for j, t in enumerate(ev.times)])
         length, charge = 7.3, 1.6
         want = charge / length * raw
@@ -197,7 +194,7 @@ class TestCurrentAndPsd:
         finally:
             tracemalloc.stop()
         return (same == len(ev.times),
-                np.array_equal(truncated, ens.truncated), peak)
+                np.array_equal(truncated, frozen), peak)
 
     def test_currents_stream_scaled_k1(self, grid):
         # each frame's current is RK4's own k1 at the collected record's
@@ -491,11 +488,9 @@ class TestDwellTime:
         rng = np.random.default_rng(12)
         times = np.linspace(0.0, 5.0, nt)
         positions = np.cumsum(rng.normal(scale=0.1, size=(nt, n_traj)), axis=0)
-        ens = TrajectoryEnsemble(times, positions, np.zeros(n_traj, dtype=bool))
         tracemalloc.start()
         try:
-            taus = per_trajectory_dwell_times(ens.positions, ens.times,
-                                              (-1.0, 1.0))
+            taus = per_trajectory_dwell_times(positions, times, (-1.0, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -516,9 +511,9 @@ class TestDwellTime:
         region = (-2.0, 2.0)
         t_density = dwell_time_density(ev, region, horizon)
         starts = sample_initial_positions(psi, 400, seed=21)
-        ens = integrate_trajectories(ev, starts)
+        paths = integrate_trajectories(ev, starts)
         t_traj, stderr = dwell_time_ensemble(
-            per_trajectory_dwell_times(ens.positions, ens.times, region))
+            per_trajectory_dwell_times(paths, ev.times, region))
         assert abs(t_traj - t_density) < max(3 * stderr, 0.02 * t_density)
 
 

@@ -180,6 +180,24 @@ class TestEnsembleAverage:
         assert weak_average(psi, wv) == pytest.approx(expectation(op, psi),
                                                       rel=1e-10, abs=1e-12)
 
+    @settings(max_examples=30)
+    @given(**RANDOM_STATES,
+           name=st.sampled_from(["position", "momentum", "hamiltonian"]))
+    def test_weak_average_is_expectation_on_random_states(
+            self, n, packets, kind, strength, duration, mass, hbar, name):
+        # integral |psi|^2 Re[(S psi)/psi] dx = <psi|S|psi> on random grids
+        # and superpositions, with H under the draw's potential at psi's time
+        psi, pot = random_state(n, packets, kind, strength, duration, mass, hbar)
+        grid = psi.grid
+        op = {"position": lambda: position_operator(grid),
+              "momentum": lambda: momentum_operator(grid, hbar),
+              "hamiltonian": lambda: build_hamiltonian(
+                  grid, pot, psi.time, mass, hbar)}[name]()
+        s_psi = op.apply(psi.amplitudes)
+        scale = np.sum(np.abs(psi.amplitudes * s_psi)) * grid.dx
+        assert weak_average(psi, grid_weak_value(s_psi, psi.amplitudes)) \
+            == pytest.approx(expectation(op, psi), rel=1e-10, abs=1e-12 * scale)
+
 
 class TestDwellOperator:
     CFG = PropagatorConfig(0.005, steps_per_output=4)
