@@ -3,9 +3,10 @@ grid values at particle positions), equilibrium sampling and trajectory
 integration.
 
 Trajectories are integrated in a two-pass scheme: the wavefunction history
-comes first (qgrid.evolve_store stores it, qgrid.evolve_stream hands it
-over frame by frame, propagated in a forked worker that runs ahead on
-another core), then the guidance equation dx/dt = v(x, t) is integrated
+comes first, a qgrid.Evolution that hands its frames over in order
+(qgrid.evolve_stream propagates them as they are asked for, in a forked
+worker that runs ahead on another core; qgrid.evolve_store collects them
+all first), then the guidance equation dx/dt = v(x, t) is integrated
 with RK4.  Every consumer of one history reads the same
 VelocityField (Evolution.velocity).  It builds a block of frames at a time,
 on first use: each frame's grid velocity with node points clamped to the
@@ -33,7 +34,7 @@ from .qgrid import (NODE_THRESHOLD_REL, Evolution, Grid1D, WaveFunction,
 # Frames per VelocityField build block: enough to amortise the per-call
 # cost of the FFTs, few enough that the build's complex temporaries stay
 # at 256 KB at n = 2048.  The field keeps two blocks, 0.5 MB at n = 2048,
-# and a streamed evolution pulls one block of frames at a time.  32-frame
+# and an evolution pulls one block of frames at a time.  32-frame
 # blocks saved about 5 ms of a 2048-point, 251-frame build but raised the
 # run's peak RSS by 1.6 MB.
 BUILD_BLOCK_FRAMES = 8
@@ -217,10 +218,10 @@ class VelocityField:
     keeps only the block last built and the one before it: RK4 reads frames
     j and j + 1 with j increasing, so its memory does not grow with the
     frame count.  A read further back builds its block again, from the
-    record of a stored evolution; a streamed evolution raises
-    FrameAccessError instead.  Build it through Evolution.velocity, which
+    evolution's record if it kept every frame and column (evolve_store);
+    any other evolution raises FrameAccessError.  Build it through Evolution.velocity, which
     keeps one per evolution.  The field reads its evolution through a weak
-    proxy, so the two make no reference cycle: a streamed evolution that is
+    proxy, so the two make no reference cycle: an evolution that is
     dropped half-read stops its worker at once, and a read through a field
     whose evolution is gone raises ReferenceError.
     """

@@ -26,8 +26,8 @@ class HorizonError(BohmlabError):
 
 
 class FrameAccessError(BohmlabError):
-    """A streamed evolution was asked for its record, a single frame, or a
-    frame out of order."""
+    """An evolution was asked for a record, a frame or columns it does not
+    keep, or for a frame out of order."""
 
 
 class LagError(BohmlabError):

@@ -353,6 +353,7 @@ def _write_csv(path, header, rows):
                 block = np.array(block).tolist()
             text = "".join([line % tuple(row) for row in block])
             fh.write(text.lower() if lower else text)
+            del block, text  # freed before the next block is formatted
 
 
 def _write_json(path, obj):
@@ -446,13 +447,14 @@ def _evolve(config, duration, evolve):
 def _task_propagate(config, tmp):
     _, ev = _evolve(config, float(config.task["duration"]), evolve_store)
     header = ["x"] + [f"t={t:.6g}" for t in ev.times]
-    dens = np.array([ev.psi(i).density() for i in range(len(ev.times))])
+    dens = np.abs(ev.frames) ** 2
     _write_csv(os.path.join(tmp, "density.csv"), header,
                np.column_stack([ev.grid.x, dens.T]))
-    norms = [(t, ev.psi(i).norm()) for i, t in enumerate(ev.times)]
-    _write_csv(os.path.join(tmp, "norms.csv"), ["t", "norm"], norms)
+    norms = np.sqrt(dens.sum(axis=1) * ev.grid.dx)
+    _write_csv(os.path.join(tmp, "norms.csv"), ["t", "norm"],
+               np.column_stack([ev.times, norms]))
     return ["density.csv", "norms.csv"], {
-        "n_frames": len(ev.times), "final_norm": float(ev.final.norm())}
+        "n_frames": len(ev.times), "final_norm": float(norms[-1])}
 
 
 def _starts(config, psi):

@@ -326,10 +326,11 @@ def dwell_time_density(evolution: Evolution, region: tuple[float, float],
     """Dwell time from the density: time integral of the in-region mass
     sum(w |psi|^2) dx, with w the window_weights of the region.
 
-    Frames are read by qgrid.window_columns only where w is nonzero, so a
-    streamed evolution that kept those columns serves once its frames are
-    pulled; the mass is summed over those k columns in blocks of about
-    _BLOCK_CELLS cells.
+    Frames are read by qgrid.window_columns only where w is nonzero, from
+    the columns the evolution kept, so it serves once it has handed over
+    the frames up to the horizon (a record keeps every column); the mass
+    is summed over those k columns in blocks of about _BLOCK_CELLS
+    cells.
     """
     _, w, cols = window_columns(evolution, region, horizon)
     step = max(1, _BLOCK_CELLS // max(len(w), 1))

@@ -289,17 +289,21 @@ def window_columns(evolution: "Evolution", region,
                    horizon: float) -> tuple:
     """(idx, w, cols): the grid columns idx where the window_weights of
     region are nonzero, the weights w there, and those columns of the
-    evolution's frames up to times[0] + horizon as one (frames, k) complex
-    array (Evolution.frame_columns): the one read of frames behind both
-    density-based dwell estimates.
+    evolution's frames up to times[0] + horizon as one C-ordered (frames,
+    k) complex array, taken from the columns the evolution kept: the one
+    read of frames behind both density-based dwell estimates.
 
-    Raises HorizonError if more than HORIZON_MASS_TOL of |psi|^2 is still
-    inside the region at the horizon frame.
+    Raises FrameAccessError if the evolution has not kept those columns of
+    those frames, and HorizonError if more than HORIZON_MASS_TOL of |psi|^2
+    is still inside the region at the horizon frame.
     """
     w = window_weights(evolution.grid, *region)
     idx = np.flatnonzero(w)
     i_t = evolution.index_of(evolution.times[0] + horizon)
-    cols = evolution.frame_columns(idx, i_t + 1)
+    kept = evolution._columns
+    if i_t >= evolution._next or not np.isin(idx, kept).all():
+        raise FrameAccessError(f"window columns of frames 0..{i_t} not kept")
+    cols = evolution._kept[:i_t + 1].take(np.searchsorted(kept, idx), axis=1)
     w = w[idx]
     mass = np.abs(cols[-1]) ** 2 @ w * evolution.grid.dx
     if mass > HORIZON_MASS_TOL:
@@ -444,30 +448,23 @@ def _check_norm_drift(amp, grid, cfg):
 
 
 class Evolution:
-    """A wavefunction history on uniformly spaced output frames, stored or
-    streamed.
+    """A wavefunction history on uniformly spaced output frames.
 
-    frames is either the (nt, n) complex record (a stored evolution, made
-    by evolve_store) or an iterable that yields its rows in order (a
-    streamed one, made by evolve_stream).  A stored evolution gives any
-    frame in any order.  A streamed one holds no record: frame_block pulls
-    each frame once, in order, through a _FrameStream, which on Linux runs
-    the iterable in a worker forked on the first pull, ahead of the
-    reader.  It is read only through Evolution.velocity, so asking it for
-    frames, for psi(j) or for a block out of order raises
-    FrameAccessError.  Its worker is reaped once the last frame is pulled;
-    close(), or dropping the evolution, stops it sooner.  Both give
-    initial and final, the states at times[0] and times[-1], a streamed
-    one final once its last frame is pulled.  A streamed one told
-    keep_columns(idx) before its first frame also copies those grid
-    columns of every frame it hands over into an (nt, k) record, which
-    frame_columns gives once the frames are pulled: all a window reduction
-    over frames needs, since it reads each frame only where its window
-    weights are nonzero.
+    frames is an iterable that yields the (n,) frames in order, or their
+    (nt, n) complex record (evolve_store).  The evolution hands its frames
+    over once, in order, through frame_block: an iterable's are pulled
+    through a _FrameStream, which on Linux runs it in a worker forked on
+    the first pull, ahead of the reader; a record's are handed over
+    already.  Of each frame it keeps the grid columns that keep_columns
+    named before the first (qgrid.window_columns reads them); a record
+    keeps every column.  Only a record of every column serves frames,
+    psi(j) and a read behind the stream; anything else raises
+    FrameAccessError.  close(), dropping the evolution or pulling the last
+    frame stops and reaps the worker.  initial and final are the states
+    at times[0] and times[-1], final once the last frame is handed over.
     """
 
-    _kept = None  # (idx, (nt, k) record) of the columns kept
-    _final = None  # psi at times[-1], once a streamed evolution pulls it
+    _final = None  # psi at times[-1], once the last frame is handed over
 
     def __init__(self, grid: Grid1D, times: np.ndarray, frames,
                  potential: PotentialModel, dt: float,
@@ -479,17 +476,23 @@ class Evolution:
         self.dt = dt                    # the propagator step taken
         self.mass = mass
         self.hbar = hbar
-        self._stored = isinstance(frames, np.ndarray)
-        self._frames = frames if self._stored else _FrameStream(frames)
-        self._next = 0  # the frame a streamed evolution gives next
-        self.initial = self.psi(0) if self._stored else initial
+        if isinstance(frames, np.ndarray):  # every frame handed over, kept
+            self._frames = _FrameStream(())
+            self._next = len(times)
+            self._columns, self._kept = np.arange(grid.n), frames
+            initial, self._final = self.psi(0), self.psi(-1)
+        else:
+            self._frames = _FrameStream(frames)
+            self._next = 0  # the frame handed over next
+            self.keep_columns(())
+        self.initial = initial
 
     @property
     def frames(self) -> np.ndarray:
-        """The (nt, n) complex record of a stored evolution."""
-        if not self._stored:
-            raise FrameAccessError("a streamed evolution holds no frame record")
-        return self._frames
+        """The (nt, n) complex record, once every frame and column is kept."""
+        if self._next < len(self.times) or len(self._columns) < self.grid.n:
+            raise FrameAccessError("this evolution holds no frame record")
+        return self._kept
 
     @property
     def frame_dt(self) -> float:
@@ -501,8 +504,6 @@ class Evolution:
     @property
     def final(self) -> WaveFunction:
         """psi at times[-1]."""
-        if self._stored:
-            return self.psi(-1)
         if self._final is None:
             raise FrameAccessError("final state asked before the last frame")
         return self._final
@@ -510,65 +511,47 @@ class Evolution:
     def frame_block(self, lo: int, hi: int) -> np.ndarray:
         """Frames lo..hi-1 (hi capped at nt) as one (rows, n) complex array.
 
-        A stored evolution gives a view of its record.  A streamed one
-        pulls the rows from its stream; lo must be the first frame not yet
-        pulled.  An exception that stopped the propagation is raised by
-        the pull of the frame it stopped.
+        Frames already handed over come from the kept record, as a view,
+        when it holds every column.  Otherwise the rows are pulled from the
+        stream, and lo must be the first frame not yet handed over.  An
+        exception that stopped the propagation is raised by the pull of
+        the frame it stopped.
         """
-        if self._stored:
-            return self._frames[lo:hi]
+        hi = min(hi, len(self.times))
+        if hi <= self._next and len(self._columns) == self.grid.n:
+            return self._kept[lo:hi]
         if lo != self._next:
             raise FrameAccessError(
-                f"streamed evolution read out of order: frame {lo} asked, "
+                f"evolution read out of order: frame {lo} asked, "
                 f"frame {self._next} is next")
-        block = np.empty((min(hi, len(self.times)) - lo, self.grid.n),
-                         dtype=complex)
+        block = np.empty((hi - lo, self.grid.n), dtype=complex)
         self._frames.readinto(block)
-        self._next += len(block)
-        if self._next == len(self.times):
+        self._kept[lo:hi] = block[:, self._columns]
+        self._next = hi
+        if hi == len(self.times):
             self._frames.close()
             self._final = WaveFunction(self.grid, block[-1].copy(),
                                        float(self.times[-1]))
-        if self._kept is not None:
-            idx, cols = self._kept
-            cols[lo:self._next] = block[:, idx]
         return block
 
     def close(self) -> None:
-        """Stop a streamed evolution's propagation: its worker, if one
-        runs, is killed and reaped, and a later pull raises
-        FrameAccessError.  A stored evolution has nothing to stop."""
-        if not self._stored:
-            self._frames.close()
+        """Stop the propagation: a worker, if one runs, is killed and
+        reaped, and a later pull raises FrameAccessError."""
+        self._frames.close()
 
     def keep_columns(self, idx) -> None:
-        """Keep grid columns idx of every frame a streamed evolution hands
-        over, for frame_columns; a stored evolution has them all already.
-        Called after the first frame is pulled, it raises FrameAccessError."""
-        if self._stored:
-            return
+        """Keep grid columns idx of every frame handed over, in place of
+        the columns kept so far; called after the first frame is handed
+        over (on a record, at once), it raises FrameAccessError."""
         if self._next:
             raise FrameAccessError(
                 f"columns chosen after {self._next} frames were handed over")
-        idx = np.asarray(idx, dtype=np.intp)
-        self._kept = idx, np.empty((len(self.times), len(idx)), dtype=complex)
-
-    def frame_columns(self, idx, hi: int) -> np.ndarray:
-        """Grid columns idx of frames 0..hi-1 as one C-ordered (hi, k)
-        complex array.
-
-        A stored evolution copies them from its record.  A streamed one
-        gives the columns it kept (keep_columns with the same idx) once it
-        has handed over frame hi - 1, and raises FrameAccessError before.
-        """
-        if self._stored:
-            return self._frames[:hi].take(idx, axis=1)
-        if self._kept is None or not np.array_equal(self._kept[0], idx):
-            raise FrameAccessError("a streamed evolution keeps no such columns")
-        if hi > self._next:
-            raise FrameAccessError(
-                f"frame {hi - 1} asked, {self._next} frames handed over")
-        return self._kept[1][:hi]
+        # sorted, each once; np.unique would import numpy.ma, 9 ms
+        columns = np.zeros(self.grid.n, dtype=bool)
+        columns[np.asarray(idx, dtype=np.intp)] = True
+        self._columns = np.flatnonzero(columns)
+        self._kept = np.empty((len(self.times), len(self._columns)),
+                              dtype=complex)
 
     @cached_property
     def velocity(self):
@@ -659,7 +642,8 @@ class _FrameStream:
     Elsewhere the iterable runs here, a frame per row read.  The
     exception that stops a worker is pickled down a second pipe and raised
     by the read that reaches its frame; a worker that ends without sending
-    one raises OSError naming its exit code.  The worker leaves through
+    one raises OSError naming its exit code.  Either way the stream is
+    closed then, so a later read raises FrameAccessError.  The worker leaves through
     os._exit; close(), or the stream's collection, kills it if it still
     runs and reaps it.
     """
@@ -680,8 +664,12 @@ class _FrameStream:
         if self._frames is not None:
             self._start()
         if self._rows is not None:
-            for row in block:
-                row[:] = next(self._rows)
+            try:
+                for row in block:
+                    row[:] = next(self._rows)
+            except BaseException:  # the iterable is spent: no later read
+                self.close()
+                raise
             return
         if self._stop is None or not self._stop.alive:
             raise FrameAccessError("the frame stream is closed")
@@ -756,10 +744,11 @@ def _frame_plan(psi, potential, cfg, duration, mass, hbar):
 def evolve_stream(psi: WaveFunction, potential: PotentialModel,
                   cfg: PropagatorConfig, duration: float,
                   mass: float = 1.0, hbar: float = 1.0) -> Evolution:
-    """A streamed Evolution: a frame every cfg.steps_per_output steps,
+    """An Evolution of a frame every cfg.steps_per_output steps,
     propagated from the first pull on, in a forked worker where one can
-    run (see _FrameStream), so it holds O(n) memory whatever the duration.
-    Nothing is propagated, and no worker forked, before that pull."""
+    run (see _FrameStream), so it holds O(n) memory whatever the duration,
+    besides the columns it is told to keep.  Nothing is propagated, and no
+    worker forked, before that pull."""
     times, dt, frames = _frame_plan(psi, potential, cfg, duration, mass, hbar)
     return Evolution(psi.grid, times, frames, potential, dt, mass, hbar,
                      initial=psi)
@@ -768,10 +757,10 @@ def evolve_stream(psi: WaveFunction, potential: PotentialModel,
 def evolve_store(psi: WaveFunction, potential: PotentialModel,
                  cfg: PropagatorConfig, duration: float,
                  mass: float = 1.0, hbar: float = 1.0) -> Evolution:
-    """The stored record of evolve_stream's frames, collected in order in
-    this process (nothing runs beside it to overlap) into one (nt, n)
-    complex array, for the tasks that read frames out of order or more
-    than once."""
+    """The Evolution of evolve_stream's frames, all handed over: they are
+    collected in order in this process (nothing runs beside it to
+    overlap) into one (nt, n) complex record, for the readers of frames
+    out of order or more than once."""
     times, dt, frames = _frame_plan(psi, potential, cfg, duration, mass, hbar)
     record = np.empty((len(times), psi.grid.n), dtype=complex)
     for row, amp in zip(record, frames):

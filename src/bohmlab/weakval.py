@@ -55,9 +55,9 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
     psi0 is the evolution's initial state and A multiplies by the
     window_weights w of `region`.  The forward frames are the evolution's
     own up to times[0] + horizon, read by qgrid.window_columns only where
-    w is nonzero, so a streamed evolution that kept those columns serves
-    once its frames are pulled; the sweep adds each frame's w psi_j at
-    those columns only.  The time quadrature is trapezoid at the frames'
+    w is nonzero, from the columns the evolution kept, so it serves once it
+    has handed over those frames (a record keeps every column); the sweep
+    adds each frame's w psi_j at those columns only.  The time quadrature is trapezoid at the frames'
     spacing.  The backward sweep takes round(frame_dt / dt) Strang steps a
     frame with -evolution.dt, from the horizon frame's time down, and the
     step of -dt from t + dt undoes the forward step of dt from t, for a

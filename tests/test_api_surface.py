@@ -29,6 +29,10 @@ evolve_store: every other task streams its frames (evolve_stream) and
 holds no (nt, n) record.  No harness definition names
 integrate_trajectories either: every Bohmian task reads rk4_frames as it
 yields and holds no (nt, N) position record.
+
+A qgrid.Evolution has one mode: only __init__ tells an (nt, n) record
+from an iterable of frames, and no other method branches on which one
+made it.
 """
 
 import ast
@@ -157,6 +161,21 @@ def test_only_the_propagate_task_stores_frames():
 def test_no_task_collects_the_position_record():
     # harness still imports the name: perfbench/tracer.py wraps it
     assert _definitions_naming("harness", "integrate_trajectories") == []
+
+
+def test_evolution_has_one_mode():
+    tree = ast.parse((ROOT / "src" / "bohmlab" / "qgrid.py").read_text())
+    [cls] = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "Evolution"]
+    asks_type = [fn.name for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name != "__init__"
+                 and any(isinstance(node, ast.Call)
+                         and ast.unparse(node.func) == "isinstance"
+                         for node in ast.walk(fn))]
+    assert asks_type == []
+    assert [node.lineno for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and node.attr == "_stored"
+            or isinstance(node, ast.Name) and node.id == "_stored"] == []
 
 
 def _is_numpy_import(node):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -48,6 +50,42 @@ SAME_SEED = [
     {**FAST, "task": {"name": "measure", "mode": "monte_carlo",
                       "n_experiments": 2000}},
 ]
+
+# sha256 of every artifact of each SAME_SEED config, and the environment
+# they were made in (tests/regen_artifact_digests.py writes the file)
+DIGESTS = Path(__file__).with_name("artifact_digests.json")
+
+
+def environment():
+    """What the artifacts' bits rest on: numpy, the machine and the SIMD
+    extensions numpy found on it, and the BLAS numpy was built with."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "simd": config["SIMD Extensions"]["found"],
+            "blas": f"{blas['name']} {blas['version']}"}
+
+
+def run_artifacts(doc, out):
+    """Run config doc into out; (files, manifest): each output's bytes and
+    manifest.json's keys without wall_clock."""
+    run(parse_config(json.dumps(doc)), out_dir=str(out))
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["wall_clock"]
+    return files, manifest
+
+
+def artifact_digests(files, manifest):
+    """sha256 of each output file, and of manifest.json's keys without
+    wall_clock as sorted JSON."""
+    return {**{name: hashlib.sha256(data).hexdigest()
+               for name, data in files.items()},
+            "manifest.json": hashlib.sha256(
+                json.dumps(manifest, sort_keys=True).encode()).hexdigest()}
+
+
+_FIRST_RUNS = {}  # task name -> artifact_digests of test_determinism's run
 
 
 class TestParseConfig:
@@ -149,15 +187,24 @@ class TestRun:
         # whose criteria fix their own scenarios and seeds
         assert ({d["task"]["name"] for d in SAME_SEED}
                 == harness.TASKS.keys() - {"validate"})
-        cfg = parse_config(json.dumps(doc))
-        outputs = []
-        for name in "ab":
-            run(cfg, out_dir=str(tmp_path / name))
-            files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
-            manifest = json.loads(files.pop("manifest.json"))
-            del manifest["wall_clock"]
-            outputs.append((files, manifest))
+        outputs = [run_artifacts(doc, tmp_path / name) for name in "ab"]
         assert outputs[0] == outputs[1]
+        _FIRST_RUNS[doc["task"]["name"]] = artifact_digests(*outputs[0])
+
+    @pytest.mark.parametrize("doc", SAME_SEED,
+                             ids=lambda doc: doc["task"]["name"])
+    def test_artifact_digests(self, tmp_path, doc):
+        # every artifact keeps its bits, on the environment whose bits were
+        # pinned: a change that moves one regenerates the digests and says
+        # why in CHANGES.md
+        pinned = json.loads(DIGESTS.read_text())
+        if pinned["environment"] != environment():
+            pytest.skip(f"digests pinned on {pinned['environment']}; "
+                        f"this environment is {environment()}")
+        name = doc["task"]["name"]
+        got = _FIRST_RUNS.get(name) or artifact_digests(
+            *run_artifacts(doc, tmp_path))
+        assert got == pinned["digests"][name]
 
     def test_threads_other_than_one_rejected(self, tmp_path):
         # trajectories are integrated serially; threads=1 is all run takes
@@ -447,11 +494,12 @@ class TestRun:
         assert peak(2) - peak(8) <= 32_768
 
     def test_trajectories_task_memory_holds_no_record(self, tmp_path):
-        # 4x the frames add at most the writer's one block: the task writes
-        # each frame's row as RK4 yields it, and the longer run only gets to
-        # format a full block (65 rows of 1001 cells) while it still holds
-        # the one before.  The collecting task held the (nt, N) position
-        # record and its column_stack copy
+        # 4x the frames add almost nothing: the task writes each frame's
+        # row as RK4 yields it, and the writer frees each block (65 rows of
+        # 1001 cells) and its text before it reads the next, so a run of
+        # many full blocks peaks as high as one of one full block.  The
+        # collecting task held the (nt, N) position record and its
+        # column_stack copy
         def peak(spo):
             cfg = parse_config(json.dumps({
                 **FAST, "ensemble": {"n": 1000, "seed": 7},
@@ -466,11 +514,9 @@ class TestRun:
 
         peak(8)  # a first run makes the process's first-use caches
         extra_frames = 400 - 100  # 800 steps at 2 and at 8 steps per frame
-        # at most 25 characters a cell: sign, 17 digits, point, e-XX, comma
-        block_text = harness._CSV_BLOCK_CELLS * 25
         position_record = extra_frames * 1000 * 8
-        assert block_text + 32_768 < position_record
-        assert peak(2) - peak(8) <= block_text + 32_768
+        assert 32_768 < position_record
+        assert peak(2) - peak(8) <= 32_768
 
     def test_dwell_task_propagates_once(self, tmp_path, monkeypatch):
         # one forward sweep, shared by the trajectories, the density and the

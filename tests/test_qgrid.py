@@ -201,6 +201,37 @@ class TestPropagation:
         evolve_stream(*STREAM_ARGS).close()  # never pulled: nothing forked
         assert len(forks) == 1
 
+    def test_kept_columns_are_the_one_record(self):
+        # one mode: a streamed evolution told to keep every column serves
+        # a read behind the stream, and once every frame is handed over
+        # frames and psi(j), as a stored one does; frames or columns not
+        # kept raise, and columns are chosen before the first frame
+        stored = evolve_store(*STREAM_ARGS)
+        streamed = evolve_stream(*STREAM_ARGS)
+        streamed.keep_columns(np.arange(stored.grid.n))
+        streamed.frame_block(0, 20)
+        assert np.array_equal(streamed.frame_block(5, 10), stored.frames[5:10])
+        with pytest.raises(FrameAccessError, match="no frame record"):
+            streamed.frames
+        with pytest.raises(FrameAccessError, match="after 20 frames"):
+            streamed.keep_columns([0])
+        streamed.frame_block(20, 1000)
+        assert np.array_equal(streamed.frames, stored.frames)
+        assert np.array_equal(streamed.psi(3).amplitudes,
+                              stored.psi(3).amplitudes)
+        with pytest.raises(FrameAccessError, match="after 51 frames"):
+            stored.keep_columns([0])
+        window = evolve_stream(*STREAM_ARGS)
+        region = (-12.0, -10.0)  # the packet never reaches it
+        window.keep_columns(np.flatnonzero(window_weights(window.grid, *region)))
+        with pytest.raises(FrameAccessError, match="not kept"):
+            qgrid.window_columns(window, region, 0.2)
+        window.frame_block(0, 1000)
+        with pytest.raises(FrameAccessError, match="not kept"):
+            qgrid.window_columns(window, (-1.0, 1.0), 0.2)
+        idx, _, cols = qgrid.window_columns(window, region, 0.2)
+        assert np.array_equal(cols, stored.frames[:11, idx])
+
     def test_energy_conservation(self, grid):
         # the split-operator drift of <H> stays within tolerance at this dt
         pot = PotentialModel("harmonic", omega=1.0)
@@ -478,6 +509,26 @@ class TestFrameWorker:
         assert_reaped(pid)
         with pytest.raises(FrameAccessError, match="closed"):
             streamed.frame_block(k, k + 1)
+
+    @pytest.mark.parametrize("where", ["worker", "in-process"])
+    def test_pull_after_a_failed_propagation_raises(self, monkeypatch,
+                                                   where):
+        # the pull that meets the failure raises it and closes the stream,
+        # so a later pull raises FrameAccessError on both paths; in process
+        # the spent iterator raised a bare StopIteration
+        def failing(amp, grid, cfg):
+            raise StepSizeError("norm check failed")
+
+        monkeypatch.setattr(qgrid, "_check_norm_drift", failing)
+        if where == "in-process":
+            monkeypatch.setattr(os, "fork",
+                                mock.Mock(side_effect=BlockingIOError))
+        streamed = evolve_stream(*STREAM_ARGS)
+        with pytest.raises(StepSizeError, match="norm check failed"):
+            streamed.frame_block(0, 4)
+        assert (streamed._frames.pid is None) == (where == "in-process")
+        with pytest.raises(FrameAccessError, match="closed"):
+            streamed.frame_block(0, 4)
 
     def test_killed_worker_raises_oserror(self):
         # 101 frames of 16 KiB overfill the 1 MiB pipe: the worker is
