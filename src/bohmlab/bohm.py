@@ -7,23 +7,22 @@ comes first, a qgrid.Evolution that hands its frames over in order
 (qgrid.evolve_stream propagates them as they are asked for, in a forked
 worker that runs ahead on another core; qgrid.evolve_store collects them
 all first), then the guidance equation dx/dt = v(x, t) is integrated
-with RK4.  Every consumer of one history reads the same
-VelocityField (Evolution.velocity).  It builds a block of frames at a time,
-on first use: each frame's grid velocity with node points clamped to the
-nearest non-node value, and the knot slopes of its periodic cubic spline
-from an FFT solve.  It keeps two blocks, so its memory does not grow with
-the run.  Between grid points the velocity is that spline, evaluated by
-index arithmetic in the cubic Hermite basis; between frames it is linear
-in t.  VelocityField.coefficients(t) gives the Hermite table of one time,
-so RK4 builds it once per distinct stage time and evaluates every stage at
-that time from it.  Clamping keeps the integrator off the singular field
+with RK4.  Each rk4_frames pass builds the one VelocityField it reads.
+The field builds a block of frames at a time, on first use: each frame's
+grid velocity with node points clamped to the nearest non-node value, and
+the knot slopes of its periodic cubic spline from an FFT solve.  It keeps
+two blocks, so its memory does not grow with the run.  Between grid points
+the velocity is that spline, evaluated by index arithmetic in the cubic
+Hermite basis; between frames it is linear in t.
+VelocityField.coefficients(t) gives the Hermite table of one time, so RK4
+builds it once per distinct stage time and evaluates every stage at that
+time from it.  Clamping keeps the integrator off the singular field
 at nodes; equilibrium-sampled trajectories visit nodes with probability ~0.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
@@ -219,18 +218,15 @@ class VelocityField:
     j and j + 1 with j increasing, so its memory does not grow with the
     frame count.  A read further back builds its block again, from the
     evolution's record if it kept every frame and column (evolve_store);
-    any other evolution raises FrameAccessError.  Build it through Evolution.velocity, which
-    keeps one per evolution.  The field reads its evolution through a weak
-    proxy, so the two make no reference cycle: an evolution that is
-    dropped half-read stops its worker at once, and a read through a field
-    whose evolution is gone raises ReferenceError.
+    any other evolution raises FrameAccessError.  The evolution holds no
+    reference to its field, so the two make no reference cycle.
     """
 
     def __init__(self, evolution: Evolution):
         self.grid = evolution.grid
         self.times = evolution.times
         self.frame_dt = evolution.frame_dt
-        self._evolution = weakref.proxy(evolution)
+        self._evolution = evolution
         self._blocks = {}  # block index -> (values, slopes), at most two
 
     def frame(self, j: int) -> tuple:
@@ -278,27 +274,29 @@ def rk4_frames(evolution: Evolution, starts: np.ndarray):
     field's Hermite table once per stage time; k2 and k3 share the t + h/2
     table.
 
-    At frame j, x holds the positions, k1 = v(x, t_j) is the first stage of
-    the step that leaves the frame (None at the last frame, which no step
-    leaves), and frozen marks the trajectories that have left the domain by
-    then; they stay at their last position inside it.  The three arrays are
-    read-only, because the step after the yield still reads them.
+    At frame j, x holds the positions, k1 = v(x, t_j) is the field there
+    (the first stage of the step that leaves the frame, if one does), and
+    frozen marks the trajectories that have left the domain by then; they
+    stay at their last position inside it.  The three arrays are read-only,
+    because the step after the yield still reads them.  The VelocityField
+    is this pass's own, so a dropped pass releases it and its evolution.
     """
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     grid = evolution.grid
     if not np.all(grid.contains(starts)):
         raise ConfigurationError("some starting positions are outside the domain")
-    vel = evolution.velocity
+    vel = VelocityField(evolution)
     times = evolution.times
     h = evolution.frame_dt
     x = starts.copy()
     frozen = np.zeros(len(starts), dtype=bool)
-    for j in range(len(times) - 1):
-        t = times[j]
+    for j, t in enumerate(times):
         k1 = _hermite_eval(vel.coefficients(t), grid, x)
         for a in (x, k1, frozen):
             a.flags.writeable = False
         yield x, k1, frozen
+        if j == len(times) - 1:
+            return
         c_half = vel.coefficients(t + 0.5 * h)
         k2 = _hermite_eval(c_half, grid, x + 0.5 * h * k1)
         k3 = _hermite_eval(c_half, grid, x + 0.5 * h * k2)
@@ -307,9 +305,6 @@ def rk4_frames(evolution: Evolution, starts: np.ndarray):
         out = ~grid.contains(x_new)
         frozen = frozen | out
         x = np.where(frozen, x, x_new)  # a frozen trajectory stays put
-    for a in (x, frozen):
-        a.flags.writeable = False
-    yield x, None, frozen
 
 
 def integrate_trajectories(evolution: Evolution,

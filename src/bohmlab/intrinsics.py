@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import ConfigurationError, EmptyEnsembleError, LagError, NodeError
 from .qgrid import Evolution, window_columns
-from .bohm import nodes_at, quantum_potential, read_at, rk4_frames
+from .bohm import (VelocityField, nodes_at, quantum_potential, read_at,
+                   rk4_frames)
 from .weakval import local_energy
 
 
@@ -100,7 +101,7 @@ def power_balance_residual(evolution: Evolution, positions: np.ndarray,
         raise ConfigurationError("residual needs one stored frame on each side")
     potential, m, hbar = evolution.potential, evolution.mass, evolution.hbar
     dt = evolution.frame_dt
-    vel = evolution.velocity
+    vel = VelocityField(evolution)
 
     def q_at(j, x):
         psi = evolution.psi(j)
@@ -129,10 +130,10 @@ def ensemble_currents(evolution: Evolution, starts: np.ndarray,
     the device length L, streamed from RK4.
 
     Returns (rows, truncated).  rows yields one (N,) array per output frame,
-    each RK4's own k1 of that frame scaled (the last frame, which no step
-    leaves, is evaluated here) and 0 where a trajectory has frozen at the
-    edge, so the (nt, N) record is never held.  truncated, the (N,) mask
-    of the frozen trajectories, is final once rows is exhausted.
+    each RK4's own k1 of that frame scaled and 0 where a trajectory has
+    frozen at the edge, so the (nt, N) record is never held.  truncated,
+    the (N,) mask of the frozen trajectories, is final once rows is
+    exhausted.
     """
     if length <= 0:
         raise ConfigurationError(f"device length must be > 0, got {length}")
@@ -140,10 +141,8 @@ def ensemble_currents(evolution: Evolution, starts: np.ndarray,
     truncated = np.zeros(np.size(starts), dtype=bool)
 
     def rows():
-        for x, k1, frozen in rk4_frames(evolution, starts):
-            if k1 is None:
-                k1 = evolution.velocity(x, float(evolution.times[-1]))
-                truncated[:] = frozen
+        for _, k1, frozen in rk4_frames(evolution, starts):
+            truncated[:] = frozen
             current = np.multiply(k1, scale)
             current[frozen] = 0.0
             yield current
@@ -249,16 +248,17 @@ def psd(currents, dt: float, tau_max: float,
     Trapezoid weights in the lag quadrature make PSD(0) equal the lag
     integral of C(tau); omega >= 0 is evaluated in blocks of _BLOCK_CELLS
     cosines and mirrored, so the PSD is even by construction.  A tau_max
-    that rounds to no lag raises LagError before currents is read.
+    that rounds to no lag raises LagError, and a window other than None or
+    "hann" ConfigurationError, before currents is read.
     """
     m_max = int(round(tau_max / dt))
     if m_max < 1:
         raise LagError(f"lag horizon {tau_max} rounds to no lag at dt = {dt}")
+    if window not in (None, "hann"):
+        raise ConfigurationError(f"unknown window {window!r}")
     lags, c = autocorrelation(currents, dt, tau_max)
     if window == "hann":
         c = c * np.hanning(len(c))
-    elif window is not None:
-        raise ConfigurationError(f"unknown window {window!r}")
     weights = dt * c  # trapezoid weights times C
     weights[[0, -1]] *= 0.5
     omega = np.pi / tau_max * np.arange(-m_max, m_max + 1)

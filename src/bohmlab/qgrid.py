@@ -542,25 +542,22 @@ class Evolution:
     def keep_columns(self, idx) -> None:
         """Keep grid columns idx of every frame handed over, in place of
         the columns kept so far; called after the first frame is handed
-        over (on a record, at once), it raises FrameAccessError."""
+        over (on a record, at once), it raises FrameAccessError, and a
+        column outside 0..n-1 raises IndexError."""
         if self._next:
             raise FrameAccessError(
                 f"columns chosen after {self._next} frames were handed over")
+        idx = np.asarray(idx, dtype=np.intp)
+        outside = idx[(idx < 0) | (idx >= self.grid.n)]
+        if outside.size:
+            raise IndexError(
+                f"column {outside[0]} outside 0..{self.grid.n - 1}")
         # sorted, each once; np.unique would import numpy.ma, 9 ms
         columns = np.zeros(self.grid.n, dtype=bool)
-        columns[np.asarray(idx, dtype=np.intp)] = True
+        columns[idx] = True
         self._columns = np.flatnonzero(columns)
         self._kept = np.empty((len(self.times), len(self._columns)),
                               dtype=complex)
-
-    @cached_property
-    def velocity(self):
-        """The Bohmian guidance field of this history (bohm.VelocityField).
-
-        Made on first use and shared by every later consumer.
-        """
-        from .bohm import VelocityField  # bohm builds on this module
-        return VelocityField(self)
 
     def index_of(self, t: float) -> int:
         idx = int(round((t - self.times[0]) / self.frame_dt))

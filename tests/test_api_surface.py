@@ -33,6 +33,10 @@ yields and holds no (nt, N) position record.
 A qgrid.Evolution has one mode: only __init__ tells an (nt, n) record
 from an iterable of frames, and no other method branches on which one
 made it.
+
+qgrid sits below bohm: it names nothing bohm defines, and an Evolution
+holds no velocity field.  The RK4 pass builds the field it reads and
+holds it, so bohm needs no weak reference to break a cycle.
 """
 
 import ast
@@ -176,6 +180,36 @@ def test_evolution_has_one_mode():
     assert [node.lineno for node in ast.walk(cls)
             if isinstance(node, ast.Attribute) and node.attr == "_stored"
             or isinstance(node, ast.Name) and node.id == "_stored"] == []
+
+
+def _names(tree):
+    """Every name a tree uses or imports, bare or as an attribute."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+            | {alias.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names})
+
+
+def test_qgrid_sits_below_bohm():
+    source = {name: ast.parse((ROOT / "src" / "bohmlab" / f"{name}.py")
+                              .read_text()) for name in ("bohm", "qgrid")}
+    defined = {target.id for node in source["bohm"].body
+               for target in getattr(node, "targets", [])
+               if isinstance(target, ast.Name)}
+    defined |= {node.name for node in source["bohm"].body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    qgrid_names = _names(source["qgrid"])
+    assert sorted(defined & qgrid_names) == []
+    assert "bohm" not in qgrid_names
+    [evolution] = [node for node in source["qgrid"].body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "Evolution"]
+    assert "velocity" not in _names(evolution) | {
+        node.name for node in evolution.body
+        if isinstance(node, ast.FunctionDef)}
+    assert "weakref" not in _names(source["bohm"])
 
 
 def _is_numpy_import(node):

@@ -330,7 +330,7 @@ class TestVelocityFieldInterpolation:
         xq = np.random.default_rng(n).uniform(grid.x_min, grid.x_max, 200)
         want = np.array([spline(xq) for spline in splines])
         tol = 1e-10 * np.max(np.abs(want))
-        vel, h = ev.velocity, ev.frame_dt
+        vel, h = bohm.VelocityField(ev), ev.frame_dt
         for j, t in enumerate(ev.times):
             assert np.max(np.abs(vel(xq, t) - want[j])) <= tol
             if j + 1 < nt:
@@ -355,7 +355,8 @@ def _reference_velocity(vel, x, t):
 
 def _reference_rk4(evolution, starts):
     """RK4 with four independent field evaluations per frame."""
-    grid, times, vel = evolution.grid, evolution.times, evolution.velocity
+    grid, times = evolution.grid, evolution.times
+    vel = bohm.VelocityField(evolution)
     h = evolution.frame_dt
     pos = np.empty((len(times), len(starts)))
     pos[0] = starts
@@ -421,8 +422,9 @@ class TestRk4Stages:
         assert np.array_equal(_final_frozen(ev, starts), trunc)
 
     def test_hermite_builds_bounded(self, leaving_evolution, monkeypatch):
+        # three tables per step (k2 and k3 share one), and one for the
+        # last frame's k1
         ev = leaving_evolution
-        ev.velocity  # the field build itself builds no Hermite table
         builds = []
         build = bohm._hermite_coefficients
 
@@ -433,23 +435,23 @@ class TestRk4Stages:
         monkeypatch.setattr(bohm, "_hermite_coefficients", counting)
         integrate_trajectories(ev, np.linspace(3.0, 7.0, 11))
         nt = len(ev.times)
-        assert len(builds) <= (nt - 1) * 3
+        assert len(builds) <= (nt - 1) * 3 + 1
 
     def test_yielded_k1_read_only(self, leaving_evolution):
         # scaling a yielded field row in place, as a current consumer might,
-        # raises instead of changing the trajectories the next step reads
+        # raises instead of changing the trajectories the next step reads;
+        # every frame, the last one included, yields its k1
         ev = leaving_evolution
         starts = sample_initial_positions(ev.psi(0), 300, seed=5)
         pos, refused = [], 0
         for x, k1, frozen in bohm.rk4_frames(ev, starts):
             pos.append(x)
-            if k1 is not None:
-                with pytest.raises(ValueError, match="read-only"):
-                    k1 *= 2.0
-                refused += 1
+            with pytest.raises(ValueError, match="read-only"):
+                k1 *= 2.0
+            refused += 1
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = 0.0
-        assert refused == len(ev.times) - 1
+        assert refused == len(ev.times)
         assert np.array_equal(np.array(pos), integrate_trajectories(ev, starts))
         assert np.array_equal(frozen, _final_frozen(ev, starts))
 
@@ -479,29 +481,28 @@ class TestRollingField:
             PropagatorConfig(0.01, steps_per_output=2), 1.0)
 
     def test_stored_backward_read_bit_identical(self):
-        # power_balance_residual reads frames around a mid time after RK4
-        # has reached the last frame: those blocks are built again
-        in_order, backward = evolve_store(*self.ARGS), evolve_store(*self.ARGS)
-        h = in_order.frame_dt
-        times = np.append((in_order.times[:-1, None] + [0.0, 0.5 * h]).ravel(),
-                          in_order.times[-1])
-        want = [in_order.velocity.coefficients(t) for t in times]
-        integrate_trajectories(backward, np.linspace(-4.0, 4.0, 9))
+        # a field that has read up to the last frame, as RK4's does, builds
+        # the earlier blocks again, with the same bits
+        ev = evolve_store(*self.ARGS)
+        h = ev.frame_dt
+        times = np.append((ev.times[:-1, None] + [0.0, 0.5 * h]).ravel(),
+                          ev.times[-1])
+        vel = bohm.VelocityField(ev)
+        want = [vel.coefficients(t) for t in times]
         for i in reversed(range(len(times))):
-            assert np.array_equal(backward.velocity.coefficients(times[i]),
-                                  want[i])
+            assert np.array_equal(vel.coefficients(times[i]), want[i])
 
     def test_streamed_out_of_order_read_raises(self):
         stored, streamed = evolve_store(*self.ARGS), evolve_stream(*self.ARGS)
-        vel = streamed.velocity
+        vel, stored_vel = (bohm.VelocityField(ev) for ev in (streamed, stored))
         for t in stored.times[:30]:
             assert np.array_equal(vel.coefficients(t),
-                                  stored.velocity.coefficients(t))
+                                  stored_vel.coefficients(t))
         with pytest.raises(FrameAccessError, match="out of order"):
             vel.coefficients(stored.times[0])
-        ahead = evolve_stream(*self.ARGS)  # held: its field reads it weakly
+        ahead = bohm.VelocityField(evolve_stream(*self.ARGS))
         with pytest.raises(FrameAccessError, match="out of order"):
-            ahead.velocity.coefficients(stored.times[20])
+            ahead.coefficients(stored.times[20])
         for refused in (lambda: streamed.frames, lambda: streamed.psi(0)):
             with pytest.raises(FrameAccessError, match="no frame record"):
                 refused()

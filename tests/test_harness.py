@@ -51,8 +51,17 @@ SAME_SEED = [
                       "n_experiments": 2000}},
 ]
 
-# sha256 of every artifact of each SAME_SEED config, and the environment
-# they were made in (tests/regen_artifact_digests.py writes the file)
+# WRAPPED at 200 trajectories: by t = 1.6, 9 of them have frozen at the edge
+FROZEN = [{**WRAPPED, "ensemble": {"n": 200, "seed": 3}, "task": task}
+          for task in ({"name": "trajectories", "duration": 1.6},
+                       {"name": "work", "duration": 1.6},
+                       {"name": "dwell", "region": [-1.0, 1.0],
+                        "horizon": 1.6},
+                       {"name": "psd", "duration": 1.6})]
+
+# sha256 of every artifact of each SAME_SEED and FROZEN config, and of each
+# acceptance criterion's report entry, and the environment they were made
+# in (tests/regen_artifact_digests.py writes the file)
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
 
 
@@ -74,6 +83,16 @@ def run_artifacts(doc, out):
     manifest = json.loads(files.pop("manifest.json"))
     del manifest["wall_clock"]
     return files, manifest
+
+
+def pinned_digests(section):
+    """The digests pinned in DIGESTS under section; skips the test on an
+    environment other than the one they were made in."""
+    pinned = json.loads(DIGESTS.read_text())
+    if pinned["environment"] != environment():
+        pytest.skip(f"digests pinned on {pinned['environment']}; "
+                    f"this environment is {environment()}")
+    return pinned[section]
 
 
 def artifact_digests(files, manifest):
@@ -197,14 +216,22 @@ class TestRun:
         # every artifact keeps its bits, on the environment whose bits were
         # pinned: a change that moves one regenerates the digests and says
         # why in CHANGES.md
-        pinned = json.loads(DIGESTS.read_text())
-        if pinned["environment"] != environment():
-            pytest.skip(f"digests pinned on {pinned['environment']}; "
-                        f"this environment is {environment()}")
+        pinned = pinned_digests("digests")
         name = doc["task"]["name"]
         got = _FIRST_RUNS.get(name) or artifact_digests(
             *run_artifacts(doc, tmp_path))
-        assert got == pinned["digests"][name]
+        assert got == pinned[name]
+
+    @pytest.mark.parametrize("doc", FROZEN,
+                             ids=lambda doc: doc["task"]["name"])
+    def test_frozen_run_digests(self, tmp_path, doc):
+        # the same for runs in which 9 of 200 trajectories freeze at the
+        # edge: their last frame, and the frames after each froze, keep
+        # their bits
+        pinned = pinned_digests("frozen")
+        files, manifest = run_artifacts(doc, tmp_path)
+        assert manifest["summary"]["truncated"] == 9
+        assert artifact_digests(files, manifest) == pinned[doc["task"]["name"]]
 
     def test_threads_other_than_one_rejected(self, tmp_path):
         # trajectories are integrated serially; threads=1 is all run takes

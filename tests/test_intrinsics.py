@@ -177,7 +177,7 @@ class TestCurrentAndPsd:
         starts = sample_initial_positions(psi, 500, seed=5)
         paths = integrate_trajectories(ev, starts)
         *_, (_, _, frozen) = bohm.rk4_frames(ev, starts)
-        vel = ev.velocity
+        vel = bohm.VelocityField(ev)
         raw = np.array([vel(paths[j], float(t))
                         for j, t in enumerate(ev.times)])
         length, charge = 7.3, 1.6
@@ -185,8 +185,6 @@ class TestCurrentAndPsd:
         same = 0
         tracemalloc.start()
         try:
-            # the field has reached the last frame, so the stream's first
-            # reads rebuild its first blocks from the record
             rows, truncated = ensemble_currents(ev, starts, length)
             for j, row in enumerate(rows):
                 same += np.array_equal(row, want[j])
@@ -217,9 +215,7 @@ class TestCurrentAndPsd:
         starts = sample_initial_positions(psi, 200, seed=3)
         rows, truncated = ensemble_currents(ev, starts, 20.0)
         zeroed = 0
-        for row, (x, k1, frozen) in zip(rows, bohm.rk4_frames(ev, starts)):
-            if k1 is None:
-                k1 = ev.velocity(x, float(ev.times[-1]))
+        for row, (_, k1, frozen) in zip(rows, bohm.rk4_frames(ev, starts)):
             assert np.array_equal(row[~frozen], 1.6 / 20.0 * k1[~frozen])
             assert np.all(row[frozen] == 0.0)
             zeroed += np.count_nonzero(k1[frozen])
@@ -448,6 +444,16 @@ class TestCurrentAndPsd:
     def test_unknown_window(self):
         with pytest.raises(ConfigurationError):
             psd(np.ones((50, 1)), 0.1, 2.0, window="blackman")
+
+    def test_unknown_window_raises_before_currents_are_read(self):
+        # on a task's stream each row is propagation and RK4: a window
+        # psd cannot apply stops it before the first row
+        def refused():
+            raise AssertionError("a current row was read")
+            yield
+
+        with pytest.raises(ConfigurationError, match="unknown window"):
+            psd(refused(), 0.05, 1.0, window="hamming")
 
 
 def single_dwell_time(x, region, times):

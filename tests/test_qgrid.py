@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      build_hamiltonian, evolve_store, evolve_stream, expectation,
-                     qgrid,
+                     bohm, qgrid,
                      momentum_operator, position_operator, propagate,
                      window_weights)
 from bohmlab.errors import (ConfigurationError, DimensionError,
@@ -231,6 +231,14 @@ class TestPropagation:
             qgrid.window_columns(window, (-1.0, 1.0), 0.2)
         idx, _, cols = qgrid.window_columns(window, region, 0.2)
         assert np.array_equal(cols, stored.frames[:11, idx])
+
+    @pytest.mark.parametrize("column", [-1, 256])
+    def test_column_outside_the_grid_raises(self, column):
+        # a negative column is not counted from the end: it raises, as one
+        # past the last does, when it is named
+        streamed = evolve_stream(*STREAM_ARGS)
+        with pytest.raises(IndexError, match="outside 0..255"):
+            streamed.keep_columns([0, column])
 
     def test_energy_conservation(self, grid):
         # the split-operator drift of <H> stays within tolerance at this dt
@@ -545,15 +553,17 @@ class TestFrameWorker:
         assert_reaped(pid)
 
     def test_dropped_half_read_stream_reaps_its_worker(self, forks):
-        # the velocity field reads its evolution through a weak proxy, so
-        # with the cyclic collector off, dropping an evolution 8 frames into
-        # its 51 still stops and reaps its worker at once
+        # an RK4 pass holds its own velocity field and nothing holds the
+        # pass, so with the cyclic collector off, dropping a pass and its
+        # evolution 8 frames into 51 still stops and reaps the worker at once
         gc.disable()
         try:
             streamed = evolve_stream(*STREAM_ARGS)
-            streamed.velocity.coefficients(float(streamed.times[0]))
+            frames = bohm.rk4_frames(streamed, np.linspace(-1.0, 1.0, 5))
+            for _ in range(8):
+                next(frames)
             assert len(forks) == 1
-            del streamed
+            del streamed, frames
             assert_reaped(forks[0])
         finally:
             gc.enable()
