@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import ctypes
 import difflib
 import hashlib
 import itertools
@@ -28,14 +27,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, bohm
+from .blas import one_blas_thread
 from .errors import ConfigurationError, EmptyEnsembleError
 from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     build_hamiltonian, evolution_operator, evolve_store,
                     evolve_stream, expectation, momentum_operator,
                     position_operator, propagate, window_weights)
-# no task calls integrate_trajectories: perfbench/tracer.py wraps the name
+# no task calls integrate_trajectories or dwell_operator_field; perfbench wraps them
 from .bohm import equivariance_l1, integrate_trajectories, sample_initial_positions
-from .weakval import dwell_operator_field, grid_weak_value, weak_average
+from .weakval import (dwell_operator_field, dwell_weak_value, grid_weak_value,
+                      weak_average)
 from .intrinsics import (check_lags, dwell_time_density,
                          dwell_time_ensemble, ensemble_currents,
                          per_trajectory_dwell_times, psd, work_distribution,
@@ -432,7 +433,7 @@ def _mass_hbar(config):
     return float(config.units["mass"]), float(config.units["hbar"])
 
 
-def _evolve(config, duration, evolve):
+def _evolve(config, duration, evolve, **kw):
     """(psi0, evolve(psi0, ...)) for evolve one of evolve_store,
     evolve_stream and propagate; tasks read grid, potential, mass, hbar
     from an Evolution.  Every Bohmian task streams: the velocity field
@@ -441,7 +442,7 @@ def _evolve(config, duration, evolve):
     psi = config.build_state(config.build_grid())
     mass, hbar = _mass_hbar(config)
     return psi, evolve(psi, config.build_potential(),
-                       config.build_propagator(), duration, mass, hbar)
+                       config.build_propagator(), duration, mass, hbar, **kw)
 
 
 def _task_propagate(config, tmp):
@@ -550,17 +551,18 @@ def _task_work(config, tmp):
 def _task_dwell(config, tmp):
     region = tuple(float(v) for v in config.task["region"])
     horizon = float(config.task["horizon"])
-    # the density and the dwell operator read only the window's columns,
-    # which the evolution keeps, and the dwell times add up as RK4 yields
-    psi, ev = _evolve(config, horizon, evolve_stream)
+    # the density reads the window's columns, which the evolution keeps,
+    # the weak value its window overlaps; the dwell times add up as RK4 yields
+    window = window_weights(config.build_grid(), *region)
+    psi, ev = _evolve(config, horizon, evolve_stream, window=window)
     with contextlib.closing(ev):
-        ev.keep_columns(np.flatnonzero(window_weights(ev.grid, *region)))
+        ev.keep_columns(np.flatnonzero(window))
         starts, last = _starts(config, psi), []
         taus = per_trajectory_dwell_times(_rk4_positions(ev, starts, last),
                                           ev.times, region)
     final, frozen = last
-    # raises HorizonError once every frame is propagated, before the
-    # backward sweep and before any file is written
+    # raises HorizonError once every frame is propagated, before any file
+    # is written
     t_density = dwell_time_density(ev, region, horizon)
     # a trajectory frozen at the domain edge stops dwelling early
     _check_untruncated(frozen)
@@ -574,8 +576,7 @@ def _task_dwell(config, tmp):
                "stuck": int(np.count_nonzero((final > region[0])
                                              & (final < region[1]))),
                "truncated": int(frozen.sum()),
-               "weak_value": weak_average(psi, dwell_operator_field(
-                   ev, region, horizon, config.build_propagator()))}
+               "weak_value": dwell_weak_value(ev)}
     _write_json(os.path.join(tmp, "dwell.json"), summary)
     return ["dwell_times.csv", "dwell.json"], summary
 
@@ -678,55 +679,6 @@ def resolve_out_dir(explicit: str | None = None) -> str:
     return explicit or os.environ.get(OUT_DIR_ENV) or "runs"
 
 
-_MAPPED_FILES = "/proc/self/maps"
-# Thread-count calls by build: numpy >= 2 wheels (64-bit interface), scipy
-# wheels, older numpy wheels, system builds.
-_OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_",
-                   "scipy_openblas_{}_num_threads",
-                   "openblas_{}_num_threads64_", "openblas_{}_num_threads")
-
-
-def _openblas_libraries():
-    """(set, get) thread-count calls of every OpenBLAS mapped into this
-    process; [] without /proc/self/maps (not Linux) or with another BLAS."""
-    try:
-        with open(_MAPPED_FILES) as fh:
-            fields = (line.split(None, 5) for line in fh)
-            paths = dict.fromkeys(f[5].strip() for f in fields
-                                  if len(f) == 6 and "openblas" in f[5].lower())
-    except OSError:
-        return []
-    libraries = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_CALLS:
-            if hasattr(lib, name.format("set")):
-                libraries.append((getattr(lib, name.format("set")),
-                                  getattr(lib, name.format("get"))))
-                break
-    return libraries
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Set every OpenBLAS in the process to one thread for the body, then
-    give each its previous count back.  One thread makes eigh and the
-    matrix products give the same bits whatever OPENBLAS_NUM_THREADS says,
-    and leaves no worker thread spin-waiting between products."""
-    libraries = _openblas_libraries()
-    previous = [get() for _, get in libraries]
-    for set_threads, _ in libraries:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (set_threads, _), count in zip(libraries, previous):
-            set_threads(count)
-
-
 def run(config: ScenarioConfig, out_dir: str | None = None,
         threads: int = 1) -> RunManifest:
     """Execute the configured task; outputs appear atomically in out_dir.
@@ -749,7 +701,7 @@ def run(config: ScenarioConfig, out_dir: str | None = None,
     tmp = tempfile.mkdtemp(dir=out_dir, prefix=".partial-")
     start = time.perf_counter()
     try:
-        with _one_blas_thread():
+        with one_blas_thread():
             files, summary = TASKS[config.task["name"]](config, tmp)
         manifest = RunManifest(config.config_hash, config.seed, __version__,
                                files + ["manifest.json"],

@@ -465,11 +465,14 @@ class Evolution:
     """
 
     _final = None  # psi at times[-1], once the last frame is handed over
+    # of frames made with a window (see _frame_loop), the (nt,) overlaps:
+    # given whole with a record, else filled by the last frame's pull
+    window_overlaps = None
 
     def __init__(self, grid: Grid1D, times: np.ndarray, frames,
                  potential: PotentialModel, dt: float,
                  mass: float = 1.0, hbar: float = 1.0,
-                 initial: WaveFunction | None = None):
+                 initial: WaveFunction | None = None, overlaps=None):
         self.grid = grid
         self.times = times              # (nt,)
         self.potential = potential
@@ -486,6 +489,8 @@ class Evolution:
             self._next = 0  # the frame handed over next
             self.keep_columns(())
         self.initial = initial
+        if overlaps is not None:
+            self.window_overlaps = overlaps
 
     @property
     def frames(self) -> np.ndarray:
@@ -529,6 +534,8 @@ class Evolution:
         self._kept[lo:hi] = block[:, self._columns]
         self._next = hi
         if hi == len(self.times):
+            if self.window_overlaps is not None:
+                self._frames.readinto(self.window_overlaps[None])
             self._frames.close()
             self._final = WaveFunction(self.grid, block[-1].copy(),
                                        float(self.times[-1]))
@@ -566,19 +573,29 @@ class Evolution:
         return idx
 
 
-def _frame_loop(psi, stepper, cfg, n_frames, dt):
+def _frame_loop(psi, stepper, cfg, n_frames, dt, window=None):
     """The one propagation loop over output frames: yields psi's amplitudes,
     then the amplitudes after each cfg.steps_per_output Strang steps of dt,
-    each checked for norm drift."""
-    amp = psi.amplitudes
-    t = psi.time
-    yield amp
-    for _ in range(n_frames):
-        for _ in range(cfg.steps_per_output):
-            amp = stepper.step(amp, t)
-            t += dt
-        _check_norm_drift(amp, psi.grid, cfg)
-        yield amp
+    each checked for norm drift.  Given a window's (n,) weights w, phi =
+    psi zeroed at its node_mask rides as a second row of each step (a
+    batched FFT keeps each row's bits), and one more row follows the last
+    frame: each frame's Re sum w conj(phi) psi dx."""
+    rows, t, overlaps = psi.amplitudes[None], psi.time, []  # psi is row 0
+    if window is not None:
+        idx = np.flatnonzero(window)
+        rows = np.stack([rows[0], np.where(node_mask(rows[0]), 0, rows[0])])
+    for frame in range(n_frames + 1):
+        if frame:
+            for _ in range(cfg.steps_per_output):
+                rows = stepper.step(rows, t)
+                t += dt
+            _check_norm_drift(rows[0], psi.grid, cfg)
+        if window is not None:
+            amp, phi = rows[:, idx]
+            overlaps.append(np.sum(window[idx] * (phi.conj() * amp).real))
+        yield rows[0]
+    if window is not None:
+        yield np.array(overlaps) * psi.grid.dx
 
 
 # The frame pipe's size: 32 frames ahead of the reader at n = 2048.  With
@@ -721,7 +738,7 @@ class _FrameStream:
             self._stop()
 
 
-def _frame_plan(psi, potential, cfg, duration, mass, hbar):
+def _frame_plan(psi, potential, cfg, duration, mass, hbar, window=None):
     """(times, dt, the frame loop) of an evolution of psi over duration.
 
     The step is duration over a whole number of frames times
@@ -735,31 +752,38 @@ def _frame_plan(psi, potential, cfg, duration, mass, hbar):
     dt = duration / (n_frames * spo)  # exact multiple of steps_per_output
     stepper = Stepper(psi.grid, potential, dt, mass, hbar)
     times = psi.time + dt * spo * np.arange(n_frames + 1)
-    return times, dt, _frame_loop(psi, stepper, cfg, n_frames, dt)
+    return times, dt, _frame_loop(psi, stepper, cfg, n_frames, dt, window)
 
 
 def evolve_stream(psi: WaveFunction, potential: PotentialModel,
                   cfg: PropagatorConfig, duration: float,
-                  mass: float = 1.0, hbar: float = 1.0) -> Evolution:
+                  mass: float = 1.0, hbar: float = 1.0,
+                  window: np.ndarray | None = None) -> Evolution:
     """An Evolution of a frame every cfg.steps_per_output steps,
     propagated from the first pull on, in a forked worker where one can
     run (see _FrameStream), so it holds O(n) memory whatever the duration,
     besides the columns it is told to keep.  Nothing is propagated, and no
-    worker forked, before that pull."""
-    times, dt, frames = _frame_plan(psi, potential, cfg, duration, mass, hbar)
+    worker forked, before that pull.  Given a window's weights, its
+    window_overlaps are NaN until the last frame's pull."""
+    times, dt, frames = _frame_plan(psi, potential, cfg, duration, mass,
+                                    hbar, window)
+    overlaps = None if window is None else np.full(len(times), np.nan)
     return Evolution(psi.grid, times, frames, potential, dt, mass, hbar,
-                     initial=psi)
+                     initial=psi, overlaps=overlaps)
 
 
 def evolve_store(psi: WaveFunction, potential: PotentialModel,
                  cfg: PropagatorConfig, duration: float,
-                 mass: float = 1.0, hbar: float = 1.0) -> Evolution:
+                 mass: float = 1.0, hbar: float = 1.0,
+                 window: np.ndarray | None = None) -> Evolution:
     """The Evolution of evolve_stream's frames, all handed over: they are
     collected in order in this process (nothing runs beside it to
     overlap) into one (nt, n) complex record, for the readers of frames
     out of order or more than once."""
-    times, dt, frames = _frame_plan(psi, potential, cfg, duration, mass, hbar)
+    times, dt, frames = _frame_plan(psi, potential, cfg, duration, mass,
+                                    hbar, window)
     record = np.empty((len(times), psi.grid.n), dtype=complex)
     for row, amp in zip(record, frames):
         row[:] = amp
-    return Evolution(psi.grid, times, record, potential, dt, mass, hbar)
+    return Evolution(psi.grid, times, record, potential, dt, mass, hbar,
+                     overlaps=next(frames, None))

@@ -3,8 +3,8 @@
 The weak value of an operator S with pre-selected state psi and
 post-selected position x is the complex ratio (S psi)(x) / psi(x).  Its
 real part reproduces the matching Bohmian quantity (velocity, local
-energy, dwell time) wherever one is defined; the imaginary part is
-computed and returned but never used by the intrinsic-property pipelines.
+energy, dwell time: dwell_operator_field pointwise, dwell_weak_value its
+average with no backward sweep); the imaginary part is never used.
 """
 
 from __future__ import annotations
@@ -46,6 +46,14 @@ def weak_average(psi: WaveFunction, wv: np.ndarray) -> float:
     the points where wv is finite (grid_weak_value leaves NaN at nodes)."""
     ok = np.isfinite(wv)
     return float(np.sum(psi.density()[ok] * np.real(wv[ok])) * psi.grid.dx)
+
+
+def dwell_weak_value(evolution: Evolution) -> float:
+    """weak_average(psi0, Re[(D psi0)/psi0]) for the window the frames were
+    made with and T the evolution's duration, with no backward step: that
+    is Re<phi0|D psi0> (phi0 = psi0 zeroed at its nodes), and as U^dag =
+    U^-1, the trapezoid of Re<U phi0|A|U psi0>, the window_overlaps."""
+    return float(np.trapezoid(evolution.window_overlaps, evolution.times))
 
 
 def dwell_operator_state(evolution: Evolution, region: tuple[float, float],

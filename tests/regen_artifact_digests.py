@@ -16,12 +16,11 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from test_acceptance import (criterion_digest,  # noqa: E402
-                             run_on_one_thread)
+from test_acceptance import criterion_digest  # noqa: E402
 from test_harness import (DIGESTS, FROZEN, SAME_SEED,  # noqa: E402
                           artifact_digests, environment, run_artifacts)
 
-from bohmlab.validation import CRITERIA  # noqa: E402
+from bohmlab.validation import CRITERIA, run_criterion  # noqa: E402
 
 
 def task_digests(docs, tmp):
@@ -33,7 +32,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         digests = task_digests(SAME_SEED, Path(tmp) / "same-seed")
         frozen = task_digests(FROZEN, Path(tmp) / "frozen")
-    criteria = {cid: criterion_digest(run_on_one_thread(cid))
+    criteria = {cid: criterion_digest(run_criterion(cid))
                 for cid, _, _ in CRITERIA}
     DIGESTS.write_text(json.dumps({"environment": environment(),
                                    "digests": digests, "frozen": frozen,

@@ -2,17 +2,21 @@
 criterion, each printing a single summary line.  Run with `pytest -s
 tests/test_acceptance.py` to see the lines as they complete.
 
-Each criterion runs on one BLAS thread, as the validate task runs it, and
-its validation_report.json entry, without its seconds, is pinned by digest
-in tests/artifact_digests.json.
+run_criterion runs each criterion on one BLAS thread, and its
+validation_report.json entry, without its seconds, is pinned by digest in
+tests/artifact_digests.json.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bohmlab import harness
+from bohmlab import blas
 from bohmlab.validation import CRITERIA, run_criterion
 from test_harness import pinned_digests
 
@@ -34,13 +38,6 @@ PINNED = {
 }
 
 
-def run_on_one_thread(cid):
-    """run_criterion as the validate task runs it: OpenBLAS's eigh and
-    products take other bits on more threads."""
-    with harness._one_blas_thread():
-        return run_criterion(cid)
-
-
 def criterion_digest(result):
     """sha256 of a criterion's report entry without seconds, as sorted JSON."""
     entry = {key: value for key, value in result.items() if key != "seconds"}
@@ -52,7 +49,7 @@ _RESULTS = {}  # criterion id -> test_acceptance_criterion's result
 
 @pytest.mark.parametrize("cid", [name for name, _, _ in CRITERIA])
 def test_acceptance_criterion(cid):
-    result = _RESULTS[cid] = run_on_one_thread(cid)
+    result = _RESULTS[cid] = run_criterion(cid)
     status = "PASS" if result["passed"] else "FAIL"
     print(f"[{status}] {cid}: measured={result['measured']:.6g} "
           f"target={result['target']:.6g} tol={result['tolerance']:.6g} "
@@ -72,5 +69,28 @@ def test_criterion_digest(cid):
     # every measured value and detail keeps its bits, on the environment
     # whose bits were pinned; reuses test_acceptance_criterion's run
     pinned = pinned_digests("criteria")
-    result = _RESULTS.get(cid) or run_on_one_thread(cid)
+    result = _RESULTS.get(cid) or run_criterion(cid)
     assert criterion_digest(result) == pinned[cid]
+
+
+# numpy first, so OpenBLAS loads with its own thread count (one per CPU)
+NUMPY_FIRST = """import json, numpy
+from bohmlab.validation import run_criterion
+print(json.dumps(run_criterion("work-properties")))
+"""
+
+
+@pytest.mark.skipif(not blas._openblas_libraries(),
+                    reason="numpy is not linked against OpenBLAS")
+def test_criterion_bits_independent_of_import_order():
+    # work-properties diagonalises a Hamiltonian (eigh), whose bits follow
+    # OpenBLAS's thread count; run_criterion pins it to one thread, so a
+    # process that loaded numpy first gets the pinned digest too
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", NUMPY_FIRST], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout)
+    assert criterion_digest(result) == pinned_digests("criteria")[
+        "work-properties"]

@@ -28,7 +28,9 @@ In harness, only the propagate task, which writes every frame, names
 evolve_store: every other task streams its frames (evolve_stream) and
 holds no (nt, n) record.  No harness definition names
 integrate_trajectories either: every Bohmian task reads rk4_frames as it
-yields and holds no (nt, N) position record.
+yields and holds no (nt, N) position record.  Nor does one name
+dwell_operator_field or dwell_operator_state: the dwell task's weak value
+comes from the frame loop's window overlaps, with no backward sweep.
 
 A qgrid.Evolution has one mode: only __init__ tells an (nt, n) record
 from an iterable of frames, and no other method branches on which one
@@ -43,6 +45,8 @@ import ast
 import re
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 from bohmlab import PropagatorConfig, harness
 
@@ -165,6 +169,13 @@ def test_only_the_propagate_task_stores_frames():
 def test_no_task_collects_the_position_record():
     # harness still imports the name: perfbench/tracer.py wraps it
     assert _definitions_naming("harness", "integrate_trajectories") == []
+
+
+@pytest.mark.parametrize("name", ["dwell_operator_field",
+                                  "dwell_operator_state"])
+def test_no_task_sweeps_backward(name):
+    # harness still imports dwell_operator_field: perfbench/tracer.py wraps it
+    assert _definitions_naming("harness", name) == []
 
 
 def test_evolution_has_one_mode():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bohmlab import bohm, evolve_store, harness, intrinsics, measure
+from bohmlab import blas, bohm, evolve_store, harness, intrinsics, measure
 from bohmlab.bohm import integrate_trajectories, sample_initial_positions
 from bohmlab.cli import build_parser, main
 from bohmlab.errors import (ConfigurationError, EmptyEnsembleError,
@@ -21,7 +21,7 @@ from bohmlab.harness import DEFAULTS, parse_config, resolve_out_dir, run
 from bohmlab.intrinsics import (dwell_time_density, ensemble_currents,
                                 per_trajectory_dwell_times, psd)
 from bohmlab.qgrid import SpectralOperator, build_hamiltonian, window_weights
-from bohmlab.weakval import dwell_operator_field, weak_average
+from bohmlab.weakval import dwell_weak_value
 
 FAST = {
     "grid": {"n": 128, "x_min": -20.0, "x_max": 20.0},
@@ -427,23 +427,24 @@ class TestRun:
              "task": {"name": "dwell", "horizon": 4.0}}
 
     def test_dwell_task_streams_the_stored_bits(self, tmp_path):
-        # the task reads its frames through RK4 and the window's columns;
-        # the stored record of the same evolution gives the same bits, and
-        # the position record's rows the same dwell-time sums
+        # the task reads its frames through RK4 and the window's columns,
+        # and its weak value from the worker's window overlaps; the stored
+        # record of the same evolution gives the same bits, its overlaps
+        # the same weak value, and the position record's rows the same
+        # dwell-time sums
         cfg = parse_config(json.dumps(self.DWELL))
         summary = run(cfg, out_dir=str(tmp_path)).summary
         region, horizon = (-2.0, 2.0), 4.0
         psi = cfg.build_state(cfg.build_grid())
         ev = evolve_store(psi, cfg.build_potential(), cfg.build_propagator(),
-                          horizon)
+                          horizon, window=window_weights(psi.grid, *region))
         starts = sample_initial_positions(
             psi, 25, seed=cfg.subsystem_seeds()["sampling"])
         paths = integrate_trajectories(ev, starts)
         *_, (final, _, frozen) = bohm.rk4_frames(ev, starts)
         assert np.array_equal(final, paths[-1])
         assert summary["density"] == dwell_time_density(ev, region, horizon)
-        assert summary["weak_value"] == weak_average(psi, dwell_operator_field(
-            ev, region, horizon, cfg.build_propagator()))
+        assert summary["weak_value"] == dwell_weak_value(ev)
         assert summary["stuck"] == np.count_nonzero((final > region[0])
                                                     & (final < region[1]))
         assert summary["truncated"] == frozen.sum()
@@ -454,8 +455,8 @@ class TestRun:
         assert np.array_equal(table[:, 2], taus)
 
     def test_driven_dwell_writes_every_key(self, tmp_path):
-        # a driven packet gets every estimate a static one gets: the sweep
-        # inverts the driven forward steps, so weak_value meets density
+        # a driven packet gets every estimate a static one gets: the
+        # adjoint identity holds for driven steps, so weak_value meets density
         def summary(potential):
             cfg = parse_config(json.dumps({**self.DWELL,
                                            "potential": potential}))
@@ -547,7 +548,7 @@ class TestRun:
 
     def test_dwell_task_propagates_once(self, tmp_path, monkeypatch):
         # one forward sweep, shared by the trajectories, the density and the
-        # dwell operator, one backward sweep and one per-trajectory dwell pass.
+        # weak value, no backward step and one per-trajectory dwell pass.
         # The forward sweep runs in a forked worker, so each step appends a
         # byte to a file that both processes write
         from bohmlab import qgrid, weakval
@@ -575,7 +576,7 @@ class TestRun:
         summary = run(cfg, out_dir=str(tmp_path / "out")).summary
         record = log.read_bytes()
         steps = {"forward": record.count(b"f"), "backward": record.count(b"b")}
-        assert steps == {"forward": 400, "backward": 400}
+        assert steps == {"forward": 400, "backward": 0}
         assert len(passes) == 1
         assert not hasattr(weakval, "evolve_store")
         assert summary["weak_value"] == pytest.approx(summary["density"],
@@ -1097,7 +1098,7 @@ def _thread_counts(libraries):
 @pytest.fixture
 def openblas_at_two():
     """Every OpenBLAS in this process, set to two threads for the test."""
-    libraries = harness._openblas_libraries()
+    libraries = blas._openblas_libraries()
     if not libraries:
         pytest.skip("no OpenBLAS library is loaded in this process")
     before = _thread_counts(libraries)
@@ -1135,8 +1136,8 @@ class TestOneBlasThread:
         ("_OPENBLAS_CALLS", ()),                  # another BLAS
     ], ids=["no-proc", "other-blas"])
     def test_no_openblas_found_still_runs(self, tmp_path, monkeypatch, patch):
-        monkeypatch.setattr(harness, *patch)
-        assert harness._openblas_libraries() == []
+        monkeypatch.setattr(blas, *patch)
+        assert blas._openblas_libraries() == []
         manifest = run(parse_config(json.dumps(FAST)), out_dir=str(tmp_path))
         for name in manifest.outputs:
             assert (tmp_path / name).exists()
@@ -1146,14 +1147,14 @@ class TestOneBlasThread:
 # thread count, its own threads, and the variable OpenBLAS reads
 PIN_PROBE = """import json, os
 {first}import bohmlab
-from bohmlab import harness
-print(json.dumps([[get() for _, get in harness._openblas_libraries()],
+from bohmlab import blas
+print(json.dumps([[get() for _, get in blas._openblas_libraries()],
                   len(os.listdir("/proc/self/task")),
                   os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 
-@pytest.mark.skipif(not harness._openblas_libraries(),
+@pytest.mark.skipif(not blas._openblas_libraries(),
                     reason="numpy is not linked against OpenBLAS")
 class TestImportPin:
     @staticmethod
@@ -1197,7 +1198,7 @@ DETERMINISM_MC = {
 }
 
 
-@pytest.mark.skipif(not harness._openblas_libraries(),
+@pytest.mark.skipif(not blas._openblas_libraries(),
                     reason="numpy is not linked against OpenBLAS, whose "
                            "bits are the same per BLAS thread count only")
 def test_measure_bits_independent_of_blas_threads(tmp_path):

@@ -470,24 +470,29 @@ class TestFrameWorker:
                                                  n_frames, amplitude,
                                                  frequency, block):
         # over random grids, steps per frame and drives E(t) = a cos(f t),
-        # read in random blocks: the streamed frames and final state are
-        # the stored record's bits, from a forked worker or from this
-        # process (where no fork is to be had)
+        # read in random blocks: the streamed frames, final state and
+        # window overlaps are the stored record's bits, from a forked
+        # worker or from this process (where no fork is to be had)
         grid = Grid1D(-half, half, n)
         pot = PotentialModel(
             "drive", profile=lambda t: amplitude * np.cos(frequency * t))
         psi = WaveFunction.gaussian(grid, width=0.1 * half, momentum=1.0)
         args = (psi, pot, PropagatorConfig(0.01, spo), 0.01 * spo * n_frames)
-        stored = evolve_store(*args)
+        window = window_weights(grid, -0.3 * half, 0.2 * half)
+        stored = evolve_store(*args, window=window)
         no_fork = mock.patch.object(os, "fork", side_effect=BlockingIOError)
         with no_fork if where == "in-process" else contextlib.nullcontext():
-            streamed = evolve_stream(*args)
+            streamed = evolve_stream(*args, window=window)
             with pytest.raises(FrameAccessError, match="final state"):
                 streamed.final
+            assert np.isnan(streamed.window_overlaps).all()
             blocks = [streamed.frame_block(lo, lo + block)
                       for lo in range(0, len(stored.times), block)]
         assert (streamed._frames.pid is None) == (where == "in-process")
         assert np.array_equal(np.concatenate(blocks), stored.frames)
+        assert np.array_equal(streamed.window_overlaps,
+                              stored.window_overlaps)
+        assert np.array_equal(evolve_store(*args).frames, stored.frames)
         assert np.array_equal(streamed.final.amplitudes, stored.frames[-1])
         assert streamed.final.time == stored.final.time == stored.times[-1]
 
