@@ -5,14 +5,16 @@ The trajectory ensemble, the density quadrature, and the equilibrium
 average of the dwell-operator weak value must all agree; the pointwise
 per-trajectory comparison against the weak value at the starting position
 is reported as a distribution.  All three estimators share one stored
-split-operator history: the dwell operator reuses its forward frames and
-sweeps back with the step the Evolution records, at -dt.
+split-operator history, made with the window's weights: the density
+quadrature integrates the window masses its frame loop measured, and the
+dwell operator reuses its forward frames and sweeps back with the step the
+Evolution records, at -dt.
 """
 
 import numpy as np
 
 from bohmlab import Grid1D, PotentialModel, PropagatorConfig, WaveFunction, \
-    evolve_store
+    evolve_store, window_weights
 from bohmlab.bohm import integrate_trajectories, read_at, \
     sample_initial_positions
 from bohmlab.intrinsics import (dwell_time_density, dwell_time_ensemble,
@@ -25,15 +27,16 @@ psi = WaveFunction.gaussian(grid, center=-10.0, width=1.0, momentum=5.0)
 region, horizon = (-2.0, 2.0), 5.0
 
 cfg = PropagatorConfig(0.0025, steps_per_output=8)
-ev = evolve_store(psi, pot, cfg, horizon)
+ev = evolve_store(psi, pot, cfg, horizon,
+                  window=window_weights(grid, *region))
 starts = sample_initial_positions(psi, 2000, seed=4)
 
 taus = per_trajectory_dwell_times(integrate_trajectories(ev, starts),
                                   ev.times, region)
 t_traj, stderr = dwell_time_ensemble(taus)
-t_density = dwell_time_density(ev, region, horizon)
+t_density = dwell_time_density(ev, horizon)
 
-field = dwell_operator_field(ev, region, horizon, cfg)
+field = dwell_operator_field(ev, horizon, cfg)
 t_wv = weak_average(psi, field)
 
 print(f"window {region}, barrier height 1.0 on [2, 3], packet speed 5")

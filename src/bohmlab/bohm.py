@@ -217,8 +217,8 @@ class VelocityField:
     keeps only the block last built and the one before it: RK4 reads frames
     j and j + 1 with j increasing, so its memory does not grow with the
     frame count.  A read further back builds its block again, from the
-    evolution's record if it kept every frame and column (evolve_store);
-    any other evolution raises FrameAccessError.  The evolution holds no
+    evolution's record if it has one (evolve_store); a stream raises
+    FrameAccessError.  The evolution holds no
     reference to its field, so the two make no reference cycle.
     """
 

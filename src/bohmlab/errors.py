@@ -26,8 +26,8 @@ class HorizonError(BohmlabError):
 
 
 class FrameAccessError(BohmlabError):
-    """An evolution was asked for a record, a frame or columns it does not
-    keep, or for a frame out of order."""
+    """An evolution was asked for a record or a frame it does not keep, for
+    a frame out of order, or for window rows it was not made with."""
 
 
 class LagError(BohmlabError):

@@ -551,19 +551,18 @@ def _task_work(config, tmp):
 def _task_dwell(config, tmp):
     region = tuple(float(v) for v in config.task["region"])
     horizon = float(config.task["horizon"])
-    # the density reads the window's columns, which the evolution keeps,
-    # the weak value its window overlaps; the dwell times add up as RK4 yields
-    window = window_weights(config.build_grid(), *region)
-    psi, ev = _evolve(config, horizon, evolve_stream, window=window)
+    # the density and the weak value read the window masses and overlaps
+    # the frame loop measures; the dwell times add up as RK4 yields
+    psi, ev = _evolve(config, horizon, evolve_stream,
+                      window=window_weights(config.build_grid(), *region))
     with contextlib.closing(ev):
-        ev.keep_columns(np.flatnonzero(window))
         starts, last = _starts(config, psi), []
         taus = per_trajectory_dwell_times(_rk4_positions(ev, starts, last),
                                           ev.times, region)
     final, frozen = last
     # raises HorizonError once every frame is propagated, before any file
     # is written
-    t_density = dwell_time_density(ev, region, horizon)
+    t_density = dwell_time_density(ev, horizon)
     # a trajectory frozen at the domain edge stops dwelling early
     _check_untruncated(frozen)
     t_traj, stderr = dwell_time_ensemble(taus[~frozen])
@@ -697,8 +696,12 @@ def run(config: ScenarioConfig, out_dir: str | None = None,
     if threads != 1:
         raise ConfigurationError(f"threads must be 1, got {threads!r}")
     out_dir = resolve_out_dir(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = tempfile.mkdtemp(dir=out_dir, prefix=".partial-")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        tmp = tempfile.mkdtemp(dir=out_dir, prefix=".partial-")
+    except OSError as exc:
+        raise ConfigurationError(f"output directory {out_dir!r} cannot be "
+                                 f"made: {exc.strerror}") from exc
     start = time.perf_counter()
     try:
         with one_blas_thread():

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EmptyEnsembleError, LagError, NodeError
-from .qgrid import Evolution, window_columns
+from .qgrid import Evolution, horizon_frame
 from .bohm import (VelocityField, nodes_at, quantum_potential, read_at,
                    rk4_frames)
 from .weakval import local_energy
@@ -321,20 +321,12 @@ def dwell_time_ensemble(taus: np.ndarray) -> tuple[float, float | None]:
     return float(np.mean(taus)), stderr
 
 
-def dwell_time_density(evolution: Evolution, region: tuple[float, float],
-                       horizon: float) -> float:
-    """Dwell time from the density: time integral of the in-region mass
-    sum(w |psi|^2) dx, with w the window_weights of the region.
-
-    Frames are read by qgrid.window_columns only where w is nonzero, from
-    the columns the evolution kept, so it serves once it has handed over
-    the frames up to the horizon (a record keeps every column); the mass
-    is summed over those k columns in blocks of about _BLOCK_CELLS
-    cells.
-    """
-    _, w, cols = window_columns(evolution, region, horizon)
-    step = max(1, _BLOCK_CELLS // max(len(w), 1))
-    mass = np.concatenate([np.abs(cols[s:s + step]) ** 2 @ w
-                           for s in range(0, len(cols), step)])
-    return float(np.trapezoid(mass * evolution.grid.dx,
-                              evolution.times[:len(cols)]))
+def dwell_time_density(evolution: Evolution, horizon: float) -> float:
+    """Dwell time from the density: the trapezoid up to times[0] + horizon
+    of the window masses sum(w |psi|^2) dx, which the frame loop measured
+    as it made each frame with the evolution's window weights w, so no
+    frame is read here; a stream serves once it has handed over its last
+    frame."""
+    i_t = horizon_frame(evolution, horizon)
+    return float(np.trapezoid(evolution.window_masses[:i_t + 1],
+                              evolution.times[:i_t + 1]))

@@ -285,31 +285,22 @@ def window_weights(grid: Grid1D, a: float, b: float) -> np.ndarray:
     return w
 
 
-def window_columns(evolution: "Evolution", region,
-                   horizon: float) -> tuple:
-    """(idx, w, cols): the grid columns idx where the window_weights of
-    region are nonzero, the weights w there, and those columns of the
-    evolution's frames up to times[0] + horizon as one C-ordered (frames,
-    k) complex array, taken from the columns the evolution kept: the one
-    read of frames behind both density-based dwell estimates.
-
-    Raises FrameAccessError if the evolution has not kept those columns of
-    those frames, and HorizonError if more than HORIZON_MASS_TOL of |psi|^2
-    is still inside the region at the horizon frame.
-    """
-    w = window_weights(evolution.grid, *region)
-    idx = np.flatnonzero(w)
+def horizon_frame(evolution: "Evolution", horizon: float) -> int:
+    """The index of the frame at times[0] + horizon, the last one the dwell
+    readers of an evolution made with a window integrate.  Raises
+    FrameAccessError without a window or, on a stream, before its last
+    frame (the window masses come with it), and HorizonError if more than
+    HORIZON_MASS_TOL of |psi|^2 is still inside the window at that frame."""
+    if evolution.window is None:
+        raise FrameAccessError("this evolution was made without a window")
     i_t = evolution.index_of(evolution.times[0] + horizon)
-    kept = evolution._columns
-    if i_t >= evolution._next or not np.isin(idx, kept).all():
-        raise FrameAccessError(f"window columns of frames 0..{i_t} not kept")
-    cols = evolution._kept[:i_t + 1].take(np.searchsorted(kept, idx), axis=1)
-    w = w[idx]
-    mass = np.abs(cols[-1]) ** 2 @ w * evolution.grid.dx
+    mass = evolution.window_masses[i_t]
+    if np.isnan(mass):
+        raise FrameAccessError("window masses asked before the last frame")
     if mass > HORIZON_MASS_TOL:
-        raise HorizonError(
-            f"probability mass {mass:.2e} still inside {region} at T={horizon}")
-    return idx, w, cols
+        raise HorizonError(f"probability mass {mass:.2e} still inside the "
+                           f"window at T={horizon}")
+    return i_t
 
 
 def build_hamiltonian(grid: Grid1D, potential: PotentialModel, t: float = 0.0,
@@ -454,50 +445,51 @@ class Evolution:
     (nt, n) complex record (evolve_store).  The evolution hands its frames
     over once, in order, through frame_block: an iterable's are pulled
     through a _FrameStream, which on Linux runs it in a worker forked on
-    the first pull, ahead of the reader; a record's are handed over
-    already.  Of each frame it keeps the grid columns that keep_columns
-    named before the first (qgrid.window_columns reads them); a record
-    keeps every column.  Only a record of every column serves frames,
-    psi(j) and a read behind the stream; anything else raises
-    FrameAccessError.  close(), dropping the evolution or pulling the last
-    frame stops and reaps the worker.  initial and final are the states
-    at times[0] and times[-1], final once the last frame is handed over.
+    the first pull, ahead of the reader, and are not kept; a record's are
+    handed over already.  Only a record serves frames, psi(j) and a read
+    behind the stream; a stream raises FrameAccessError.  close(),
+    dropping the evolution or pulling the last frame stops and reaps the
+    worker.  initial and final are the states at times[0] and times[-1],
+    final once the last frame is handed over.  Made with a window's (n,)
+    weights (see _frame_loop), it holds them as window, and each frame's
+    window mass and overlap as the (nt,) window_masses and
+    window_overlaps: given whole with a record, NaN on a stream until its
+    last frame's pull.
     """
 
-    _final = None  # psi at times[-1], once the last frame is handed over
-    # of frames made with a window (see _frame_loop), the (nt,) overlaps:
-    # given whole with a record, else filled by the last frame's pull
+    _final = None   # psi at times[-1], once the last frame is handed over
+    _record = None  # the (nt, n) frames, of an evolution made from them
+    _next = 0       # the frame a stream hands over next
+    window = None
+    window_masses = None
     window_overlaps = None
 
     def __init__(self, grid: Grid1D, times: np.ndarray, frames,
                  potential: PotentialModel, dt: float,
                  mass: float = 1.0, hbar: float = 1.0,
-                 initial: WaveFunction | None = None, overlaps=None):
+                 initial: WaveFunction | None = None, window=None):
         self.grid = grid
         self.times = times              # (nt,)
         self.potential = potential
         self.dt = dt                    # the propagator step taken
         self.mass = mass
         self.hbar = hbar
-        if isinstance(frames, np.ndarray):  # every frame handed over, kept
-            self._frames = _FrameStream(())
-            self._next = len(times)
-            self._columns, self._kept = np.arange(grid.n), frames
+        if isinstance(frames, np.ndarray):  # every frame handed over
+            self._record, frames = frames, ()
             initial, self._final = self.psi(0), self.psi(-1)
-        else:
-            self._frames = _FrameStream(frames)
-            self._next = 0  # the frame handed over next
-            self.keep_columns(())
+        self._frames = _FrameStream(frames)
         self.initial = initial
-        if overlaps is not None:
-            self.window_overlaps = overlaps
+        if window is not None:
+            self.window = window
+            self.window_masses, self.window_overlaps = np.full(
+                (2, len(times)), np.nan)
 
     @property
     def frames(self) -> np.ndarray:
-        """The (nt, n) complex record, once every frame and column is kept."""
-        if self._next < len(self.times) or len(self._columns) < self.grid.n:
+        """The (nt, n) complex record of an evolution made from one."""
+        if self._record is None:
             raise FrameAccessError("this evolution holds no frame record")
-        return self._kept
+        return self._record
 
     @property
     def frame_dt(self) -> float:
@@ -516,26 +508,25 @@ class Evolution:
     def frame_block(self, lo: int, hi: int) -> np.ndarray:
         """Frames lo..hi-1 (hi capped at nt) as one (rows, n) complex array.
 
-        Frames already handed over come from the kept record, as a view,
-        when it holds every column.  Otherwise the rows are pulled from the
-        stream, and lo must be the first frame not yet handed over.  An
-        exception that stopped the propagation is raised by the pull of
-        the frame it stopped.
+        A record's frames come from it, as a view.  Otherwise the rows are
+        pulled from the stream, and lo must be the first frame not yet
+        handed over.  An exception that stopped the propagation is raised
+        by the pull of the frame it stopped.
         """
         hi = min(hi, len(self.times))
-        if hi <= self._next and len(self._columns) == self.grid.n:
-            return self._kept[lo:hi]
+        if self._record is not None:
+            return self._record[lo:hi]
         if lo != self._next:
             raise FrameAccessError(
                 f"evolution read out of order: frame {lo} asked, "
                 f"frame {self._next} is next")
         block = np.empty((hi - lo, self.grid.n), dtype=complex)
         self._frames.readinto(block)
-        self._kept[lo:hi] = block[:, self._columns]
         self._next = hi
         if hi == len(self.times):
-            if self.window_overlaps is not None:
-                self._frames.readinto(self.window_overlaps[None])
+            if self.window is not None:  # its rows follow the last frame
+                for row in (self.window_masses, self.window_overlaps):
+                    self._frames.readinto(row[None])
             self._frames.close()
             self._final = WaveFunction(self.grid, block[-1].copy(),
                                        float(self.times[-1]))
@@ -545,26 +536,6 @@ class Evolution:
         """Stop the propagation: a worker, if one runs, is killed and
         reaped, and a later pull raises FrameAccessError."""
         self._frames.close()
-
-    def keep_columns(self, idx) -> None:
-        """Keep grid columns idx of every frame handed over, in place of
-        the columns kept so far; called after the first frame is handed
-        over (on a record, at once), it raises FrameAccessError, and a
-        column outside 0..n-1 raises IndexError."""
-        if self._next:
-            raise FrameAccessError(
-                f"columns chosen after {self._next} frames were handed over")
-        idx = np.asarray(idx, dtype=np.intp)
-        outside = idx[(idx < 0) | (idx >= self.grid.n)]
-        if outside.size:
-            raise IndexError(
-                f"column {outside[0]} outside 0..{self.grid.n - 1}")
-        # sorted, each once; np.unique would import numpy.ma, 9 ms
-        columns = np.zeros(self.grid.n, dtype=bool)
-        columns[idx] = True
-        self._columns = np.flatnonzero(columns)
-        self._kept = np.empty((len(self.times), len(self._columns)),
-                              dtype=complex)
 
     def index_of(self, t: float) -> int:
         idx = int(round((t - self.times[0]) / self.frame_dt))
@@ -578,11 +549,14 @@ def _frame_loop(psi, stepper, cfg, n_frames, dt, window=None):
     then the amplitudes after each cfg.steps_per_output Strang steps of dt,
     each checked for norm drift.  Given a window's (n,) weights w, phi =
     psi zeroed at its node_mask rides as a second row of each step (a
-    batched FFT keeps each row's bits), and one more row follows the last
-    frame: each frame's Re sum w conj(phi) psi dx."""
-    rows, t, overlaps = psi.amplitudes[None], psi.time, []  # psi is row 0
+    batched FFT keeps each row's bits), and two more rows follow the last
+    frame, read off each frame's window columns as it is made: the window
+    masses sum w |psi|^2 dx and the overlaps Re sum w conj(phi) psi dx."""
+    rows, t = psi.amplitudes[None], psi.time  # psi is row 0
     if window is not None:
         idx = np.flatnonzero(window)
+        w = window[idx]
+        sums = np.empty((2, n_frames + 1))
         rows = np.stack([rows[0], np.where(node_mask(rows[0]), 0, rows[0])])
     for frame in range(n_frames + 1):
         if frame:
@@ -591,11 +565,13 @@ def _frame_loop(psi, stepper, cfg, n_frames, dt, window=None):
                 t += dt
             _check_norm_drift(rows[0], psi.grid, cfg)
         if window is not None:
-            amp, phi = rows[:, idx]
-            overlaps.append(np.sum(window[idx] * (phi.conj() * amp).real))
+            # [psi, phi] at the window's columns, C-ordered: each row then
+            # sums pairwise, with the bits of that row alone
+            cols = rows.take(idx, axis=1)
+            sums[:, frame] = np.sum(w * (cols.conj() * cols[0]).real, axis=1)
         yield rows[0]
     if window is not None:
-        yield np.array(overlaps) * psi.grid.dx
+        yield from sums * psi.grid.dx
 
 
 # The frame pipe's size: 32 frames ahead of the reader at n = 2048.  With
@@ -762,14 +738,14 @@ def evolve_stream(psi: WaveFunction, potential: PotentialModel,
     """An Evolution of a frame every cfg.steps_per_output steps,
     propagated from the first pull on, in a forked worker where one can
     run (see _FrameStream), so it holds O(n) memory whatever the duration,
-    besides the columns it is told to keep.  Nothing is propagated, and no
+    besides a window's two (nt,) rows.  Nothing is propagated, and no
     worker forked, before that pull.  Given a window's weights, its
-    window_overlaps are NaN until the last frame's pull."""
+    window_masses and window_overlaps are NaN until the last frame's
+    pull."""
     times, dt, frames = _frame_plan(psi, potential, cfg, duration, mass,
                                     hbar, window)
-    overlaps = None if window is None else np.full(len(times), np.nan)
     return Evolution(psi.grid, times, frames, potential, dt, mass, hbar,
-                     initial=psi, overlaps=overlaps)
+                     initial=psi, window=window)
 
 
 def evolve_store(psi: WaveFunction, potential: PotentialModel,
@@ -785,5 +761,8 @@ def evolve_store(psi: WaveFunction, potential: PotentialModel,
     record = np.empty((len(times), psi.grid.n), dtype=complex)
     for row, amp in zip(record, frames):
         row[:] = amp
-    return Evolution(psi.grid, times, record, potential, dt, mass, hbar,
-                     overlaps=next(frames, None))
+    ev = Evolution(psi.grid, times, record, potential, dt, mass, hbar,
+                   window=window)
+    if window is not None:  # its rows follow the last frame
+        ev.window_masses, ev.window_overlaps = frames
+    return ev

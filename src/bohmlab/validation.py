@@ -12,7 +12,8 @@ import numpy as np
 from .blas import one_blas_thread
 from .qgrid import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                     build_hamiltonian, evolution_operator, evolve_store,
-                    expectation, momentum_operator, position_operator)
+                    expectation, momentum_operator, position_operator,
+                    window_weights)
 from .bohm import (equivariance_l1, grid_velocity, integrate_trajectories,
                    quantum_potential, read_at, sample_initial_positions)
 from .weakval import (aav_weak_value, dwell_operator_field, local_energy,
@@ -279,15 +280,16 @@ def check_dwell_triple_agreement():
     psi = WaveFunction.gaussian(grid, center=-10.0, width=1.0, momentum=5.0)
     region, horizon = (-2.0, 2.0), 5.0
     cfg = PropagatorConfig(0.0025, steps_per_output=8)
-    ev = evolve_store(psi, pot, cfg, horizon)
+    ev = evolve_store(psi, pot, cfg, horizon,
+                      window=window_weights(grid, *region))
 
-    t_density = dwell_time_density(ev, region, horizon)
+    t_density = dwell_time_density(ev, horizon)
     starts = sample_initial_positions(psi, 2000, seed=91)
     taus = per_trajectory_dwell_times(integrate_trajectories(ev, starts),
                                       ev.times, region)
     t_traj, stderr = dwell_time_ensemble(taus)
 
-    field = dwell_operator_field(ev, region, horizon, cfg)
+    field = dwell_operator_field(ev, horizon, cfg)
     t_wv = weak_average(psi, field)
 
     vals = np.array([t_traj, t_density, t_wv])

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .qgrid import (Evolution, PotentialModel, PropagatorConfig,
                     SpectralOperator, Stepper, WaveFunction, build_hamiltonian,
-                    node_mask, window_columns)
+                    horizon_frame, node_mask)
 from .bohm import read_at
 
 
@@ -52,31 +52,33 @@ def dwell_weak_value(evolution: Evolution) -> float:
     """weak_average(psi0, Re[(D psi0)/psi0]) for the window the frames were
     made with and T the evolution's duration, with no backward step: that
     is Re<phi0|D psi0> (phi0 = psi0 zeroed at its nodes), and as U^dag =
-    U^-1, the trapezoid of Re<U phi0|A|U psi0>, the window_overlaps."""
+    U^-1, the trapezoid of Re<U phi0|A|U psi0>, the window_overlaps.  The
+    horizon is judged at the last frame, as qgrid.horizon_frame does."""
+    horizon_frame(evolution, evolution.times[-1] - evolution.times[0])
     return float(np.trapezoid(evolution.window_overlaps, evolution.times))
 
 
-def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
-                         horizon: float) -> np.ndarray:
+def dwell_operator_state(evolution: Evolution, horizon: float) -> np.ndarray:
     """Apply the dwell operator D = integral_0^T U^dag(t) A U(t) dt to psi0.
 
-    psi0 is the evolution's initial state and A multiplies by the
-    window_weights w of `region`.  The forward frames are the evolution's
-    own up to times[0] + horizon, read by qgrid.window_columns only where
-    w is nonzero, from the columns the evolution kept, so it serves once it
-    has handed over those frames (a record keeps every column); the sweep
-    adds each frame's w psi_j at those columns only.  The time quadrature is trapezoid at the frames'
-    spacing.  The backward sweep takes round(frame_dt / dt) Strang steps a
-    frame with -evolution.dt, from the horizon frame's time down, and the
-    step of -dt from t + dt undoes the forward step of dt from t, for a
-    driven potential too.  So D is Hermitian and <psi0|D|psi0> equals the
-    density quadrature on the same frames.
+    psi0 is the evolution's initial state and A multiplies by the window
+    weights w the evolution was made with.  The forward frames are the
+    evolution's record up to times[0] + horizon (qgrid.horizon_frame makes
+    the horizon check), read only at the k columns where w is nonzero; the
+    sweep adds each frame's w psi_j at those columns only.  The time
+    quadrature is trapezoid at the frames' spacing.  The backward sweep
+    takes round(frame_dt / dt) Strang steps a frame with -evolution.dt,
+    from the horizon frame's time down, and the step of -dt from t + dt
+    undoes the forward step of dt from t, for a driven potential too.  So
+    D is Hermitian and <psi0|D|psi0> equals the density quadrature on the
+    same frames.
     """
     grid = evolution.grid
-    idx, w, cols = window_columns(evolution, region, horizon)
-    i_t = len(cols) - 1
+    i_t = horizon_frame(evolution, horizon)
     if i_t == 0:
         raise ConfigurationError(f"dwell operator needs horizon > 0, got {horizon}")
+    idx = np.flatnonzero(evolution.window)
+    w, cols = evolution.window[idx], evolution.frames[:i_t + 1, idx]
     spo = round(evolution.frame_dt / evolution.dt)
     dt = evolution.dt
     back = Stepper(grid, evolution.potential, -dt, evolution.mass,
@@ -94,12 +96,12 @@ def dwell_operator_state(evolution: Evolution, region: tuple[float, float],
     return chi
 
 
-def dwell_operator_field(evolution: Evolution, region: tuple[float, float],
-                         horizon: float, cfg: PropagatorConfig) -> np.ndarray:
+def dwell_operator_field(evolution: Evolution, horizon: float,
+                         cfg: PropagatorConfig) -> np.ndarray:
     """Dwell-operator weak value at every non-node grid point (NaN at nodes).
 
     cfg is not read; it stays only because perfbench/tracer.py binds it
     (ROADMAP item 1).
     """
-    d_psi = dwell_operator_state(evolution, region, horizon)
+    d_psi = dwell_operator_state(evolution, horizon)
     return np.real(grid_weak_value(d_psi, evolution.initial.amplitudes))

@@ -16,10 +16,11 @@ Across modules, no src module or demo imports an `_`-private name from a
 bohmlab module other than itself: a private helper another module needs
 is public API and carries a public name.
 
-An Evolution holds the grid, potential (with its charge), mass, hbar and
-step that made it.  So a public function of bohm, intrinsics or weakval
-that takes an Evolution takes none of these again, where a value that
-disagreed with the evolution would give a wrong answer silently.
+An Evolution holds the grid, potential (with its charge), mass, hbar,
+step and window that made it.  So a public function of bohm, intrinsics
+or weakval that takes an Evolution takes none of these again, where a
+value that disagreed with the evolution would give a wrong answer
+silently.
 
 A config's propagator section has exactly the fields of PropagatorConfig,
 so a knob cannot stay in one after it has left the other.
@@ -34,7 +35,8 @@ comes from the frame loop's window overlaps, with no backward sweep.
 
 A qgrid.Evolution has one mode: only __init__ tells an (nt, n) record
 from an iterable of frames, and no other method branches on which one
-made it.
+made it.  It keeps no record of chosen grid columns: a stream keeps no
+frame, and the dwell readers take the window rows its frame loop made.
 
 qgrid sits below bohm: it names nothing bohm defines, and an Evolution
 holds no velocity field.  The RK4 pass builds the field it reads and
@@ -109,7 +111,7 @@ def _private_imports():
 
 # Parameters that repeat what an Evolution holds, by annotation or by name.
 _REPEATED_TYPES = re.compile(r"\b(PotentialModel|PropagatorConfig)\b")
-_REPEATED_NAMES = {"charge", "mass", "hbar"}
+_REPEATED_NAMES = {"charge", "mass", "hbar", "region"}
 # The one exception: perfbench/tracer.py binds this cfg, which the function
 # does not read; it goes with the benchmark revision (ROADMAP item 1).
 REPEATS_ALLOWED = ["weakval.dwell_operator_field(cfg)"]
@@ -189,8 +191,10 @@ def test_evolution_has_one_mode():
                          for node in ast.walk(fn))]
     assert asks_type == []
     assert [node.lineno for node in ast.walk(cls)
-            if isinstance(node, ast.Attribute) and node.attr == "_stored"
-            or isinstance(node, ast.Name) and node.id == "_stored"] == []
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("_stored", "_columns")
+            or isinstance(node, ast.Name)
+            and node.id in ("_stored", "_columns")] == []
 
 
 def _names(tree):

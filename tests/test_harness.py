@@ -427,11 +427,11 @@ class TestRun:
              "task": {"name": "dwell", "horizon": 4.0}}
 
     def test_dwell_task_streams_the_stored_bits(self, tmp_path):
-        # the task reads its frames through RK4 and the window's columns,
-        # and its weak value from the worker's window overlaps; the stored
-        # record of the same evolution gives the same bits, its overlaps
-        # the same weak value, and the position record's rows the same
-        # dwell-time sums
+        # the task reads its frames through RK4, and its density and weak
+        # value from the worker's window masses and overlaps; the stored
+        # record of the same evolution gives the same bits, its window rows
+        # the same density and weak value, and the position record's rows
+        # the same dwell-time sums
         cfg = parse_config(json.dumps(self.DWELL))
         summary = run(cfg, out_dir=str(tmp_path)).summary
         region, horizon = (-2.0, 2.0), 4.0
@@ -443,7 +443,7 @@ class TestRun:
         paths = integrate_trajectories(ev, starts)
         *_, (final, _, frozen) = bohm.rk4_frames(ev, starts)
         assert np.array_equal(final, paths[-1])
-        assert summary["density"] == dwell_time_density(ev, region, horizon)
+        assert summary["density"] == dwell_time_density(ev, horizon)
         assert summary["weak_value"] == dwell_weak_value(ev)
         assert summary["stuck"] == np.count_nonzero((final > region[0])
                                                     & (final < region[1]))
@@ -472,13 +472,15 @@ class TestRun:
                                                      rel=1e-6)
 
     def test_dwell_task_memory_holds_no_record(self, tmp_path):
-        # 4x the frames may add the window's column record, 4x the
-        # trajectories O(N) (mostly the CSV text); neither adds the frame or
-        # the position record, which the stored task held
+        # 4x the frames may add the two window rows, O(nt), and 4x the
+        # trajectories O(N) (mostly the CSV text); neither adds the frame,
+        # the position or the window's column record, which the task once
+        # held.  The window [-6, 2] holds 26 of the 128 columns
         def peak(spo, n_traj):
             cfg = parse_config(json.dumps({
                 **self.DWELL, "ensemble": {"n": n_traj, "seed": 7},
-                "propagator": {"dt": 0.01, "steps_per_output": spo}}))
+                "propagator": {"dt": 0.01, "steps_per_output": spo},
+                "task": {**self.DWELL["task"], "region": [-6.0, 2.0]}}))
             tracemalloc.start()
             try:
                 run(cfg, out_dir=str(tmp_path / f"{spo}-{n_traj}"))
@@ -489,12 +491,11 @@ class TestRun:
         # a first run makes the process's first-use caches, untraced
         run(parse_config(json.dumps(self.DWELL)), out_dir=str(tmp_path / "warm"))
         grid = parse_config(json.dumps(self.DWELL)).build_grid()
-        k = np.count_nonzero(window_weights(grid, -2.0, 2.0))
+        k = np.count_nonzero(window_weights(grid, -6.0, 2.0))
         extra_frames = 200 - 50  # 400 steps at 2 and at 8 steps per frame
-        window_record = extra_frames * k * 16
-        frame_record = extra_frames * grid.n * 16
-        assert window_record + 32_768 < frame_record
-        assert peak(2, 500) - peak(8, 500) <= window_record + 32_768
+        window_rows = extra_frames * 2 * 8
+        assert window_rows + 32_768 < extra_frames * k * 16  # the columns
+        assert peak(2, 500) - peak(8, 500) <= window_rows + 32_768
         position_record = 1500 * 201 * 8
         assert 1500 * 512 < position_record
         assert peak(2, 2000) - peak(2, 500) <= 1500 * 512
@@ -858,6 +859,18 @@ class TestCli:
         # the last cell, [19.53, 19.84], is enough
         parse_config(json.dumps({**FAST, "task": {
             "name": "dwell", "region": [19.8, 35.0]}}))
+
+    def test_out_dir_not_made_exit_two(self, tmp_path, capsys):
+        # an output directory under a file cannot be made: a configuration
+        # error on one line, not a traceback and exit 1, which means a
+        # failed criterion
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        path = self.write_config(tmp_path)
+        assert main(["propagate", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: output directory {str(out)!r} cannot be made: "
+            "Not a directory\n")
 
     def test_retired_method_exit_two(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"propagator": {

@@ -15,7 +15,7 @@ from bohmlab.intrinsics import (autocorrelation,
                                 ensemble_currents, per_trajectory_dwell_times,
                                 power_balance_residual, psd, work_distribution,
                                 work_records)
-from bohmlab.qgrid import Evolution
+from bohmlab.qgrid import window_weights
 
 
 @pytest.fixture
@@ -513,9 +513,10 @@ class TestDwellTime:
         pot = PotentialModel("free")
         cfg = PropagatorConfig(0.004, steps_per_output=5)
         horizon = 4.0
-        ev = evolve_store(psi, pot, cfg, horizon)
         region = (-2.0, 2.0)
-        t_density = dwell_time_density(ev, region, horizon)
+        ev = evolve_store(psi, pot, cfg, horizon,
+                          window=window_weights(grid, *region))
+        t_density = dwell_time_density(ev, horizon)
         starts = sample_initial_positions(psi, 400, seed=21)
         paths = integrate_trajectories(ev, starts)
         t_traj, stderr = dwell_time_ensemble(
@@ -540,12 +541,12 @@ class TestDensityRegionMass:
     GRID = Grid1D(-10.0, 10.0, 128)
 
     def frame_mass(self, amplitudes, region):
-        """dwell_time_density's region mass of one frame: followed by an
-        empty frame 2 time units later, the trapezoid returns it exactly."""
-        frames = np.stack([amplitudes, np.zeros_like(amplitudes)])
-        ev = Evolution(self.GRID, np.array([0.0, 2.0]), frames,
-                       PotentialModel("free"), 2.0)
-        return dwell_time_density(ev, region, 2.0)
+        """The window mass of one frame, which dwell_time_density
+        integrates: the first of an evolution's, made with the window."""
+        ev = evolve_store(WaveFunction(self.GRID, amplitudes),
+                          PotentialModel("free"), PropagatorConfig(0.01), 0.01,
+                          window=window_weights(self.GRID, *region))
+        return ev.window_masses[0]
 
     @settings(max_examples=60)
     @given(a=st.floats(-11.0, 11.0), cells=st.floats(0.05, 40.0),

@@ -201,44 +201,30 @@ class TestPropagation:
         evolve_stream(*STREAM_ARGS).close()  # never pulled: nothing forked
         assert len(forks) == 1
 
-    def test_kept_columns_are_the_one_record(self):
-        # one mode: a streamed evolution told to keep every column serves
-        # a read behind the stream, and once every frame is handed over
-        # frames and psi(j), as a stored one does; frames or columns not
-        # kept raise, and columns are chosen before the first frame
+    def test_a_stream_keeps_no_frame(self):
+        # a stream hands each frame over once and keeps none: frames,
+        # psi(j) and a read behind it raise, before and after its last
+        # frame, where a record serves them; a window's horizon frame is
+        # found only once the last frame, which brings the window masses,
+        # is handed over
         stored = evolve_store(*STREAM_ARGS)
         streamed = evolve_stream(*STREAM_ARGS)
-        streamed.keep_columns(np.arange(stored.grid.n))
         streamed.frame_block(0, 20)
-        assert np.array_equal(streamed.frame_block(5, 10), stored.frames[5:10])
-        with pytest.raises(FrameAccessError, match="no frame record"):
-            streamed.frames
-        with pytest.raises(FrameAccessError, match="after 20 frames"):
-            streamed.keep_columns([0])
-        streamed.frame_block(20, 1000)
-        assert np.array_equal(streamed.frames, stored.frames)
-        assert np.array_equal(streamed.psi(3).amplitudes,
-                              stored.psi(3).amplitudes)
-        with pytest.raises(FrameAccessError, match="after 51 frames"):
-            stored.keep_columns([0])
-        window = evolve_stream(*STREAM_ARGS)
-        region = (-12.0, -10.0)  # the packet never reaches it
-        window.keep_columns(np.flatnonzero(window_weights(window.grid, *region)))
-        with pytest.raises(FrameAccessError, match="not kept"):
-            qgrid.window_columns(window, region, 0.2)
-        window.frame_block(0, 1000)
-        with pytest.raises(FrameAccessError, match="not kept"):
-            qgrid.window_columns(window, (-1.0, 1.0), 0.2)
-        idx, _, cols = qgrid.window_columns(window, region, 0.2)
-        assert np.array_equal(cols, stored.frames[:11, idx])
-
-    @pytest.mark.parametrize("column", [-1, 256])
-    def test_column_outside_the_grid_raises(self, column):
-        # a negative column is not counted from the end: it raises, as one
-        # past the last does, when it is named
-        streamed = evolve_stream(*STREAM_ARGS)
-        with pytest.raises(IndexError, match="outside 0..255"):
-            streamed.keep_columns([0, column])
+        with pytest.raises(FrameAccessError, match="out of order"):
+            streamed.frame_block(5, 10)
+        assert np.array_equal(streamed.frame_block(20, 1000), stored.frames[20:])
+        for refused in (lambda: streamed.frames, lambda: streamed.psi(3)):
+            with pytest.raises(FrameAccessError, match="no frame record"):
+                refused()
+        assert np.array_equal(stored.frame_block(5, 10), stored.frames[5:10])
+        assert np.array_equal(stored.psi(3).amplitudes, stored.frames[3])
+        window = evolve_stream(*STREAM_ARGS, window=window_weights(
+            stored.grid, -12.0, -10.0))  # the packet never reaches it
+        window.frame_block(0, 20)
+        with pytest.raises(FrameAccessError, match="before the last frame"):
+            qgrid.horizon_frame(window, 0.2)
+        window.frame_block(20, 1000)
+        assert qgrid.horizon_frame(window, 0.2) == 10  # 0.2 / (4 * 0.005)
 
     def test_energy_conservation(self, grid):
         # the split-operator drift of <H> stays within tolerance at this dt
@@ -395,8 +381,8 @@ class TestDenseGuards:
         psi0 = WaveFunction.gaussian(self.BIG, center=-8.0, momentum=5.0)
         cfg = PropagatorConfig(0.005, steps_per_output=20)
         d_psi, peak = traced_peak(lambda: dwell_operator_state(
-            evolve_store(psi0, PotentialModel("free"), cfg, 4.0),
-            (-2.0, 2.0), 4.0))
+            evolve_store(psi0, PotentialModel("free"), cfg, 4.0,
+                         window=window_weights(self.BIG, -2.0, 2.0)), 4.0))
         assert np.all(np.isfinite(d_psi))
         assert peak < self.N * self.N
 
@@ -470,9 +456,10 @@ class TestFrameWorker:
                                                  n_frames, amplitude,
                                                  frequency, block):
         # over random grids, steps per frame and drives E(t) = a cos(f t),
-        # read in random blocks: the streamed frames, final state and
-        # window overlaps are the stored record's bits, from a forked
-        # worker or from this process (where no fork is to be had)
+        # read in random blocks: the streamed frames, final state, window
+        # masses and window overlaps are the stored record's bits, from a
+        # forked worker or from this process (where no fork is to be had);
+        # the window rows are NaN until the last frame is pulled
         grid = Grid1D(-half, half, n)
         pot = PotentialModel(
             "drive", profile=lambda t: amplitude * np.cos(frequency * t))
@@ -485,11 +472,14 @@ class TestFrameWorker:
             streamed = evolve_stream(*args, window=window)
             with pytest.raises(FrameAccessError, match="final state"):
                 streamed.final
-            assert np.isnan(streamed.window_overlaps).all()
-            blocks = [streamed.frame_block(lo, lo + block)
-                      for lo in range(0, len(stored.times), block)]
+            blocks = []
+            for lo in range(0, len(stored.times), block):
+                assert np.isnan(streamed.window_masses).all()
+                assert np.isnan(streamed.window_overlaps).all()
+                blocks.append(streamed.frame_block(lo, lo + block))
         assert (streamed._frames.pid is None) == (where == "in-process")
         assert np.array_equal(np.concatenate(blocks), stored.frames)
+        assert np.array_equal(streamed.window_masses, stored.window_masses)
         assert np.array_equal(streamed.window_overlaps,
                               stored.window_overlaps)
         assert np.array_equal(evolve_store(*args).frames, stored.frames)

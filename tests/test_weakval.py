@@ -9,7 +9,7 @@ from bohmlab import (Grid1D, PotentialModel, PropagatorConfig, WaveFunction,
                      build_hamiltonian, evolve_store, expectation,
                      momentum_operator, position_operator, propagate, qgrid)
 from bohmlab.bohm import grid_velocity, quantum_potential, read_at
-from bohmlab.errors import HorizonError, NodeError
+from bohmlab.errors import FrameAccessError, HorizonError, NodeError
 from bohmlab.intrinsics import dwell_time_density
 from bohmlab.qgrid import node_mask, window_weights
 from bohmlab.weakval import (aav_weak_value, dwell_operator_field,
@@ -205,18 +205,20 @@ class TestDwellOperator:
     def make_packet(self, grid):
         return WaveFunction.gaussian(grid, center=-8.0, width=1.0, momentum=5.0)
 
-    def evolve(self, psi0, cfg=CFG, potential=PotentialModel("free")):
-        return evolve_store(psi0, potential, cfg, 4.0)
+    def evolve(self, psi0, cfg=CFG, potential=PotentialModel("free"),
+               region=(-2.0, 2.0)):
+        return evolve_store(psi0, potential, cfg, 4.0,
+                            window=window_weights(psi0.grid, *region))
 
     def test_quadrature_matches_density_formula(self, grid):
         # <psi0|D|psi0> = integral_0^T dt integral_a^b |psi(x,t)|^2 dx
         psi0 = self.make_packet(grid)
-        region, horizon = (-2.0, 2.0), 4.0
+        horizon = 4.0
         ev = self.evolve(psi0)
-        d_psi = dwell_operator_state(ev, region, horizon)
+        d_psi = dwell_operator_state(ev, horizon)
         quad = float(np.real(np.vdot(psi0.amplitudes, d_psi)) * grid.dx)
 
-        density_formula = dwell_time_density(ev, region, horizon)
+        density_formula = dwell_time_density(ev, horizon)
         assert quad == pytest.approx(density_formula, rel=1e-6)
         # the packet crosses a width-4 window at speed 5 (plus spreading)
         assert quad == pytest.approx(0.8, rel=0.05)
@@ -224,16 +226,16 @@ class TestDwellOperator:
     def test_hermitian_between_two_packets(self, grid):
         psi0 = self.make_packet(grid)
         phi = WaveFunction.gaussian(grid, center=-6.0, width=1.3, momentum=5.0)
-        region, horizon = (-2.0, 2.0), 4.0
-        d_psi = dwell_operator_state(self.evolve(psi0), region, horizon)
-        d_phi = dwell_operator_state(self.evolve(phi), region, horizon)
+        horizon = 4.0
+        d_psi = dwell_operator_state(self.evolve(psi0), horizon)
+        d_phi = dwell_operator_state(self.evolve(phi), horizon)
         lhs = np.vdot(phi.amplitudes, d_psi) * grid.dx
         rhs = np.conj(np.vdot(psi0.amplitudes, d_phi)) * grid.dx
         assert abs(lhs - rhs) < 1e-10
 
     def test_weak_value_positive_along_packet(self, grid):
         ev = self.evolve(self.make_packet(grid))
-        field = dwell_operator_field(ev, (-2.0, 2.0), 4.0, self.CFG)
+        field = dwell_operator_field(ev, 4.0, self.CFG)
         wv = field[np.argmin(np.abs(grid.x + 8.0))]
         assert 0.5 < wv < 1.2  # near width/speed = 0.8 for the packet core
 
@@ -241,12 +243,22 @@ class TestDwellOperator:
         # the packet is still inside the window at the stored frame t = 1
         ev = self.evolve(self.make_packet(grid))
         with pytest.raises(HorizonError):
-            dwell_operator_state(ev, (-2.0, 2.0), 1.0)
+            dwell_operator_state(ev, 1.0)
+
+    @pytest.mark.parametrize("reader", [
+        lambda ev: dwell_time_density(ev, 4.0), dwell_weak_value,
+        lambda ev: dwell_operator_state(ev, 4.0)],
+        ids=["density", "weak-value", "operator-state"])
+    def test_windowless_evolution_raises(self, grid, reader):
+        # the dwell readers take the window the frames were made with
+        ev = evolve_store(self.make_packet(grid), PotentialModel("free"),
+                          self.CFG, 4.0)
+        with pytest.raises(FrameAccessError, match="without a window"):
+            reader(ev)
 
     def test_horizon_rule_shared_with_density(self, grid):
         # both density-based estimators judge the same |psi|^2 region mass
         ev = self.evolve(self.make_packet(grid))
-        region = (-2.0, 2.0)
 
         def raises(fn, *args):
             try:
@@ -256,19 +268,18 @@ class TestDwellOperator:
             return False
 
         horizons = [float(t) for t in ev.times[150::5]]
-        density = [raises(dwell_time_density, ev, region, h) for h in horizons]
-        operator = [raises(dwell_operator_state, ev, region, h)
-                    for h in horizons]
+        density = [raises(dwell_time_density, ev, h) for h in horizons]
+        operator = [raises(dwell_operator_state, ev, h) for h in horizons]
         assert density == operator
         assert density[0] and not density[-1]
 
     def test_horizon_before_last_frame_uses_its_prefix(self, grid):
         region = (-6.0, -2.0)
-        ev = self.evolve(self.make_packet(grid))
+        ev = self.evolve(self.make_packet(grid), region=region)
         short = evolve_store(self.make_packet(grid), PotentialModel("free"),
-                             self.CFG, 3.0)
-        assert np.array_equal(dwell_operator_state(ev, region, 3.0),
-                              dwell_operator_state(short, region, 3.0))
+                             self.CFG, 3.0, window=window_weights(grid, *region))
+        assert np.array_equal(dwell_operator_state(ev, 3.0),
+                              dwell_operator_state(short, 3.0))
 
     def test_backward_sweep_takes_the_forward_step(self, grid, monkeypatch):
         # a horizon shorter than the evolution: re-deriving the step as
@@ -284,8 +295,8 @@ class TestDwellOperator:
 
         monkeypatch.setattr(qgrid.Stepper, "__init__", recording)
         ev = evolve_store(self.make_packet(grid), PotentialModel("free"), cfg,
-                          5.0)
-        dwell_operator_state(ev, (-2.0, 2.0), 4.6)
+                          5.0, window=window_weights(grid, -2.0, 2.0))
+        dwell_operator_state(ev, 4.6)
         assert steps == [0.0025, -0.0025] and ev.dt == 0.0025
 
     def test_backward_sweep_takes_the_evolutions_method(self, grid,
@@ -300,15 +311,15 @@ class TestDwellOperator:
             return step(stepper, amp, t)
 
         monkeypatch.setattr(qgrid.Stepper, "step", recording)
-        dwell_operator_state(ev, (-2.0, 2.0), 4.0)
+        dwell_operator_state(ev, 4.0)
         assert steps == [-ev.dt] * (4 * 200) and ev.dt == 0.005
 
     def test_field_does_not_read_cfg(self, grid):
         cfg = PropagatorConfig(0.005, steps_per_output=8)
         ev = self.evolve(self.make_packet(grid), cfg)
         other = replace(cfg, dt=0.01, steps_per_output=4)
-        assert np.array_equal(dwell_operator_field(ev, (-2.0, 2.0), 4.0, cfg),
-                              dwell_operator_field(ev, (-2.0, 2.0), 4.0, other),
+        assert np.array_equal(dwell_operator_field(ev, 4.0, cfg),
+                              dwell_operator_field(ev, 4.0, other),
                               equal_nan=True)
 
     def test_steps_per_frame_come_from_the_evolution(self, grid):
@@ -317,11 +328,12 @@ class TestDwellOperator:
         grid = Grid1D(-40.0, 40.0, 512)
         cfg = PropagatorConfig(0.0025, steps_per_output=8)
         psi0 = self.make_packet(grid)
-        ev = evolve_store(psi0, PotentialModel("free"), cfg, 5.0)
-        d_psi = dwell_operator_state(ev, (-2.0, 2.0), 5.0)
+        ev = evolve_store(psi0, PotentialModel("free"), cfg, 5.0,
+                          window=window_weights(grid, -2.0, 2.0))
+        d_psi = dwell_operator_state(ev, 5.0)
         quad = float(np.real(np.vdot(psi0.amplitudes, d_psi)) * grid.dx)
         assert quad == pytest.approx(
-            dwell_time_density(ev, (-2.0, 2.0), 5.0), rel=1e-6)
+            dwell_time_density(ev, 5.0), rel=1e-6)
         assert quad == pytest.approx(0.80825, abs=1e-5)
 
     def test_driven_potential_quadrature_matches_density(self, grid):
@@ -331,10 +343,10 @@ class TestDwellOperator:
         psi0 = self.make_packet(grid)
         pot = PotentialModel("drive", profile=lambda t: 0.5 * np.cos(2.0 * t))
         ev = self.evolve(psi0, potential=pot)
-        d_psi = dwell_operator_state(ev, (-2.0, 2.0), 4.0)
+        d_psi = dwell_operator_state(ev, 4.0)
         quad = complex(np.vdot(psi0.amplitudes, d_psi) * grid.dx)
         assert quad.real == pytest.approx(
-            dwell_time_density(ev, (-2.0, 2.0), 4.0), rel=1e-6)
+            dwell_time_density(ev, 4.0), rel=1e-6)
         assert abs(quad.imag) < 1e-10
 
 
@@ -378,17 +390,17 @@ class TestDwellOperatorIdentities:
         cfg = PropagatorConfig(0.01, steps_per_output=spo)
         region = (a, a + width)
         evs = [evolve_store(WaveFunction.gaussian(grid, c, s, k), pot, cfg,
-                            self.HORIZON) for c, s, k in packets]
+                            self.HORIZON, window=window_weights(grid, *region))
+               for c, s, k in packets]
         (psi, d_psi), (phi, d_phi) = [
-            (ev.initial.amplitudes, dwell_operator_state(ev, region,
-                                                         self.HORIZON))
+            (ev.initial.amplitudes, dwell_operator_state(ev, self.HORIZON))
             for ev in evs]
         bound = 400 * 1e-15 * self.HORIZON
         assert abs(np.vdot(phi, d_psi) - np.conj(np.vdot(psi, d_phi))) \
             * grid.dx <= bound
         diag = np.vdot(psi, d_psi) * grid.dx
-        assert abs(diag.real - dwell_time_density(evs[0], region,
-                                                  self.HORIZON)) <= bound
+        assert abs(diag.real - dwell_time_density(evs[0], self.HORIZON)) \
+            <= bound
         assert abs(diag.imag) <= bound
 
     @settings(max_examples=10)
@@ -418,6 +430,5 @@ class TestDwellOperatorIdentities:
         psi = WaveFunction.gaussian(grid, center, sigma, k)
         ev = evolve_store(psi, pot, cfg, self.HORIZON,
                           window=window_weights(grid, *region))
-        sweep = weak_average(psi, dwell_operator_field(ev, region,
-                                                       self.HORIZON, cfg))
+        sweep = weak_average(psi, dwell_operator_field(ev, self.HORIZON, cfg))
         assert dwell_weak_value(ev) == pytest.approx(sweep, rel=1e-13, abs=0)
